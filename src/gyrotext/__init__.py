@@ -3,155 +3,26 @@
 Word embeddings living in the Poincare unit ball are composed into
 document points by gyrovector centroid schemes and classified with
 metric k-NN, a geodesic-kernel SVM, or a linear primal SVM.
+
+The package re-exports the public names (``__all__``) of its modules.
 """
 
-from .gyroball import (
-    BallParams,
-    DEFAULT_BALL,
-    ball_point,
-    clamp_to_ball,
-    geodesic_point,
-    midpoint,
-    mobius_add,
-    mobius_neg,
-    mobius_scale,
-    pairwise_poincare_distance,
-    poincare_distance,
-    weighted_midpoint,
-)
-from .composition import (
-    METHODS,
-    CompositionConfig,
-    compose,
-    compose_bnw,
-    compose_emean,
-    compose_fnw,
-    compose_lca,
-    compose_lcb,
-    compose_lcf,
-    compose_naive,
-    mobius_sum,
-)
-from .kernels import (
-    GramMatrix,
-    KernelSpec,
-    PsdReport,
-    cross_kernel,
-    geodesic_kernel,
-    gram_matrix,
-    jacobi_eigenvalues,
-    kernel_value,
-    min_eigenvalue,
-    psd_check,
-)
-from .classify import (
-    KnnModel,
-    LinearPrimalConfig,
-    LinearSvmModel,
-    OvrModel,
-    SmoConfig,
-    SvmModel,
-    knn_fit,
-    knn_predict,
-    knn_predict_batch,
-    linear_svm_primal_train,
-    ovr_decision,
-    ovr_predict,
-    ovr_train,
-    svm_decision,
-    svm_train_smo,
-)
-from .corpus import (
-    EmbeddingTable,
-    LabeledCorpus,
-    TokenizerConfig,
-    doc_to_points,
-    load_corpus,
-    load_embeddings,
-    represent_corpus,
-    tokenize,
-)
-from .harness import (
-    ExperimentConfig,
-    EvalReport,
-    KnnSpec,
-    ResultRow,
-    ResultsTable,
-    SplitSpec,
-    emit_table,
-    evaluate,
-    run_experiment,
-    split,
-)
+from . import classify, composition, corpus, gyroball, harness, kernels
+from .classify import *  # noqa: F401,F403
+from .composition import *  # noqa: F401,F403
+from .corpus import *  # noqa: F401,F403
+from .gyroball import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
+from .kernels import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BallParams",
-    "DEFAULT_BALL",
-    "ball_point",
-    "clamp_to_ball",
-    "geodesic_point",
-    "midpoint",
-    "mobius_add",
-    "mobius_neg",
-    "mobius_scale",
-    "pairwise_poincare_distance",
-    "poincare_distance",
-    "weighted_midpoint",
-    "METHODS",
-    "CompositionConfig",
-    "compose",
-    "compose_bnw",
-    "compose_emean",
-    "compose_fnw",
-    "compose_lca",
-    "compose_lcb",
-    "compose_lcf",
-    "compose_naive",
-    "mobius_sum",
-    "GramMatrix",
-    "KernelSpec",
-    "PsdReport",
-    "cross_kernel",
-    "geodesic_kernel",
-    "gram_matrix",
-    "jacobi_eigenvalues",
-    "kernel_value",
-    "min_eigenvalue",
-    "psd_check",
-    "KnnModel",
-    "LinearPrimalConfig",
-    "LinearSvmModel",
-    "OvrModel",
-    "SmoConfig",
-    "SvmModel",
-    "knn_fit",
-    "knn_predict",
-    "knn_predict_batch",
-    "linear_svm_primal_train",
-    "ovr_decision",
-    "ovr_predict",
-    "ovr_train",
-    "svm_decision",
-    "svm_train_smo",
-    "EmbeddingTable",
-    "LabeledCorpus",
-    "TokenizerConfig",
-    "doc_to_points",
-    "load_corpus",
-    "load_embeddings",
-    "represent_corpus",
-    "tokenize",
-    "ExperimentConfig",
-    "EvalReport",
-    "KnnSpec",
-    "ResultRow",
-    "ResultsTable",
-    "SplitSpec",
-    "emit_table",
-    "evaluate",
-    "run_experiment",
-    "split",
+    *gyroball.__all__,
+    *composition.__all__,
+    *kernels.__all__,
+    *classify.__all__,
+    *corpus.__all__,
+    *harness.__all__,
     "__version__",
 ]

@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .gyroball import pairwise_poincare_distance
+from .gyroball import pairwise_poincare_distance, pairwise_squared_distance
 from .kernels import GramMatrix, KernelSpec, cross_kernel, gram_matrix
 
 __all__ = [
@@ -32,10 +32,8 @@ __all__ = [
     "LinearPrimalConfig",
     "OvrModel",
     "knn_fit",
-    "knn_predict",
     "knn_predict_batch",
     "svm_train_smo",
-    "svm_decision",
     "linear_svm_primal_train",
     "ovr_train",
     "ovr_decision",
@@ -49,19 +47,9 @@ SUPPORT_EPS = 1e-10
 
 
 def _pairwise_distance(queries, points, metric: str) -> np.ndarray:
-    Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if Q.shape[1] != P.shape[1]:
-        raise ValueError(f"dimension mismatch: {Q.shape[1]} vs {P.shape[1]}")
     if metric == "poincare":
-        return pairwise_poincare_distance(Q, P)
-    sq = (
-        np.sum(Q * Q, axis=1)[:, None]
-        + np.sum(P * P, axis=1)[None, :]
-        - 2.0 * (Q @ P.T)
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return np.sqrt(sq)
+        return pairwise_poincare_distance(queries, points)
+    return np.sqrt(pairwise_squared_distance(queries, points))
 
 
 @dataclass(frozen=True)
@@ -103,21 +91,13 @@ def _vote(d_row: np.ndarray, model: KnnModel) -> int:
 
 
 def knn_predict_batch(model: KnnModel, queries) -> np.ndarray:
-    """Predicted class id per query row."""
-    d = _pairwise_distance(queries, model.points, model.metric)
-    return np.array([_vote(row, model) for row in d], dtype=np.int64)
-
-
-def knn_predict(model: KnnModel, query) -> int:
-    """Majority label among the k nearest training points.
+    """Majority label among the k nearest training points, per query row.
 
     Distance ties at the k-th rank are broken by training index order;
     vote ties by the smallest summed distance, then the smallest class id.
     """
-    q = np.asarray(query, dtype=np.float64)
-    if q.ndim != 1:
-        raise ValueError(f"query must be a single vector, got shape {q.shape}")
-    return int(knn_predict_batch(model, q[None, :])[0])
+    d = _pairwise_distance(queries, model.points, model.metric)
+    return np.array([_vote(row, model) for row in d], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -275,15 +255,6 @@ def svm_train_smo(
         n_iter=it,
         objective_history=np.asarray(history) if track_objective else None,
     )
-
-
-def svm_decision(model: SvmModel, kernel_row) -> float:
-    """Signed decision value sum_i alpha_i y_i K(x_i, x) + b for one query."""
-    row = np.asarray(kernel_row, dtype=np.float64)
-    n = model.alphas.shape[0]
-    if row.shape != (n,):
-        raise ValueError(f"kernel row must have length {n}, got shape {row.shape}")
-    return float(row @ (model.alphas * model.labels) + model.bias)
 
 
 @dataclass(frozen=True)

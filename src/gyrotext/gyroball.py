@@ -14,7 +14,10 @@ from which geodesics, midpoints and weighted midpoints are built. The
 hyperbolic distance on the unit ball is
 
     d(u, v) = arccosh(1 + 2 |u-v|^2 / ((1 - |u|^2)(1 - |v|^2)))
+            = 2 asinh(sqrt(|u-v|^2 / ((1 - |u|^2)(1 - |v|^2))))
 
+and is evaluated in the asinh form, with |u-v|^2 summed from actual
+coordinate differences, so nearby points keep full relative precision.
 All computation is in float64; the operators compound rounding error and
 32-bit floats do not survive deep compositions.
 """
@@ -39,7 +42,11 @@ __all__ = [
     "weighted_midpoint",
     "poincare_distance",
     "pairwise_poincare_distance",
+    "pairwise_squared_distance",
 ]
+
+# byte budget of the (rows, N, d) difference block one chunk broadcasts
+CHUNK_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -184,40 +191,54 @@ def weighted_midpoint(
 
 
 def poincare_distance(u, v) -> float:
-    """Hyperbolic distance between two points of the open unit ball.
+    """Hyperbolic distance between two unit-ball points; see pairwise_poincare_distance."""
+    return float(pairwise_poincare_distance(_as_vector(u, "u"), _as_vector(v, "v"))[0, 0])
 
-    d(u, v) = arccosh(1 + 2 |u-v|^2 / ((1 - |u|^2)(1 - |v|^2)))
 
-    Stated for the unit ball only; rescale coordinates by 1/s first when
-    working at a different radius. The arccosh argument is clamped below
-    at 1 to absorb rounding on near-identical points.
+def _as_rows(X) -> np.ndarray:
+    return np.atleast_2d(np.asarray(X, dtype=np.float64))
+
+
+def pairwise_squared_distance(U, V) -> np.ndarray:
+    """Squared Euclidean distance matrix S[i, j] = |U[i] - V[j]|^2.
+
+    Summed from actual row differences, never as |u|^2 + |v|^2 - 2 u.v,
+    so equal rows give exactly 0 and S is exactly symmetric in U, V.
+    The differences are broadcast a block of rows at a time, keeping the
+    temporary within CHUNK_BYTES.
     """
-    u = _as_vector(u, "u")
-    v = _as_vector(v, "v")
-    _check_same_dim(u, v)
-    nu2 = float(np.dot(u, u))
-    nv2 = float(np.dot(v, v))
-    if nu2 >= 1.0 or nv2 >= 1.0:
-        raise ValueError("poincare_distance requires points strictly inside the unit ball")
-    diff = u - v
-    arg = 1.0 + 2.0 * float(np.dot(diff, diff)) / ((1.0 - nu2) * (1.0 - nv2))
-    return math.acosh(max(arg, 1.0))
+    U = _as_rows(U)
+    V = _as_rows(V)
+    if U.shape[1] != V.shape[1]:
+        raise ValueError(f"dimension mismatch: {U.shape[1]} vs {V.shape[1]}")
+    out = np.empty((U.shape[0], V.shape[0]))
+    rows = max(1, CHUNK_BYTES // max(1, V.size * 8))
+    for start in range(0, U.shape[0], rows):
+        diff = U[start : start + rows, None, :] - V[None, :, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=out[start : start + rows])
+    return out
 
 
 def pairwise_poincare_distance(U, V) -> np.ndarray:
-    """Distance matrix D[i, j] = d(U[i], V[j]) over unit-ball row stacks."""
-    U = np.atleast_2d(np.asarray(U, dtype=np.float64))
-    V = np.atleast_2d(np.asarray(V, dtype=np.float64))
-    if U.shape[1] != V.shape[1]:
-        raise ValueError(f"dimension mismatch: {U.shape[1]} vs {V.shape[1]}")
+    """Distance matrix D[i, j] = d(U[i], V[j]) over unit-ball row stacks.
+
+    d(u, v) = 2 asinh(sqrt(|u-v|^2 / ((1 - |u|^2)(1 - |v|^2))))
+
+    which equals the arccosh form but, unlike arccosh(1 + x), keeps full
+    relative precision when x is tiny. Stated for the unit ball only;
+    rescale coordinates by 1/s first when working at a different radius.
+    """
+    U = _as_rows(U)
+    V = _as_rows(V)
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
         raise ValueError("non-finite coordinates")
     nu2 = np.sum(U * U, axis=1)
     nv2 = np.sum(V * V, axis=1)
     if np.any(nu2 >= 1.0) or np.any(nv2 >= 1.0):
         raise ValueError("pairwise_poincare_distance requires points strictly inside the unit ball")
-    sq = nu2[:, None] + nv2[None, :] - 2.0 * (U @ V.T)
-    np.maximum(sq, 0.0, out=sq)
-    arg = 1.0 + 2.0 * sq / ((1.0 - nu2)[:, None] * (1.0 - nv2)[None, :])
-    np.maximum(arg, 1.0, out=arg)
-    return np.arccosh(arg)
+    sq = pairwise_squared_distance(U, V)
+    sq /= (1.0 - nu2)[:, None] * (1.0 - nv2)[None, :]
+    np.sqrt(sq, out=sq)
+    np.arcsinh(sq, out=sq)
+    sq *= 2.0
+    return sq

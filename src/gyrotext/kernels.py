@@ -21,14 +21,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gyroball import pairwise_poincare_distance, poincare_distance
+from .gyroball import pairwise_poincare_distance, pairwise_squared_distance
 
 __all__ = [
     "KernelSpec",
     "GramMatrix",
     "PsdReport",
-    "geodesic_kernel",
-    "kernel_value",
     "cross_kernel",
     "gram_matrix",
     "jacobi_eigenvalues",
@@ -81,27 +79,6 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
-def geodesic_kernel(u, v, lam: float = 1.0, q: float = 1.0) -> float:
-    """exp(-lambda * d(u, v)^q) for unit-ball points; equals 1 iff u == v."""
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if not (math.isfinite(q) and q > 0):
-        raise ValueError(f"q must be positive, got {q}")
-    return math.exp(-lam * poincare_distance(u, v) ** q)
-
-
-def kernel_value(u, v, spec: KernelSpec) -> float:
-    """Evaluate the kernel selected by ``spec`` on a single pair."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if spec.kind == "geodesic":
-        return geodesic_kernel(u, v, spec.lam, spec.q)
-    if spec.kind == "euclidean_rbf":
-        diff = u - v
-        return math.exp(-spec.lam * float(np.dot(diff, diff)))
-    return float(np.dot(u, v))
-
-
 def cross_kernel(queries, points, spec: KernelSpec) -> np.ndarray:
     """Kernel matrix K[i, j] between query rows and reference point rows."""
     Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
@@ -112,13 +89,7 @@ def cross_kernel(queries, points, spec: KernelSpec) -> np.ndarray:
         d = pairwise_poincare_distance(Q, P)
         return np.exp(-spec.lam * d**spec.q)
     if spec.kind == "euclidean_rbf":
-        sq = (
-            np.sum(Q * Q, axis=1)[:, None]
-            + np.sum(P * P, axis=1)[None, :]
-            - 2.0 * (Q @ P.T)
-        )
-        np.maximum(sq, 0.0, out=sq)
-        return np.exp(-spec.lam * sq)
+        return np.exp(-spec.lam * pairwise_squared_distance(Q, P))
     return Q @ P.T
 
 
@@ -166,34 +137,42 @@ def jacobi_eigenvalues(matrix, max_sweeps: int = 100) -> np.ndarray:
     if n == 1:
         return a[0, :1].copy()
     threshold = max(1e-12 * float(np.trace(a)), 0.0)
+    off_diagonal = ~np.eye(n, dtype=bool)
     for _ in range(max_sweeps):
-        off = math.sqrt(max(float(np.sum(a * a) - np.sum(np.diag(a) ** 2)), 0.0))
-        if off <= threshold:
+        # summed from the off-diagonal entries themselves: the difference
+        # sum(a^2) - sum(diag^2) cancels to a ~1e-7 floor above threshold
+        if math.sqrt(float(np.sum(a[off_diagonal] ** 2))) <= threshold:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                # tangent of the rotation zeroing a[p, q]; this form of the
-                # quadratic root never overflows, unlike theta = delta/(2 apq)
-                delta = a[q, q] - a[p, p]
-                t = 2.0 * apq * math.copysign(1.0, delta) / (
-                    abs(delta) + math.hypot(delta, 2.0 * apq)
-                )
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :] = rot_p
-                a[q, :] = rot_q
-                a[:, p] = rot_p
-                a[:, q] = rot_q
-                a[p, p] = c * rot_p[p] - s * rot_p[q]
-                a[q, q] = s * rot_q[p] + c * rot_q[q]
-                a[p, q] = 0.0
-                a[q, p] = 0.0
+        _jacobi_sweep(a)
     return np.sort(np.diag(a))
+
+
+def _jacobi_sweep(a: np.ndarray) -> None:
+    """One cyclic pass of rotations over the upper triangle, in place."""
+    n = a.shape[0]
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            apq = a[p, q]
+            if apq == 0.0:
+                continue
+            # tangent of the rotation zeroing a[p, q]; this form of the
+            # quadratic root never overflows, unlike theta = delta/(2 apq)
+            delta = a[q, q] - a[p, p]
+            t = 2.0 * apq * math.copysign(1.0, delta) / (
+                abs(delta) + math.hypot(delta, 2.0 * apq)
+            )
+            c = 1.0 / math.hypot(1.0, t)
+            s = t * c
+            rot_p = c * a[p, :] - s * a[q, :]
+            rot_q = s * a[p, :] + c * a[q, :]
+            a[p, :] = rot_p
+            a[q, :] = rot_q
+            a[:, p] = rot_p
+            a[:, q] = rot_q
+            a[p, p] = c * rot_p[p] - s * rot_p[q]
+            a[q, q] = s * rot_q[p] + c * rot_q[q]
+            a[p, q] = 0.0
+            a[q, p] = 0.0
 
 
 def min_eigenvalue(gram) -> float:

@@ -1,5 +1,6 @@
 import math
 from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,13 +12,11 @@ from gyrotext.classify import (
     SmoConfig,
     SvmModel,
     knn_fit,
-    knn_predict,
     knn_predict_batch,
     linear_svm_primal_train,
     ovr_decision,
     ovr_predict,
     ovr_train,
-    svm_decision,
     svm_train_smo,
 )
 from gyrotext.gyroball import mobius_add
@@ -55,6 +54,18 @@ def oracle_knn(train_points, train_labels, query, k, metric):
     return min(c for c in tied if sums[c] == closest)
 
 
+def linear_decision(model, train_points, queries):
+    """Decision values of one binary SMO model trained on the linear-kernel
+    Gram of ``train_points``, evaluated through ovr_decision."""
+    ovr = OvrModel(
+        classes=np.array([1]),
+        models=(replace(model, kernel=KernelSpec("linear")),),
+        kind="smo",
+        train_points=np.atleast_2d(np.asarray(train_points, dtype=np.float64)),
+    )
+    return ovr_decision(ovr, queries)[:, 0]
+
+
 def ball_blobs(rng, centers, per_class, spread=0.05):
     pts, labels = [], []
     for cid, center in enumerate(centers):
@@ -88,29 +99,29 @@ def test_knn_zero_distance_and_majority():
     pts = np.array([[0.1, 0.0], [0.2, 0.0], [0.9, 0.0]])
     labels = [0, 0, 1]
     model = knn_fit(pts, labels, k=1)
-    assert knn_predict(model, np.array([0.9, 0.0])) == 1
+    assert knn_predict_batch(model, [[0.9, 0.0]])[0] == 1
     model3 = knn_fit(pts, labels, k=3)
     # two votes for class 0 near the query, one distant for class 1
-    assert knn_predict(model3, np.array([0.15, 0.0])) == 0
+    assert knn_predict_batch(model3, [[0.15, 0.0]])[0] == 0
 
 
 def test_knn_rank_tie_keeps_index_order():
     # both training points sit at the same distance from the query
     pts = np.array([[0.2, 0.0], [-0.2, 0.0]])
     model = knn_fit(pts, [5, 7], k=1)
-    assert knn_predict(model, np.zeros(2)) == 5
+    assert knn_predict_batch(model, [[0.0, 0.0]])[0] == 5
 
 
 def test_knn_vote_tie_prefers_smaller_summed_distance():
     pts = np.array([[0.1, 0.0], [0.5, 0.0]])
     model = knn_fit(pts, [4, 2], k=2)
-    assert knn_predict(model, np.zeros(2)) == 4
+    assert knn_predict_batch(model, [[0.0, 0.0]])[0] == 4
 
 
 def test_knn_full_tie_prefers_smaller_class_id():
     pts = np.array([[0.3, 0.0], [-0.3, 0.0]])
     model = knn_fit(pts, [3, 1], k=2)
-    assert knn_predict(model, np.zeros(2)) == 1
+    assert knn_predict_batch(model, [[0.0, 0.0]])[0] == 1
 
 
 def test_knn_k_equals_n_is_global_majority():
@@ -159,9 +170,7 @@ def test_knn_prediction_invariant_under_isometry():
 def test_knn_query_shape_checks():
     model = knn_fit(np.array([[0.1, 0.0]]), [0], k=1)
     with pytest.raises(ValueError):
-        knn_predict(model, np.array([0.1, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        knn_predict(model, np.array([[0.1, 0.0]]))
+        knn_predict_batch(model, np.array([[0.1, 0.0, 0.0]]))
 
 
 # ------------------------------------------------------------------- SMO
@@ -170,15 +179,17 @@ def test_knn_query_shape_checks():
 def test_smo_two_point_separable_trace():
     # 1-D points +1/-1 with the linear kernel; exact solution has
     # alpha = (0.5, 0.5), b = 0, margin 1 at both points
-    gram = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    X = np.array([[1.0], [-1.0]])
+    gram = X @ X.T
     model = svm_train_smo(gram, [1.0, -1.0])
     np.testing.assert_allclose(model.alphas, [0.5, 0.5], atol=1e-12)
     assert model.bias == pytest.approx(0.0, abs=1e-12)
     assert model.converged
     assert model.support_indices.tolist() == [0, 1]
     assert model.dual_objective == pytest.approx(0.5, abs=1e-12)
-    assert svm_decision(model, gram[0]) == pytest.approx(1.0, abs=1e-12)
-    assert svm_decision(model, gram[1]) == pytest.approx(-1.0, abs=1e-12)
+    scores = linear_decision(model, X, X)
+    assert scores[0] == pytest.approx(1.0, abs=1e-12)
+    assert scores[1] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_smo_conflicting_duplicates_hit_the_box():
@@ -195,7 +206,7 @@ def test_smo_separable_blobs_sign_match():
     gram = X @ X.T
     model = svm_train_smo(gram, y)
     assert model.converged
-    scores = np.array([svm_decision(model, gram[i]) for i in range(len(y))])
+    scores = linear_decision(model, X, X)
     assert np.all(np.sign(scores) == y)
     # dual feasibility
     assert np.all(model.alphas >= 0) and np.all(model.alphas <= model.C)
@@ -270,7 +281,8 @@ def test_svm_decision_examples():
         psd_warning=False,
         n_iter=0,
     )
-    assert svm_decision(zero, [0.3, 0.9]) == 0.5
+    # linear kernel against unit-vector training rows: the query is its own kernel row
+    assert linear_decision(zero, np.eye(2), [[0.3, 0.9]])[0] == 0.5
     lone = SvmModel(
         alphas=np.array([1.0]),
         bias=0.0,
@@ -284,7 +296,7 @@ def test_svm_decision_examples():
         psd_warning=False,
         n_iter=0,
     )
-    assert svm_decision(lone, [1.0]) == 1.0
+    assert linear_decision(lone, [[1.0]], [[1.0]])[0] == 1.0
     pair = SvmModel(
         alphas=np.array([0.5, 0.5]),
         bias=0.0,
@@ -299,9 +311,9 @@ def test_svm_decision_examples():
         n_iter=0,
     )
     # kernel row equidistant from the two opposing supports
-    assert svm_decision(pair, [0.4, 0.4]) == 0.0
+    assert linear_decision(pair, np.eye(2), [[0.4, 0.4]])[0] == 0.0
     with pytest.raises(ValueError):
-        svm_decision(pair, [0.4, 0.4, 0.4])
+        linear_decision(pair, np.eye(2), [[0.4, 0.4, 0.4]])
 
 
 # --------------------------------------------------------- linear primal
@@ -440,7 +452,7 @@ def test_ovr_smo_decision_matches_manual_kernel_rows():
     for col, binary in enumerate(model.models):
         for r in range(3):
             assert scores[r, col] == pytest.approx(
-                svm_decision(binary, rows[r]), abs=1e-12
+                float(rows[r] @ (binary.alphas * binary.labels) + binary.bias), abs=1e-12
             )
 
 

@@ -1,8 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gyrotext import gyroball
 from gyrotext.gyroball import (
     BallParams,
     ball_point,
@@ -13,6 +17,7 @@ from gyrotext.gyroball import (
     mobius_neg,
     mobius_scale,
     pairwise_poincare_distance,
+    pairwise_squared_distance,
     poincare_distance,
     weighted_midpoint,
 )
@@ -260,6 +265,83 @@ def test_pairwise_distance_matches_scalar():
     for i in range(12):
         for j in range(7):
             assert D[i, j] == pytest.approx(poincare_distance(U[i], V[j]), rel=1e-10)
+
+
+def mp_distance(u, v):
+    """50-digit reference distance, taken as exact for the float inputs."""
+    with mpmath.workdps(50):
+        mu = [mpmath.mpf(float(x)) for x in u]
+        mv = [mpmath.mpf(float(x)) for x in v]
+        gap = mpmath.fsum((a - b) ** 2 for a, b in zip(mu, mv))
+        du = 1 - mpmath.fsum(a * a for a in mu)
+        dv = 1 - mpmath.fsum(b * b for b in mv)
+        return 2 * mpmath.asinh(mpmath.sqrt(gap / (du * dv)))
+
+
+def unit(coords):
+    w = np.asarray(coords, dtype=np.float64)
+    n = np.linalg.norm(w)
+    return w / n if n > 1e-3 else np.eye(len(w))[0]
+
+
+MAX_NORM = BallParams().max_norm
+
+
+@st.composite
+def near_pairs(draw):
+    """Pairs with |u| up to the clamp norm 1 - 1e-7 and |u - v| from 1e-9 to 1."""
+    dim = draw(st.integers(2, 6))
+    coords = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
+    u_dir, v_dir = unit(draw(coords)), unit(draw(coords))
+    kind = draw(st.sampled_from(["near", "coincident", "clamped"]))
+    if kind == "clamped":
+        # clamp_to_ball pulls any point outside the ball in to the clamp norm
+        return clamp_to_ball(2.0 * u_dir), clamp_to_ball(2.0 * v_dir)
+    u = u_dir * (1.0 - 10.0 ** draw(st.floats(-7.0, 0.0)))
+    if kind == "coincident":
+        return u, u.copy()
+    v = u + 10.0 ** draw(st.floats(-9.0, 0.0)) * v_dir
+    norm = np.linalg.norm(v)
+    if norm > MAX_NORM:
+        v *= MAX_NORM / norm
+    return u, v
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(near_pairs())
+def test_distance_matches_high_precision_oracle(pair):
+    u, v = pair
+    got = float(pairwise_poincare_distance(u, v)[0, 0])
+    assert got == poincare_distance(u, v)
+    assert pairwise_squared_distance([u, v], [u, v])[0, 0] == 0.0
+    if np.array_equal(u, v):
+        assert got == 0.0
+        return
+    # Rounding |u|^2 costs about (dim + 1) ulps of 1, so 1 - |u|^2 carries a
+    # relative error of about (dim + 1) eps / (1 - |u|^2), and the same for v.
+    # Those two dominate near the boundary; |u - v|^2 from differences, the
+    # division, sqrt and asinh add only O(dim) eps, and the map from the asinh
+    # argument to d halves relative errors. 4 (dim + 2) covers the sum.
+    eps = np.finfo(np.float64).eps
+    c = 4.0 * (len(u) + 2)
+    slack = min(1.0 - float(u @ u), 1.0 - float(v @ v))
+    ref = mp_distance(u, v)
+    assert abs(got - float(ref)) <= c * eps / slack * float(ref)
+
+
+def test_squared_distance_exact_zero_symmetry_and_chunking(monkeypatch):
+    rng = np.random.default_rng(14)
+    U = np.array([random_ball(rng, 7, 0.999) for _ in range(40)])
+    S = pairwise_squared_distance(U, U)
+    assert np.all(np.diag(S) == 0.0)
+    assert np.array_equal(S, S.T)
+    D = pairwise_poincare_distance(U, U)
+    assert np.all(np.diag(D) == 0.0)
+    assert np.array_equal(D, D.T)
+    # a budget below one row's block evaluates row by row, to the same bits
+    monkeypatch.setattr(gyroball, "CHUNK_BYTES", 8)
+    assert np.array_equal(pairwise_squared_distance(U, U), S)
+    assert np.array_equal(pairwise_poincare_distance(U, U), D)
 
 
 def test_gyrotranslation_isometry():

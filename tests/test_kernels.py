@@ -4,20 +4,37 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gyrotext import kernels
 from gyrotext.gyroball import pairwise_poincare_distance, poincare_distance
 from gyrotext.kernels import (
     GramMatrix,
     KernelSpec,
     cross_kernel,
-    geodesic_kernel,
     gram_matrix,
     jacobi_eigenvalues,
-    kernel_value,
     min_eigenvalue,
     psd_check,
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+def pair_kernel(u, v, spec):
+    """The kernel on a single pair, through the row-wise entry point."""
+    return float(cross_kernel([u], [v], spec)[0, 0])
+
+
+def scalar_kernel(u, v, spec):
+    """Per-pair reference: the arccosh distance form and plain dot products."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if spec.kind == "geodesic":
+        gap = float(np.dot(u - v, u - v))
+        arg = 1.0 + 2.0 * gap / ((1.0 - float(np.dot(u, u))) * (1.0 - float(np.dot(v, v))))
+        return math.exp(-spec.lam * math.acosh(arg) ** spec.q)
+    if spec.kind == "euclidean_rbf":
+        return math.exp(-spec.lam * float(np.dot(u - v, u - v)))
+    return float(np.dot(u, v))
 
 
 def random_points(rng, n, dim, max_norm=0.9):
@@ -41,16 +58,18 @@ def test_kernel_spec_validation():
 def test_geodesic_kernel_self_similarity():
     rng = np.random.default_rng(20)
     x = random_points(rng, 1, 4)[0]
-    assert geodesic_kernel(x, x, 1.0, 1.0) == 1.0
+    assert pair_kernel(x, x, KernelSpec("geodesic", lam=1.0, q=1.0)) == 1.0
 
 
 def test_geodesic_kernel_known_distance():
     # d(0, (0.5, 0)) = ln 3, so the q=1 kernel is exp(-ln 3) = 1/3
     o = np.zeros(2)
     x = np.array([0.5, 0.0])
-    assert geodesic_kernel(o, x, 1.0, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-12)
+    assert pair_kernel(o, x, KernelSpec("geodesic", lam=1.0, q=1.0)) == pytest.approx(
+        1.0 / 3.0, rel=1e-12
+    )
     # squared-distance variant at the same pair
-    assert geodesic_kernel(o, x, 1.0, 2.0) == pytest.approx(
+    assert pair_kernel(o, x, KernelSpec("geodesic", lam=1.0, q=2.0)) == pytest.approx(
         math.exp(-math.log(3.0) ** 2), rel=1e-12
     )
 
@@ -63,19 +82,20 @@ def test_geodesic_kernel_matches_distance_formula():
             for i in range(0, 20, 3):
                 u, v = pts[i], pts[(i + 7) % 20]
                 expect = math.exp(-lam * poincare_distance(u, v) ** q)
-                assert geodesic_kernel(u, v, lam, q) == pytest.approx(expect, rel=1e-14)
+                got = pair_kernel(u, v, KernelSpec("geodesic", lam=lam, q=q))
+                assert got == pytest.approx(expect, rel=1e-14)
 
 
 def test_kernel_value_dispatch():
     u = np.array([0.3, 0.0])
     v = np.array([0.0, 0.4])
-    assert kernel_value(u, v, KernelSpec("geodesic", lam=1.0, q=1.0)) == pytest.approx(
+    assert pair_kernel(u, v, KernelSpec("geodesic", lam=1.0, q=1.0)) == pytest.approx(
         math.exp(-poincare_distance(u, v))
     )
-    assert kernel_value(u, v, KernelSpec("euclidean_rbf", lam=2.0)) == pytest.approx(
+    assert pair_kernel(u, v, KernelSpec("euclidean_rbf", lam=2.0)) == pytest.approx(
         math.exp(-2.0 * 0.25)
     )
-    assert kernel_value(u, v, KernelSpec("linear")) == pytest.approx(0.0, abs=0)
+    assert pair_kernel(u, v, KernelSpec("linear")) == pytest.approx(0.0, abs=0)
 
 
 def test_kernel_bounds():
@@ -123,7 +143,7 @@ def test_cross_kernel_matches_scalar():
         for i in range(4):
             for j in range(6):
                 assert got[i, j] == pytest.approx(
-                    kernel_value(Q[i], P[j], spec), rel=1e-12, abs=1e-15
+                    scalar_kernel(Q[i], P[j], spec), rel=1e-12, abs=1e-15
                 )
 
 
@@ -172,6 +192,19 @@ def test_jacobi_accepts_gram_and_rejects_asymmetry():
     )
     with pytest.raises(ValueError):
         jacobi_eigenvalues(np.array([[1.0, 0.2], [0.1, 1.0]]))
+
+
+def test_jacobi_diagonal_input_takes_zero_sweeps(monkeypatch):
+    # non-integer entries make sum(a^2) - sum(diag(a)^2) round to a nonzero
+    # floor far above 1e-12 * trace; the exact zero off-diagonal must stop it
+    sweeps = []
+    sweep = kernels._jacobi_sweep
+    monkeypatch.setattr(kernels, "_jacobi_sweep", lambda a: (sweeps.append(1), sweep(a)))
+    rng = np.random.default_rng(46)
+    for _ in range(20):
+        diag = rng.uniform(0.5, 1.5, size=60)
+        assert np.array_equal(jacobi_eigenvalues(np.diag(diag)), np.sort(diag))
+    assert sweeps == []
 
 
 def test_min_eigenvalue():
