@@ -68,8 +68,8 @@ def main():
     acc = np.mean(ovr_predict(linear, test_x) == test_y)
     print(f"  test accuracy {acc:.3f}")
     obj = linear.models[0].objective_history
-    print(f"  class-0 objective per epoch: {obj[0]:.2f} -> {obj[9]:.2f} -> {obj[-1]:.2f} "
-          f"(epochs 1, 10, {obj.size})")
+    print(f"  class-0 objective per Newton step: {' -> '.join(f'{v:.4f}' for v in obj)} "
+          f"(exact minimiser after {obj.size} steps)")
     print("\nThe clusters are easy by design; the point is that all three")
     print("routes agree and expose their convergence diagnostics.")
 

@@ -53,7 +53,7 @@ def main():
             methods=("emean", "naive", "lcf", "lcb", "lca", "fnw", "bnw"),
             knn=KnnSpec(ks=(3, 5), metric="poincare"),
             svm=SmoConfig(kernel=KernelSpec("geodesic", lam=1.0, q=1.0)),
-            linear_svm=LinearPrimalConfig(epochs=30),
+            linear_svm=LinearPrimalConfig(),
         )
         results = run_experiment(config)
 

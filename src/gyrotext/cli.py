@@ -82,14 +82,12 @@ def _parse_svm(text: str) -> SmoConfig:
     return SmoConfig(kernel=KernelSpec(kind=kind, lam=lam, q=q), C=C)
 
 
-def _parse_linear_svm(text: str, seed: int) -> LinearPrimalConfig:
+def _parse_linear_svm(text: str) -> LinearPrimalConfig:
     pairs = _parse_pairs(text, "--linear-svm")
     C = float(pairs.pop("C", 1.0))
-    epochs = int(pairs.pop("epochs", 100))
-    lr = float(pairs.pop("lr", 0.05))
     if pairs:
         raise ValueError(f"--linear-svm: unknown keys {sorted(pairs)}")
-    return LinearPrimalConfig(C=C, epochs=epochs, seed=seed, lr=lr)
+    return LinearPrimalConfig(C=C)
 
 
 def _parse_split(text: str, seed: int) -> SplitSpec:
@@ -147,7 +145,7 @@ def _cmd_run(args) -> int:
         methods=_parse_methods(args.methods),
         knn=knn,
         svm=_parse_svm(args.svm) if args.svm else None,
-        linear_svm=_parse_linear_svm(args.linear_svm, args.seed) if args.linear_svm else None,
+        linear_svm=_parse_linear_svm(args.linear_svm) if args.linear_svm else None,
         split=_parse_split(args.split, args.seed),
     )
     results = run_experiment(config)

@@ -32,7 +32,6 @@ import numpy as np
 __all__ = [
     "BallParams",
     "DEFAULT_BALL",
-    "ball_point",
     "clamp_to_ball",
     "mobius_add",
     "mobius_neg",
@@ -85,23 +84,6 @@ def _as_vector(x, name: str = "point") -> np.ndarray:
 def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-
-
-def ball_point(coords, params: BallParams = DEFAULT_BALL) -> np.ndarray:
-    """Validate ``coords`` as a point strictly inside the ball.
-
-    Norm violations within ``boundary_eps`` of ``s`` are clamped back to
-    ``s * (1 - boundary_eps)``; anything further out is rejected.
-    """
-    x = _as_vector(coords)
-    n = float(np.linalg.norm(x))
-    if n < params.s:
-        return x
-    if n <= params.s + params.boundary_eps:
-        return x * (params.max_norm / n)
-    raise ValueError(
-        f"point norm {n} exceeds ball radius {params.s} beyond the clamping margin"
-    )
 
 
 def clamp_to_ball(x, params: BallParams = DEFAULT_BALL) -> np.ndarray:

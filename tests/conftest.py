@@ -1,4 +1,11 @@
+import os
+from pathlib import Path
+
 import pytest
+
+# child processes (the CLI and demo runs) do not see pytest's pythonpath setting
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 _acceptance = []
 

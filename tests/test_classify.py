@@ -327,35 +327,61 @@ def test_linear_primal_1d_signs():
     assert np.all(np.sign(X @ model.weights + model.bias).ravel() == y)
 
 
+def squared_hinge_gradient(X, y, w, b, C=1.0):
+    """Gradient of 1/2 |w|^2 + C sum max(0, 1 - y (w.x + b))^2 in (w, b)."""
+    slack = 1.0 - y * (X @ w + b)
+    active = slack > 0
+    pull = 2.0 * C * y[active] * slack[active]
+    return np.append(w - X[active].T @ pull, -pull.sum())
+
+
+def blob_fixtures():
+    """The seeded two-class blob sets the linear-primal tests train on."""
+    for seed, centers, per_class, spread in [
+        (36, [(1.0, 1.0), (-1.0, -1.0)], 20, 0.9),
+        (37, [(2.0, 0.0), (-2.0, 0.0)], 30, 0.5),
+        (38, [(0.6, 0.3), (-0.6, -0.3)], 40, 0.8),
+    ]:
+        X, y01 = ball_blobs(np.random.default_rng(seed), centers, per_class, spread)
+        yield X, np.where(y01 == 0, 1.0, -1.0)
+
+
 def test_linear_primal_deterministic():
-    rng = np.random.default_rng(36)
-    X, y01 = ball_blobs(rng, [(1.0, 1.0), (-1.0, -1.0)], per_class=20, spread=0.9)
-    y = np.where(y01 == 0, 1.0, -1.0)
-    a = linear_svm_primal_train(X, y, seed=5)
-    b = linear_svm_primal_train(X, y, seed=5)
+    X, y = next(blob_fixtures())
+    a = linear_svm_primal_train(X, y)
+    b = linear_svm_primal_train(X, y)
     assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
-    c = linear_svm_primal_train(X, y, seed=6)
-    assert not np.array_equal(a.weights, c.weights)
 
 
 def test_linear_primal_separable_blobs_accuracy():
-    rng = np.random.default_rng(37)
-    X, y01 = ball_blobs(rng, [(2.0, 0.0), (-2.0, 0.0)], per_class=30, spread=0.5)
-    y = np.where(y01 == 0, 1.0, -1.0)
+    X, y = list(blob_fixtures())[1]
     model = linear_svm_primal_train(X, y)
     acc = np.mean(np.sign(X @ model.weights + model.bias) == y)
     assert acc >= 0.99
 
 
 def test_linear_primal_objective_descends_with_jitter():
-    rng = np.random.default_rng(38)
-    X, y01 = ball_blobs(rng, [(0.6, 0.3), (-0.6, -0.3)], per_class=40, spread=0.8)
-    y = np.where(y01 == 0, 1.0, -1.0)
-    model = linear_svm_primal_train(X, y)
-    h = model.objective_history
-    assert h.shape == (100,)
-    # after the first epoch the objective never rises by more than 1%
-    assert np.all(h[2:] <= h[1:-1] * 1.01)
+    for X, y in blob_fixtures():
+        model = linear_svm_primal_train(X, y)
+        h = model.objective_history
+        assert h.size >= 1 and np.all(np.diff(h) <= 0)
+        # Newton stops at the exact minimiser: the gradient vanishes there
+        g = squared_hinge_gradient(X, y, model.weights, model.bias)
+        g0 = squared_hinge_gradient(X, y, np.zeros(X.shape[1]), 0.0)
+        assert np.linalg.norm(g) <= 1e-9 * (1.0 + np.linalg.norm(g0))
+
+
+def test_linear_primal_edge_fixtures():
+    # one step lands on the exact minimiser w = 40C / (1 + 400C), b = 0,
+    # with both margins 400/401, just short of 1; the active set is kept
+    model = linear_svm_primal_train(np.array([[-10.0], [10.0]]), [-1.0, 1.0])
+    assert model.objective_history.size == 1
+    assert model.weights[0] == pytest.approx(40.0 / 401.0, rel=1e-12)
+    assert model.bias == pytest.approx(0.0, abs=1e-12)
+    # coincident points with opposite labels: the origin is the minimiser
+    model = linear_svm_primal_train(np.array([[0.3, 0.4], [0.3, 0.4]]), [1.0, -1.0])
+    assert np.array_equal(model.weights, [0.0, 0.0]) and model.bias == 0.0
+    assert model.objective_history.tolist() == [2.0]
 
 
 def test_linear_primal_validation():
@@ -364,8 +390,6 @@ def test_linear_primal_validation():
         linear_svm_primal_train(X, [1.0, 1.0])
     with pytest.raises(ValueError):
         linear_svm_primal_train(np.array([[np.nan], [1.0]]), [1.0, -1.0])
-    with pytest.raises(ValueError):
-        linear_svm_primal_train(X, [1.0, -1.0], epochs=0)
     with pytest.raises(ValueError):
         linear_svm_primal_train(X, [1.0, -1.0], C=-1.0)
 
@@ -433,7 +457,7 @@ def test_ovr_three_class_blobs_both_routes():
 def test_ovr_decision_dimension_checks():
     rng = np.random.default_rng(43)
     pts, labels = ball_blobs(rng, [(0.3, 0.0), (-0.3, 0.0)], per_class=5)
-    model = ovr_train(pts, labels, LinearPrimalConfig(epochs=5))
+    model = ovr_train(pts, labels, LinearPrimalConfig())
     with pytest.raises(ValueError):
         ovr_decision(model, np.zeros((2, 3)))
     smo = ovr_train(pts, labels, SmoConfig(kernel=KernelSpec("geodesic")))

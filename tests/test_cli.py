@@ -54,7 +54,7 @@ def test_parse_knn():
         _parse_knn("k=3,five")
 
 
-def test_parse_svm():
+def test_parse_svm(capsys):
     config = _parse_svm("kernel=geodesic-laplacian,lambda=0.5,C=2.0")
     assert config.kernel.kind == "geodesic" and config.kernel.q == 1.0
     assert config.kernel.lam == 0.5 and config.C == 2.0
@@ -66,6 +66,11 @@ def test_parse_svm():
         _parse_svm("kernel=sigmoid")
     with pytest.raises(ValueError, match="unknown keys"):
         _parse_svm("kernel=linear,gamma=2")
+    # the linear SVM takes only C; keys are checked before any file is read
+    rc = main(["run", "--corpus", "c", "--embeddings", "e", "--flavor", "poincare",
+               "--linear-svm", "C=1.0,epochs=20"])
+    assert rc == 2
+    assert "unknown keys ['epochs']" in capsys.readouterr().err
     with pytest.raises(ValueError, match="key=value"):
         _parse_svm("just-words")
 
@@ -106,7 +111,7 @@ def test_run_writes_csv(tmp_path, capsys):
             "--flavor", "poincare",
             "--methods", "emean,lcf",
             "--knn", "k=1,3",
-            "--linear-svm", "C=1.0,epochs=20",
+            "--linear-svm", "C=1.0",
             "--out", str(out),
         ]
     )
@@ -176,7 +181,7 @@ def test_run_knn_off(tmp_path, capsys):
             "--flavor", "poincare",
             "--methods", "emean",
             "--knn", "off",
-            "--linear-svm", "C=1.0,epochs=10",
+            "--linear-svm", "C=1.0",
             "--out", str(out),
         ]
     )

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gyrotext import gyroball
 from gyrotext.gyroball import (
     BallParams,
-    ball_point,
     clamp_to_ball,
     geodesic_point,
     midpoint,
@@ -46,18 +45,6 @@ def test_ball_params_validation():
         BallParams(boundary_eps=0.0)
     with pytest.raises(ValueError):
         BallParams(boundary_eps=1e-2)
-
-
-def test_ball_point_construction():
-    p = ball_point([0.3, 0.4])
-    assert np.array_equal(p, [0.3, 0.4])
-    # within the margin: clamped onto the numerical boundary
-    q = ball_point([1.0 + 5e-8, 0.0])
-    assert np.linalg.norm(q) == pytest.approx(1.0 - 1e-7)
-    with pytest.raises(ValueError):
-        ball_point([1.1, 0.0])
-    with pytest.raises(ValueError):
-        ball_point([np.nan, 0.0])
 
 
 def test_mobius_add_collinear_closed_form():

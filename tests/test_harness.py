@@ -191,7 +191,7 @@ def full_config(emb, cor, flavor="poincare", methods=("emean", "lcf", "bnw")):
         methods=methods,
         knn=KnnSpec(ks=(1, 3)),
         svm=SmoConfig(kernel=KernelSpec("geodesic")),
-        linear_svm=LinearPrimalConfig(epochs=20),
+        linear_svm=LinearPrimalConfig(),
     )
 
 
