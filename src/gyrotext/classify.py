@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -26,12 +26,14 @@ from .kernels import GramMatrix, KernelSpec, cross_kernel, gram_matrix
 
 __all__ = [
     "KnnModel",
+    "KnnRanking",
     "SvmModel",
     "LinearSvmModel",
     "SmoConfig",
     "LinearPrimalConfig",
     "OvrModel",
     "knn_fit",
+    "knn_rank",
     "knn_predict_batch",
     "svm_train_smo",
     "linear_svm_primal_train",
@@ -48,6 +50,11 @@ SUPPORT_EPS = 1e-10
 # ten), and the line-search step below which no descent counts as converged
 NEWTON_MAX_STEPS = 50
 MIN_STEP = 2.0**-40
+
+
+def _check_C(C: float) -> None:
+    if not (math.isfinite(C) and C > 0):
+        raise ValueError(f"C must be positive and finite, got {C}")
 
 
 def _pairwise_distance(queries, points, metric: str) -> np.ndarray:
@@ -81,27 +88,56 @@ def knn_fit(points, labels, k: int, metric: str = "poincare") -> KnnModel:
     return KnnModel(points=P, labels=y, k=int(k), metric=metric)
 
 
-def _vote(d_row: np.ndarray, model: KnnModel) -> int:
-    # stable sort: equal distances keep training index order
-    nearest = np.argsort(d_row, kind="stable")[: model.k]
-    votes = model.labels[nearest]
+class KnnRanking(NamedTuple):
+    """Training points ordered by distance, per query row.
+
+    ``order[i]`` lists training indices by increasing distance to query i,
+    equal distances in training index order; ``distances[i]`` holds those
+    distances in that order. It does not depend on k, so one ranking
+    serves every k over the same training set and queries.
+    """
+
+    order: np.ndarray
+    distances: np.ndarray
+
+
+def knn_rank(model: KnnModel, queries) -> KnnRanking:
+    """Rank the model's training points for every query row (ignores model.k)."""
+    d = _pairwise_distance(queries, model.points, model.metric)
+    order = np.argsort(d, axis=1, kind="stable")
+    return KnnRanking(order=order, distances=np.take_along_axis(d, order, axis=1))
+
+
+def _vote(order: np.ndarray, dist: np.ndarray, labels: np.ndarray, k: int) -> int:
+    votes = labels[order[:k]]
     classes, counts = np.unique(votes, return_counts=True)
     top = classes[counts == counts.max()]
     if top.size == 1:
         return int(top[0])
     # vote tie: smallest summed distance to the query, then smallest id
-    sums = np.array([d_row[nearest[votes == c]].sum() for c in top])
+    sums = np.array([dist[:k][votes == c].sum() for c in top])
     return int(top[sums == sums.min()].min())
 
 
-def knn_predict_batch(model: KnnModel, queries) -> np.ndarray:
+def knn_predict_batch(model: KnnModel, queries, ranking: Optional[KnnRanking] = None) -> np.ndarray:
     """Majority label among the k nearest training points, per query row.
 
     Distance ties at the k-th rank are broken by training index order;
     vote ties by the smallest summed distance, then the smallest class id.
+    ``ranking``, when given, is ``knn_rank`` of the same training points
+    and queries, computed once and shared by several k.
     """
-    d = _pairwise_distance(queries, model.points, model.metric)
-    return np.array([_vote(row, model) for row in d], dtype=np.int64)
+    if ranking is None:
+        ranking = knn_rank(model, queries)
+    elif ranking.order.shape != (len(queries), model.points.shape[0]):
+        raise ValueError(
+            f"ranking shape {ranking.order.shape} does not match "
+            f"{len(queries)} queries x {model.points.shape[0]} training points"
+        )
+    return np.array(
+        [_vote(o, d, model.labels, model.k) for o, d in zip(ranking.order, ranking.distances)],
+        dtype=np.int64,
+    )
 
 
 @dataclass(frozen=True)
@@ -171,8 +207,7 @@ def svm_train_smo(
         raise ValueError("labels must be -1 or +1")
     if len(np.unique(y)) < 2:
         raise ValueError("both classes must be present")
-    if not (math.isfinite(C) and C > 0):
-        raise ValueError(f"C must be positive, got {C}")
+    _check_C(C)
 
     pos = y > 0
     alpha = np.zeros(n)
@@ -290,8 +325,7 @@ def linear_svm_primal_train(vectors, labels, C: float = 1.0) -> LinearSvmModel:
         raise ValueError("features contain non-finite values")
     if not set(np.unique(y)) <= {-1.0, 1.0} or len(np.unique(y)) < 2:
         raise ValueError("labels must be -1/+1 with both classes present")
-    if not (math.isfinite(C) and C > 0):
-        raise ValueError(f"C must be positive, got {C}")
+    _check_C(C)
 
     n, d = X.shape
     Xt = np.hstack([X, np.ones((n, 1))])
@@ -333,12 +367,18 @@ class SmoConfig:
     kkt_tol: float = 1e-3
     max_passes: int = 1000
 
+    def __post_init__(self):
+        _check_C(self.C)
+
 
 @dataclass(frozen=True)
 class LinearPrimalConfig:
     """One-vs-rest trainer config for the primal linear route."""
 
     C: float = 1.0
+
+    def __post_init__(self):
+        _check_C(self.C)
 
 
 @dataclass(frozen=True)

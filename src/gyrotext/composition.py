@@ -1,4 +1,4 @@
-"""Centroid schemes composing a point sequence into one ball point.
+"""Centroid schemes composing point sequences into one ball point each.
 
 Seven methods, identified by the names used in the results tables:
 
@@ -12,6 +12,12 @@ Seven methods, identified by the names used in the results tables:
 
 A sequence is an (n, d) array of ball points plus an optional vector of
 positive weights (uniform when omitted). The naive method ignores weights.
+
+Every scheme runs on a ``PointBatch``: many sequences packed back to back
+into one (total, d) array, composed in lockstep. The folds take one step
+per position over every sequence still long enough, the trees one step
+per node height over every sequence, so a corpus costs about as many
+numpy calls as its longest document. ``compose`` is the batch of one.
 """
 
 from __future__ import annotations
@@ -21,32 +27,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gyroball import (
-    BallParams,
-    DEFAULT_BALL,
-    clamp_to_ball,
-    midpoint,
-    mobius_add,
-    mobius_scale,
-    weighted_midpoint,
-)
+from .gyroball import BallParams, _add, _clamp, _geodesic, _scale
+
+# Not called here: benchmarks/tracing.py looks these names up in this module.
+from .gyroball import mobius_add, mobius_scale, weighted_midpoint  # noqa: F401
 
 __all__ = [
     "CompositionConfig",
     "DEFAULT_COMPOSITION",
     "METHODS",
+    "PointBatch",
     "compose",
-    "compose_emean",
-    "compose_naive",
-    "compose_lcf",
-    "compose_lcb",
-    "compose_lca",
-    "compose_fnw",
-    "compose_bnw",
+    "compose_batch",
     "mobius_sum",
 ]
 
 METHODS = ("emean", "naive", "lcf", "lcb", "lca", "fnw", "bnw")
+
+# the binary-tree schemes compose consecutive sequences with up to this many
+# bytes of points at a time, which bounds their working copy and temporaries
+STEP_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -66,37 +66,264 @@ class CompositionConfig:
 DEFAULT_COMPOSITION = CompositionConfig()
 
 
-def _as_sequence(points, weights):
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
-        raise ValueError(f"point sequence must be a non-empty (n, d) array, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("point sequence contains non-finite coordinates")
-    if weights is None:
-        w = np.ones(pts.shape[0])
-    else:
-        w = np.asarray(weights, dtype=np.float64)
+@dataclass(frozen=True, eq=False)
+class PointBatch:
+    """Point sequences packed back to back, validated once on construction.
+
+    Sequence i is ``points[starts[i] : starts[i] + lengths[i]]`` with the
+    matching slice of ``weights``. Every sequence has at least one point.
+    """
+
+    points: np.ndarray
+    lengths: np.ndarray
+    weights: np.ndarray
+    starts: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        pts, lengths, w = self.points, self.lengths, self.weights
+        if pts.ndim != 2 or pts.shape[1] == 0 or pts.dtype != np.float64:
+            raise ValueError(f"points must be a float64 (total, d) array, got shape {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise ValueError("point sequence contains non-finite coordinates")
+        if lengths.ndim != 1 or lengths.dtype.kind not in "iu" or lengths.size == 0 or lengths.min() < 1:
+            raise ValueError("a batch needs one or more sequences, each of positive length")
+        if lengths.sum() != pts.shape[0]:
+            raise ValueError("sequence lengths must sum to the point count")
         if w.shape != (pts.shape[0],):
             raise ValueError(f"weights shape {w.shape} does not match {pts.shape[0]} points")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
+        if not (np.isfinite(w).all() and w.min() > 0):
             raise ValueError("weights must be positive and finite")
-    return pts, w
+        object.__setattr__(self, "starts", np.cumsum(lengths) - lengths)
+
+    @classmethod
+    def pack(cls, sequences, weights=None) -> "PointBatch":
+        """Pack (n_i, d) point arrays, with optional per-sequence weight vectors."""
+        if not sequences:
+            raise ValueError("no sequences to pack")
+        seqs = [np.asarray(s, dtype=np.float64) for s in sequences]
+        if any(s.ndim != 2 or s.shape[0] == 0 for s in seqs):
+            raise ValueError("every sequence must be a non-empty (n, d) array")
+        if len({s.shape[1] for s in seqs}) != 1:
+            raise ValueError("sequences differ in dimension")
+        lengths = np.array([s.shape[0] for s in seqs], dtype=np.int64)
+        if weights is None:
+            w = np.ones(lengths.sum())
+        else:
+            if [np.size(v) for v in weights] != lengths.tolist():
+                raise ValueError("weights do not match the sequence lengths")
+            w = np.concatenate([np.asarray(v, dtype=np.float64).ravel() for v in weights])
+        return cls(points=np.concatenate(seqs), lengths=lengths, weights=w)
 
 
-def compose_emean(points, weights=None) -> np.ndarray:
-    """Weighted arithmetic mean of the coordinates.
+def _single(points, weights) -> PointBatch:
+    pts = np.asarray(points, dtype=np.float64)
+    return PointBatch.pack([pts[None, :] if pts.ndim == 1 else pts], None if weights is None else [weights])
 
-    Each coordinate is summed with ``math.fsum`` so the result is exactly
-    permutation-invariant; convexity keeps it inside the ball.
+
+# The folds below take a batch's raw arrays, so that reversed and doubled
+# batches need no second validation and no copy of the points.
+
+
+def _by_length(lengths: np.ndarray):
+    """Longest-first order, and how many sequences are longer than k for k = 1.."""
+    order = np.argsort(-lengths, kind="stable")
+    longest = int(lengths[order[0]])
+    active = np.searchsorted(-lengths[order], -np.arange(1, longest), side="left")
+    return order, active.tolist()
+
+
+def _emean(batch: PointBatch, cfg: CompositionConfig) -> np.ndarray:
+    """Weighted coordinate mean, every coordinate summed with ``math.fsum``
+    so that it is exactly permutation-invariant."""
+    out = np.empty((batch.lengths.size, batch.points.shape[1]))
+    for i, (s, n) in enumerate(zip(batch.starts.tolist(), batch.lengths.tolist())):
+        if n == 1:
+            out[i] = batch.points[s]
+            continue
+        w = batch.weights[s : s + n]
+        contrib = batch.points[s : s + n] * w[:, None]
+        total = math.fsum(w.tolist())
+        out[i] = [math.fsum(col.tolist()) / total for col in contrib.T]
+    return out
+
+
+def _sums(batch: PointBatch, cfg: CompositionConfig):
+    """Left-folded Mobius sums in lockstep, with per-sequence overflow counts."""
+    ball = cfg.ball
+    order, active = _by_length(batch.lengths)
+    starts = batch.starts[order]
+    acc = batch.points[starts]
+    overflows = np.zeros(starts.size, dtype=np.int64)
+
+    def rescale(m):
+        head = acc[:m]
+        over = np.sqrt(np.vecdot(head, head)) >= ball.max_norm
+        if np.count_nonzero(over):
+            head[over] *= 1.0 - cfg.overflow_eps
+            overflows[:m] += over
+
+    rescale(starts.size)
+    for k, m in enumerate(active, start=1):
+        acc[:m] = _add(acc[:m], batch.points[starts[:m] + k], ball)
+        rescale(m)
+    sums = np.empty_like(acc)
+    sums[order] = acc
+    counts = np.empty_like(overflows)
+    counts[order] = overflows
+    return sums, counts
+
+
+def _naive(batch: PointBatch, cfg: CompositionConfig) -> np.ndarray:
+    sums, _ = _sums(batch, cfg)
+    n = batch.lengths
+    return np.where((n == 1)[:, None], batch.points[batch.starts], _scale(1.0 / n, sums, cfg.ball))
+
+
+def _fold(points, weights, first, stride, lengths, ball: BallParams) -> np.ndarray:
+    """lcf in lockstep over sequences read from row ``first`` by ``stride``
+    (+1 forward, -1 backward): step k moves every sequence longer than k
+    from its running centroid c_k to M(c_k, x_(k+1); W_k, w_(k+1))."""
+    order, active = _by_length(lengths)
+    first, stride = first[order], stride[order]
+    acc = points[first]
+    mass = weights[first]
+    for k, m in enumerate(active, start=1):
+        rows = first[:m] + k * stride[:m]
+        w = weights[rows]
+        total = mass[:m] + w
+        acc[:m] = _geodesic(acc[:m], points[rows], w / total, ball)
+        mass[:m] = total
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
+
+
+def _ends(batch: PointBatch):
+    """(first row, stride) reading every sequence forward, and backward."""
+    ones = np.ones_like(batch.lengths)
+    return (batch.starts, ones), (batch.starts + batch.lengths - 1, -ones)
+
+
+def _lcf(batch: PointBatch, cfg: CompositionConfig) -> np.ndarray:
+    (first, stride), _ = _ends(batch)
+    return _fold(batch.points, batch.weights, first, stride, batch.lengths, cfg.ball)
+
+
+def _lcb(batch: PointBatch, cfg: CompositionConfig) -> np.ndarray:
+    _, (first, stride) = _ends(batch)
+    return _fold(batch.points, batch.weights, first, stride, batch.lengths, cfg.ball)
+
+
+def _lca(batch: PointBatch, cfg: CompositionConfig) -> np.ndarray:
+    # the forward and backward folds of every sequence run as one fold
+    (f_first, f_stride), (b_first, b_stride) = _ends(batch)
+    folds = _fold(
+        batch.points,
+        batch.weights,
+        np.concatenate([f_first, b_first]),
+        np.concatenate([f_stride, b_stride]),
+        np.concatenate([batch.lengths, batch.lengths]),
+        cfg.ball,
+    )
+    b = batch.lengths.size
+    mid = _geodesic(folds[:b], folds[b:], 0.5, cfg.ball)
+    return np.where((batch.lengths == 1)[:, None], folds[:b], mid)
+
+
+def _tree(vals, mass, starts, lengths, ball: BallParams) -> np.ndarray:
+    """fnw in lockstep, one step per node height across all sequences.
+
+    A node over rows lo..lo+n-1 (n >= 2) splits at half = floor(n/2) and
+    has height ceil(log2 n), so both children are done before it. Works
+    in place on ``vals`` and ``mass``: a node leaves its centroid and mass
+    in row lo, where its parent reads them.
     """
-    pts, w = _as_sequence(points, weights)
-    if pts.shape[0] == 1:
-        return pts[0].copy()
-    contrib = pts * w[:, None]
-    total = math.fsum(w)
-    return np.array([math.fsum(contrib[:, j]) for j in range(pts.shape[1])]) / total
+    lo, size = starts[lengths > 1], lengths[lengths > 1]
+    nodes = []
+    while lo.size:
+        nodes.append((lo, size))
+        half = size // 2
+        left, right = half > 1, size - half > 1
+        lo = np.concatenate([lo[left], (lo + half)[right]])
+        size = np.concatenate([half[left], (size - half)[right]])
+    if nodes:
+        lo, size = (np.concatenate(col) for col in zip(*nodes))
+        height = np.frexp(size - 1)[1]
+        by_height = np.argsort(height, kind="stable")
+        bounds = np.searchsorted(height[by_height], np.arange(1, height.max() + 2)).tolist()
+        for i, j in zip(bounds[:-1], bounds[1:]):
+            left = lo[by_height[i:j]]
+            right = left + size[by_height[i:j]] // 2
+            both = mass[left] + mass[right]
+            vals[left] = _geodesic(vals[left], vals[right], mass[right] / both, ball)
+            mass[left] = both
+    return vals[starts]
+
+
+def _trees(batch: PointBatch, cfg: CompositionConfig, first, stride) -> np.ndarray:
+    """fnw of every sequence read from row ``first`` by ``stride``, over groups
+    of consecutive sequences of at most STEP_BYTES of points each (a longer
+    sequence is a group of its own): a tree works on a copy of its points,
+    so the groups bound that copy and the temporaries of a step."""
+    starts, lengths = batch.starts, batch.lengths
+    ends = starts + lengths
+    budget = max(1, STEP_BYTES // (8 * batch.points.shape[1]))
+    out = np.empty((lengths.size, batch.points.shape[1]))
+    i = 0
+    while i < lengths.size:
+        j = max(i + 1, int(np.searchsorted(ends, starts[i] + budget, side="right")))
+        seq = np.repeat(np.arange(i, j), lengths[i:j])
+        rows = first[seq] + stride[seq] * (np.arange(starts[i], ends[j - 1]) - starts[seq])
+        g_starts = starts[i:j] - starts[i]
+        out[i:j] = _tree(batch.points[rows], batch.weights[rows], g_starts, lengths[i:j], cfg.ball)
+        i = j
+    return out
+
+
+def _fnw(batch: PointBatch, cfg: CompositionConfig) -> np.ndarray:
+    (first, stride), _ = _ends(batch)
+    return _trees(batch, cfg, first, stride)
+
+
+def _bnw(batch: PointBatch, cfg: CompositionConfig) -> np.ndarray:
+    _, (first, stride) = _ends(batch)
+    return _trees(batch, cfg, first, stride)
+
+
+_SCHEMES = {
+    "emean": _emean,
+    "naive": _naive,
+    "lcf": _lcf,
+    "lcb": _lcb,
+    "lca": _lca,
+    "fnw": _fnw,
+    "bnw": _bnw,
+}
+
+
+def compose_batch(
+    method: str, batch: PointBatch, cfg: CompositionConfig = DEFAULT_COMPOSITION
+) -> np.ndarray:
+    """Compose every sequence of the batch; row i of the result is sequence i's point."""
+    scheme = _SCHEMES.get(method)
+    if scheme is None:
+        raise ValueError(f"unknown composition method {method!r}; expected one of {METHODS}")
+    out = scheme(batch, cfg)
+    if method == "emean":
+        # convex combination: stays inside any ball containing the inputs,
+        # and must pass through unclamped for unconstrained Euclidean vectors
+        return out
+    return _clamp(out, cfg.ball)
+
+
+def compose(
+    method: str,
+    points,
+    weights=None,
+    cfg: CompositionConfig = DEFAULT_COMPOSITION,
+) -> np.ndarray:
+    """Compose one (n, d) point sequence by table name: the batch of one."""
+    return compose_batch(method, _single(points, weights), cfg)[0]
 
 
 def mobius_sum(points, cfg: CompositionConfig = DEFAULT_COMPOSITION):
@@ -107,118 +334,5 @@ def mobius_sum(points, cfg: CompositionConfig = DEFAULT_COMPOSITION):
     ``1 - overflow_eps``. Returns ``(sum, overflow_count)`` where the count
     records how many times the rescale fired.
     """
-    pts, _ = _as_sequence(points, None)
-    ball = cfg.ball
-    limit = ball.s * (1.0 - ball.boundary_eps)
-    acc = pts[0].copy()
-    overflows = 0
-    if float(np.linalg.norm(acc)) >= limit:
-        acc = acc * (1.0 - cfg.overflow_eps)
-        overflows += 1
-    for i in range(1, pts.shape[0]):
-        acc = mobius_add(acc, pts[i], ball)
-        if float(np.linalg.norm(acc)) >= limit:
-            acc = acc * (1.0 - cfg.overflow_eps)
-            overflows += 1
-    return acc, overflows
-
-
-def compose_naive(points, weights=None, cfg: CompositionConfig = DEFAULT_COMPOSITION) -> np.ndarray:
-    """Mobius sum of the sequence scaled by 1/n: (x_1 (+) ... (+) x_n) (*) 1/n.
-
-    The sum folds left to right. Weights are accepted for interface
-    uniformity but ignored; the scheme is defined unweighted.
-    """
-    pts, _ = _as_sequence(points, weights)
-    n = pts.shape[0]
-    if n == 1:
-        return pts[0].copy()
-    acc, _ = mobius_sum(pts, cfg)
-    return mobius_scale(1.0 / n, acc, cfg.ball)
-
-
-def compose_lcf(points, weights=None, params: BallParams = DEFAULT_BALL) -> np.ndarray:
-    """Linear forward centroid.
-
-    Folds the sequence left to right: the running centroid (carrying the
-    accumulated weight m_1 + ... + m_k) is weighted-midpointed with the
-    next point at t = m_{k+1} / (m_1 + ... + m_{k+1}).
-    """
-    pts, w = _as_sequence(points, weights)
-    acc = pts[0].copy()
-    acc_w = float(w[0])
-    for i in range(1, pts.shape[0]):
-        acc = weighted_midpoint(acc, pts[i], acc_w, float(w[i]), params)
-        acc_w += float(w[i])
-    return acc
-
-
-def compose_lcb(points, weights=None, params: BallParams = DEFAULT_BALL) -> np.ndarray:
-    """Linear backward centroid: the forward fold applied to the reversed sequence."""
-    pts, w = _as_sequence(points, weights)
-    return compose_lcf(pts[::-1], w[::-1], params)
-
-
-def compose_lca(points, weights=None, params: BallParams = DEFAULT_BALL) -> np.ndarray:
-    """Linear average centroid: unweighted midpoint of the forward and backward centroids."""
-    pts, w = _as_sequence(points, weights)
-    if pts.shape[0] == 1:
-        return pts[0].copy()
-    return midpoint(compose_lcf(pts, w, params), compose_lcb(pts, w, params), params)
-
-
-def _btc(pts: np.ndarray, w: np.ndarray, params: BallParams) -> np.ndarray:
-    n = pts.shape[0]
-    if n == 1:
-        return pts[0].copy()
-    if n == 2:
-        return weighted_midpoint(pts[0], pts[1], float(w[0]), float(w[1]), params)
-    half = n // 2
-    left = _btc(pts[:half], w[:half], params)
-    right = _btc(pts[half:], w[half:], params)
-    return weighted_midpoint(left, right, float(np.sum(w[:half])), float(np.sum(w[half:])), params)
-
-
-def compose_fnw(points, weights=None, params: BallParams = DEFAULT_BALL) -> np.ndarray:
-    """Binary tree centroid.
-
-    Splits the sequence at floor(n/2), recurses on both halves, then takes
-    the weighted midpoint of the two partial centroids with the halves'
-    total weights. Logarithmic depth instead of the linear folds above.
-    """
-    pts, w = _as_sequence(points, weights)
-    return _btc(pts, w, params)
-
-
-def compose_bnw(points, weights=None, params: BallParams = DEFAULT_BALL) -> np.ndarray:
-    """Binary tree centroid applied to the reversed sequence."""
-    pts, w = _as_sequence(points, weights)
-    return compose_fnw(pts[::-1], w[::-1], params)
-
-
-def compose(
-    method: str,
-    points,
-    weights=None,
-    cfg: CompositionConfig = DEFAULT_COMPOSITION,
-) -> np.ndarray:
-    """Dispatch to one of the seven composition methods by table name."""
-    if method == "emean":
-        # convex combination: stays inside any ball containing the inputs,
-        # and must pass through unclamped for unconstrained Euclidean vectors
-        return compose_emean(points, weights)
-    if method == "naive":
-        out = compose_naive(points, weights, cfg)
-    elif method == "lcf":
-        out = compose_lcf(points, weights, cfg.ball)
-    elif method == "lcb":
-        out = compose_lcb(points, weights, cfg.ball)
-    elif method == "lca":
-        out = compose_lca(points, weights, cfg.ball)
-    elif method == "fnw":
-        out = compose_fnw(points, weights, cfg.ball)
-    elif method == "bnw":
-        out = compose_bnw(points, weights, cfg.ball)
-    else:
-        raise ValueError(f"unknown composition method {method!r}; expected one of {METHODS}")
-    return clamp_to_ball(out, cfg.ball)
+    sums, counts = _sums(_single(points, None), cfg)
+    return sums[0], int(counts[0])

@@ -17,12 +17,15 @@ import logging
 import unicodedata
 from dataclasses import dataclass
 from itertools import groupby
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .composition import CompositionConfig, DEFAULT_COMPOSITION, compose
+from .composition import CompositionConfig, DEFAULT_COMPOSITION, PointBatch, compose_batch
 from .gyroball import clamp_to_ball
+
+# Not called here: benchmarks/tracing.py looks this name up in this module.
+from .composition import compose  # noqa: F401
 
 __all__ = [
     "EmbeddingTable",
@@ -33,11 +36,14 @@ __all__ = [
     "DEFAULT_TOKENIZER",
     "DocPoints",
     "CorpusDiagnostics",
+    "CorpusPoints",
     "FLAVORS",
     "load_embeddings",
     "tokenize",
     "load_corpus",
     "doc_to_points",
+    "corpus_points",
+    "compose_corpus",
     "represent_corpus",
 ]
 
@@ -228,37 +234,53 @@ class CorpusDiagnostics:
     oov_rate: float
 
 
-def represent_corpus(
+class CorpusPoints(NamedTuple):
+    """Every document's in-vocabulary points, tokenized and looked up once.
+
+    ``batch`` packs the non-empty documents in corpus order (None when
+    every document is empty); ``nonempty`` holds their corpus indices.
+    """
+
+    batch: Optional[PointBatch]
+    nonempty: np.ndarray
+    dimension: int
+    diagnostics: CorpusDiagnostics
+
+
+def corpus_points(
     corpus: LabeledCorpus,
     table: EmbeddingTable,
-    method: str,
-    cfg: CompositionConfig = DEFAULT_COMPOSITION,
     tokenizer: TokenizerConfig = DEFAULT_TOKENIZER,
-):
-    """Compose every document into one point; returns (matrix, labels, diagnostics).
+) -> CorpusPoints:
+    """Tokenize every document and map it to its points, once per corpus.
 
-    Documents with no in-vocabulary tokens are represented by the origin
-    and listed in the diagnostics rather than dropped, so the output row
-    count always equals the corpus record count.
+    Documents with no in-vocabulary tokens are listed in the diagnostics
+    and warned about here, once; ``compose_corpus`` represents them by the
+    origin.
     """
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
-    reps = np.empty((len(corpus), table.dimension))
-    labels = []
+    tokenized = [tokenize(text, tokenizer) for _, text in corpus.records]
+    total_tokens = sum(len(tokens) for tokens in tokenized)
+    # every document's points are copied into one buffer as soon as they are
+    # looked up, so the corpus is never held twice
+    packed = np.empty((total_tokens, table.dimension))
+    n_points = 0
+    lengths = []
+    nonempty = []
     empty_docs = []
-    total_tokens = 0
     oov_tokens = 0
-    for i, (label, text) in enumerate(corpus.records):
-        tokens = tokenize(text, tokenizer)
+    for i, tokens in enumerate(tokenized):
         doc = doc_to_points(tokens, table)
-        total_tokens += len(tokens)
         oov_tokens += doc.oov
         if doc.empty:
             empty_docs.append(i)
-            reps[i] = np.zeros(table.dimension)
-        else:
-            reps[i] = compose(method, doc.points, cfg=cfg)
-        labels.append(label)
+            continue
+        m = doc.points.shape[0]
+        packed[n_points : n_points + m] = doc.points
+        n_points += m
+        lengths.append(m)
+        nonempty.append(i)
     if empty_docs:
         logger.warning(
             "%d of %d documents had no in-vocabulary tokens; represented by the origin",
@@ -272,4 +294,38 @@ def represent_corpus(
         oov_tokens=oov_tokens,
         oov_rate=oov_tokens / total_tokens if total_tokens else 0.0,
     )
-    return reps, labels, diagnostics
+    return CorpusPoints(
+        batch=PointBatch(packed[:n_points], np.array(lengths), np.ones(n_points)) if lengths else None,
+        nonempty=np.array(nonempty, dtype=np.int64),
+        dimension=table.dimension,
+        diagnostics=diagnostics,
+    )
+
+
+def compose_corpus(
+    points: CorpusPoints, method: str, cfg: CompositionConfig = DEFAULT_COMPOSITION
+) -> np.ndarray:
+    """One composed row per document, in corpus order; empty documents are the origin."""
+    reps = np.zeros((points.diagnostics.n_docs, points.dimension))
+    if points.batch is not None:
+        reps[points.nonempty] = compose_batch(method, points.batch, cfg)
+    return reps
+
+
+def represent_corpus(
+    corpus: LabeledCorpus,
+    table: EmbeddingTable,
+    method: str,
+    cfg: CompositionConfig = DEFAULT_COMPOSITION,
+    tokenizer: TokenizerConfig = DEFAULT_TOKENIZER,
+):
+    """Compose every document into one point; returns (matrix, labels, diagnostics).
+
+    Documents with no in-vocabulary tokens are represented by the origin
+    and listed in the diagnostics rather than dropped, so the output row
+    count always equals the corpus record count. To compose several
+    methods, call ``corpus_points`` once and ``compose_corpus`` per method.
+    """
+    points = corpus_points(corpus, table, tokenizer)
+    labels = [label for label, _ in corpus.records]
+    return compose_corpus(points, method, cfg), labels, points.diagnostics

@@ -18,6 +18,9 @@ hyperbolic distance on the unit ball is
 
 and is evaluated in the asinh form, with |u-v|^2 summed from actual
 coordinate differences, so nearby points keep full relative precision.
+Each Mobius operation has one row-wise implementation over (B, d) row
+stacks; the public functions take 1-D vectors, and the compositions call
+the row kernels on whole batches.
 All computation is in float64; the operators compound rounding error and
 32-bit floats do not survive deep compositions.
 """
@@ -86,13 +89,51 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
 
 
+# Row kernels. Each takes (B, d) float64 row stacks and works row by row,
+# without validating: the public functions below check their arguments once,
+# and composition checks a whole batch once before folding it. A row's result
+# depends on that row alone, and inner products go through np.vecdot (the
+# same BLAS dot as 1-D np.dot), so a batch of one gives bitwise the rows of a
+# batch of many.
+
+
+def _clamp(X: np.ndarray, params: BallParams) -> np.ndarray:
+    n = np.sqrt(np.vecdot(X, X))
+    over = n >= params.s
+    # count_nonzero: ndarray.any costs several times more on small arrays
+    if np.count_nonzero(over):
+        X = np.where(over[:, None], X * (params.max_norm / np.where(over, n, 1.0))[:, None], X)
+    return X
+
+
+def _add(A: np.ndarray, B: np.ndarray, params: BallParams) -> np.ndarray:
+    s2 = params.s * params.s
+    dot2 = 2.0 * np.vecdot(A, B)[:, None]
+    na2 = np.vecdot(A, A)[:, None]
+    nb2 = np.vecdot(B, B)[:, None]
+    num = (1.0 + (dot2 + nb2) / s2) * A + (1.0 - na2 / s2) * B
+    den = 1.0 + dot2 / s2 + (na2 * nb2) / (s2 * s2)
+    return _clamp(num / den, params)
+
+
+def _scale(r, X: np.ndarray, params: BallParams) -> np.ndarray:
+    # r is a scalar or one factor per row
+    n = np.sqrt(np.vecdot(X, X))
+    # artanh blows up at 1; points numerically on the boundary are pulled in.
+    ratio = np.minimum(n / params.s, 1.0 - params.boundary_eps)
+    mag = params.s * np.tanh(r * np.arctanh(ratio))
+    # x/|x| has a removable singularity at the origin, which maps to itself
+    return _clamp((mag / np.where(n > 0.0, n, 1.0))[:, None] * X, params)
+
+
+def _geodesic(A: np.ndarray, B: np.ndarray, t, params: BallParams) -> np.ndarray:
+    # t is a scalar or one fraction per row
+    return _add(A, _scale(t, _add(-A, B, params), params), params)
+
+
 def clamp_to_ball(x, params: BallParams = DEFAULT_BALL) -> np.ndarray:
     """Rescale ``x`` to norm ``s * (1 - boundary_eps)`` if its norm reaches ``s``."""
-    x = _as_vector(x)
-    n = float(np.linalg.norm(x))
-    if n >= params.s:
-        return x * (params.max_norm / n)
-    return x
+    return _clamp(_as_vector(x)[None], params)[0]
 
 
 def mobius_add(a, b, params: BallParams = DEFAULT_BALL) -> np.ndarray:
@@ -104,13 +145,7 @@ def mobius_add(a, b, params: BallParams = DEFAULT_BALL) -> np.ndarray:
     a = _as_vector(a, "a")
     b = _as_vector(b, "b")
     _check_same_dim(a, b)
-    s2 = params.s * params.s
-    dot = float(np.dot(a, b))
-    na2 = float(np.dot(a, a))
-    nb2 = float(np.dot(b, b))
-    num = (1.0 + (2.0 * dot + nb2) / s2) * a + (1.0 - na2 / s2) * b
-    den = 1.0 + (2.0 * dot) / s2 + (na2 * nb2) / (s2 * s2)
-    return clamp_to_ball(num / den, params)
+    return _add(a[None], b[None], params)[0]
 
 
 def mobius_neg(a) -> np.ndarray:
@@ -125,14 +160,7 @@ def mobius_scale(r: float, x, params: BallParams = DEFAULT_BALL) -> np.ndarray:
     """
     if not math.isfinite(r):
         raise ValueError(f"scalar r must be finite, got {r}")
-    x = _as_vector(x, "x")
-    n = float(np.linalg.norm(x))
-    if n == 0.0:
-        return np.zeros_like(x)
-    # artanh blows up at 1; points numerically on the boundary are pulled in.
-    ratio = min(n / params.s, 1.0 - params.boundary_eps)
-    mag = params.s * math.tanh(r * math.atanh(ratio))
-    return clamp_to_ball((mag / n) * x, params)
+    return _scale(r, _as_vector(x, "x")[None], params)[0]
 
 
 def geodesic_point(a, b, t: float, params: BallParams = DEFAULT_BALL) -> np.ndarray:
@@ -150,8 +178,7 @@ def geodesic_point(a, b, t: float, params: BallParams = DEFAULT_BALL) -> np.ndar
         return a.copy()
     if t == 1.0:
         return b.copy()
-    step = mobius_scale(t, mobius_add(mobius_neg(a), b, params), params)
-    return mobius_add(a, step, params)
+    return _geodesic(a[None], b[None], t, params)[0]
 
 
 def midpoint(a, b, params: BallParams = DEFAULT_BALL) -> np.ndarray:

@@ -24,11 +24,15 @@ from .classify import (
     SmoConfig,
     knn_fit,
     knn_predict_batch,
+    knn_rank,
     ovr_predict,
     ovr_train,
 )
 from .composition import METHODS
-from .corpus import load_corpus, load_embeddings, represent_corpus
+from .corpus import compose_corpus, corpus_points, load_corpus, load_embeddings
+
+# Not called here: benchmarks/tracing.py looks this name up in this module.
+from .corpus import represent_corpus  # noqa: F401
 
 __all__ = [
     "SplitSpec",
@@ -222,12 +226,20 @@ def _classifier_cells(config: ExperimentConfig):
     return cells
 
 
-def _run_cell(kind, config, X, y, pairs):
+def _run_cell(kind, config, X, y, pairs, rankings):
+    """Mean accuracy of one cell over the folds.
+
+    ``rankings`` maps a fold to its query-by-training k-NN ranking. The
+    first k-NN cell of a method computes and stores it; the later ones only
+    vote from its sorted prefix.
+    """
     accs = []
-    for train, test in pairs:
+    for fold, (train, test) in enumerate(pairs):
         if kind[0] == "knn":
             model = knn_fit(X[train], y[train], kind[1], config.knn.metric)
-            preds = knn_predict_batch(model, X[test])
+            if fold not in rankings:
+                rankings[fold] = knn_rank(model, X[test])
+            preds = knn_predict_batch(model, X[test], rankings[fold])
         elif kind[0] == "svm":
             model = ovr_train(X[train], y[train], config.svm)
             preds = ovr_predict(model, X[test])
@@ -241,13 +253,16 @@ def _run_cell(kind, config, X, y, pairs):
 def run_experiment(config: ExperimentConfig) -> ResultsTable:
     """Execute the full (composition x classifier) grid.
 
-    Representations are computed once per composition method and shared
-    by that method's cells. The split is computed once from the corpus
-    labels and reused everywhere, so cells are comparable. Cell failures
-    are captured in the row's error field; remaining cells still run.
+    The corpus is tokenized and looked up once; every method composes
+    from those points, and its representations are shared by its cells,
+    as is each fold's k-NN ranking by its k-NN cells. The split is
+    computed once from the corpus labels and reused everywhere, so cells
+    are comparable. Cell failures are captured in the row's error field;
+    remaining cells still run.
     """
     table, _ = load_embeddings(config.embeddings_path, config.flavor)
     corpus, _ = load_corpus(config.corpus_path)
+    points = corpus_points(corpus, table)
     label_names = sorted(corpus.label_set)
     label_id = {name: i for i, name in enumerate(label_names)}
     y = np.array([label_id[label] for label, _ in corpus.records], dtype=np.int64)
@@ -264,7 +279,7 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
                 )
             continue
         try:
-            X, _, _ = represent_corpus(corpus, table, method)
+            X = compose_corpus(points, method)
         except Exception as exc:
             for classifier, params, _ in cells:
                 rows.append(
@@ -274,10 +289,11 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
                     )
                 )
             continue
+        rankings = {}
         for classifier, params, kind in cells:
             start = time.perf_counter()
             try:
-                acc = _run_cell(kind, config, X, y, pairs)
+                acc = _run_cell(kind, config, X, y, pairs, rankings)
             except Exception as exc:
                 rows.append(
                     ResultRow(

@@ -13,6 +13,7 @@ from gyrotext.classify import (
     SvmModel,
     knn_fit,
     knn_predict_batch,
+    knn_rank,
     linear_svm_primal_train,
     ovr_decision,
     ovr_predict,
@@ -173,6 +174,26 @@ def test_knn_query_shape_checks():
         knn_predict_batch(model, np.array([[0.1, 0.0, 0.0]]))
 
 
+def test_knn_shared_ranking_matches_fresh_prediction():
+    # one ranking serves every k; ties in distance and in votes included
+    rng = np.random.default_rng(33)
+    train = np.round(rng.uniform(-0.5, 0.5, size=(50, 2)), 1)
+    labels = rng.integers(0, 3, size=50)
+    queries = np.round(rng.uniform(-0.5, 0.5, size=(25, 2)), 1)
+    for metric in ("poincare", "euclidean"):
+        ranking = knn_rank(knn_fit(train, labels, 1, metric), queries)
+        assert ranking.order.shape == ranking.distances.shape == (25, 50)
+        assert np.all(np.diff(ranking.distances, axis=1) >= 0)
+        for k in (1, 2, 3, 4, 7, 50):
+            model = knn_fit(train, labels, k, metric)
+            shared = knn_predict_batch(model, queries, ranking)
+            assert np.array_equal(shared, knn_predict_batch(model, queries)), (metric, k)
+            expect = [oracle_knn(train, labels, q, k, metric) for q in queries]
+            assert shared.tolist() == expect, (metric, k)
+    with pytest.raises(ValueError):
+        knn_predict_batch(model, queries[:3], ranking)
+
+
 # ------------------------------------------------------------------- SMO
 
 
@@ -251,6 +272,9 @@ def test_smo_validation():
         svm_train_smo(np.full((2, 2), np.inf), [1.0, -1.0])
     with pytest.raises(ValueError):
         svm_train_smo(np.eye(2), [1.0, -1.0], C=0.0)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="C must be positive and finite"):
+            SmoConfig(kernel=KernelSpec(), C=bad)
 
 
 def test_smo_budget_exhaustion_reports_residual():
@@ -392,6 +416,9 @@ def test_linear_primal_validation():
         linear_svm_primal_train(np.array([[np.nan], [1.0]]), [1.0, -1.0])
     with pytest.raises(ValueError):
         linear_svm_primal_train(X, [1.0, -1.0], C=-1.0)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="C must be positive and finite"):
+            LinearPrimalConfig(C=bad)
 
 
 # ----------------------------------------------------------- one-vs-rest

@@ -125,6 +125,19 @@ def test_run_writes_csv(tmp_path, capsys):
     assert {r[1] for r in rows[1:]} == {"emean", "lcf"}
 
 
+@pytest.mark.parametrize("flag,value", [("--linear-svm", "C=-1"), ("--svm", "C=0"),
+                                        ("--svm", "kernel=linear,C=inf")])
+def test_run_rejects_bad_C(tmp_path, capsys, flag, value):
+    # a bad C is a bad argument (exit 2), caught before any cell runs
+    emb, cor = tiny_files(tmp_path)
+    out = tmp_path / "results.csv"
+    rc = main(["run", "--corpus", cor, "--embeddings", emb, "--flavor", "poincare",
+               "--methods", "emean", "--knn", "off", flag, value, "--out", str(out)])
+    assert rc == 2
+    assert "C must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_euclidean_flavor_emits_na(tmp_path, capsys):
     emb, cor = tiny_files(tmp_path)
     out = tmp_path / "results.csv"

@@ -1,22 +1,20 @@
 import math
 
+import _compose_reference as reference
 import numpy as np
 import pytest
 
+from gyrotext import composition
 from gyrotext.composition import (
+    DEFAULT_COMPOSITION,
     METHODS,
     CompositionConfig,
+    PointBatch,
     compose,
-    compose_bnw,
-    compose_emean,
-    compose_fnw,
-    compose_lca,
-    compose_lcb,
-    compose_lcf,
-    compose_naive,
+    compose_batch,
     mobius_sum,
 )
-from gyrotext.gyroball import midpoint, mobius_add, weighted_midpoint
+from gyrotext.gyroball import BallParams, midpoint, mobius_add, weighted_midpoint
 
 
 def random_points(rng, n, dim, max_norm=0.8):
@@ -27,38 +25,38 @@ def random_points(rng, n, dim, max_norm=0.8):
 
 def test_emean_examples():
     x = np.array([0.3, -0.2])
-    assert np.array_equal(compose_emean(x[None, :]), x)
+    assert np.array_equal(compose("emean", x[None, :]), x)
     np.testing.assert_allclose(
-        compose_emean(np.array([[0.4, 0.0], [-0.4, 0.0]])), 0.0, atol=0
+        compose("emean", np.array([[0.4, 0.0], [-0.4, 0.0]])), 0.0, atol=0
     )
     np.testing.assert_allclose(
-        compose_emean(np.array([[0.2, 0.0], [0.4, 0.0], [0.6, 0.0]])), [0.4, 0.0]
+        compose("emean", np.array([[0.2, 0.0], [0.4, 0.0], [0.6, 0.0]])), [0.4, 0.0]
     )
 
 
 def test_emean_weighted():
     pts = np.array([[0.6, 0.0], [0.0, 0.6]])
     np.testing.assert_allclose(
-        compose_emean(pts, weights=[3.0, 1.0]), [0.45, 0.15], atol=1e-15
+        compose("emean", pts, weights=[3.0, 1.0]), [0.45, 0.15], atol=1e-15
     )
 
 
 def test_emean_exact_permutation_invariance():
     rng = np.random.default_rng(0)
     pts = random_points(rng, 40, 6)
-    base = compose_emean(pts)
+    base = compose("emean", pts)
     for _ in range(20):
         perm = rng.permutation(40)
-        assert np.array_equal(compose_emean(pts[perm]), base)
+        assert np.array_equal(compose("emean", pts[perm]), base)
 
 
 def test_naive_examples():
     x = np.array([0.3, 0.1])
-    assert np.array_equal(compose_naive(x[None, :]), x)
+    assert np.array_equal(compose("naive", x[None, :]), x)
     pts = np.stack([x, -x])
-    np.testing.assert_allclose(compose_naive(pts), 0.0, atol=1e-15)
+    np.testing.assert_allclose(compose("naive", pts), 0.0, atol=1e-15)
     # (0.5 (+) 0.5) = 0.8, then tanh(0.5 artanh 0.8) = 0.5
-    got = compose_naive(np.array([[0.5, 0.0], [0.5, 0.0]]))
+    got = compose("naive", np.array([[0.5, 0.0], [0.5, 0.0]]))
     np.testing.assert_allclose(got, [0.5, 0.0], atol=1e-14)
 
 
@@ -66,7 +64,7 @@ def test_naive_ignores_weights():
     rng = np.random.default_rng(1)
     pts = random_points(rng, 5, 3)
     w = rng.uniform(0.5, 2.0, 5)
-    assert np.array_equal(compose_naive(pts, weights=w), compose_naive(pts))
+    assert np.array_equal(compose("naive", pts, weights=w), compose("naive", pts))
 
 
 def test_mobius_sum_overflow_rescale():
@@ -83,18 +81,18 @@ def test_mobius_sum_overflow_rescale():
 def test_lcf_examples():
     rng = np.random.default_rng(2)
     a, b, c = random_points(rng, 3, 3)
-    assert np.array_equal(compose_lcf(a[None, :]), a)
-    np.testing.assert_allclose(compose_lcf(np.stack([a, b])), midpoint(a, b), atol=0)
+    assert np.array_equal(compose("lcf", a[None, :]), a)
+    np.testing.assert_allclose(compose("lcf", np.stack([a, b])), midpoint(a, b), atol=0)
     expect = weighted_midpoint(midpoint(a, b), c, 2.0, 1.0)
-    np.testing.assert_allclose(compose_lcf(np.stack([a, b, c])), expect, atol=0)
+    np.testing.assert_allclose(compose("lcf", np.stack([a, b, c])), expect, atol=0)
 
 
 def test_lcb_examples():
     rng = np.random.default_rng(3)
     a, b = random_points(rng, 2, 3)
-    np.testing.assert_allclose(compose_lcb(np.stack([a, b])), midpoint(b, a), atol=0)
+    np.testing.assert_allclose(compose("lcb", np.stack([a, b])), midpoint(b, a), atol=0)
     seq = random_points(rng, 5, 3)
-    assert np.linalg.norm(compose_lcf(seq) - compose_lcb(seq)) > 1e-6
+    assert np.linalg.norm(compose("lcf", seq) - compose("lcb", seq)) > 1e-6
 
 
 def test_reversal_duality_bit_for_bit():
@@ -102,32 +100,32 @@ def test_reversal_duality_bit_for_bit():
     for n in (2, 3, 7, 12):
         seq = random_points(rng, n, 4)
         w = rng.uniform(0.5, 2.0, n)
-        assert np.array_equal(compose_lcb(seq, w), compose_lcf(seq[::-1], w[::-1]))
-        assert np.array_equal(compose_bnw(seq, w), compose_fnw(seq[::-1], w[::-1]))
+        assert np.array_equal(compose("lcb", seq, w), compose("lcf", seq[::-1], w[::-1]))
+        assert np.array_equal(compose("bnw", seq, w), compose("fnw", seq[::-1], w[::-1]))
 
 
 def test_lca_examples():
     rng = np.random.default_rng(5)
     a, b = random_points(rng, 2, 3)
-    np.testing.assert_allclose(compose_lca(np.stack([a, b])), midpoint(a, b), atol=1e-12)
+    np.testing.assert_allclose(compose("lca", np.stack([a, b])), midpoint(a, b), atol=1e-12)
     # palindrome: forward and backward folds coincide exactly
     pal = np.stack([a, b, a])
-    assert np.array_equal(compose_lcf(pal), compose_lcb(pal))
-    np.testing.assert_allclose(compose_lca(pal), compose_lcf(pal), atol=1e-12)
+    assert np.array_equal(compose("lcf", pal), compose("lcb", pal))
+    np.testing.assert_allclose(compose("lca", pal), compose("lcf", pal), atol=1e-12)
 
 
 def test_fnw_examples():
     rng = np.random.default_rng(6)
     a, b, c, d = random_points(rng, 4, 3)
-    np.testing.assert_allclose(compose_fnw(np.stack([a, b])), midpoint(a, b), atol=0)
+    np.testing.assert_allclose(compose("fnw", np.stack([a, b])), midpoint(a, b), atol=0)
     np.testing.assert_allclose(
-        compose_fnw(np.stack([a, b, c, d])),
+        compose("fnw", np.stack([a, b, c, d])),
         midpoint(midpoint(a, b), midpoint(c, d)),
         atol=0,
     )
     # split at floor(3/2)=1: singleton left half against the (b,c) midpoint
     np.testing.assert_allclose(
-        compose_fnw(np.stack([a, b, c])),
+        compose("fnw", np.stack([a, b, c])),
         weighted_midpoint(a, midpoint(b, c), 1.0, 2.0),
         atol=0,
     )
@@ -137,19 +135,19 @@ def test_bnw_examples():
     rng = np.random.default_rng(7)
     a, b, c, d = random_points(rng, 4, 3)
     np.testing.assert_allclose(
-        compose_bnw(np.stack([a, b, c])),
+        compose("bnw", np.stack([a, b, c])),
         weighted_midpoint(c, midpoint(b, a), 1.0, 2.0),
         atol=0,
     )
     assert np.array_equal(
-        compose_bnw(np.stack([a, b, c, d])), compose_fnw(np.stack([d, c, b, a]))
+        compose("bnw", np.stack([a, b, c, d])), compose("fnw", np.stack([d, c, b, a]))
     )
 
 
 def test_fnw_equals_lcf_for_pairs():
     rng = np.random.default_rng(8)
     pair = random_points(rng, 2, 5)
-    assert np.array_equal(compose_fnw(pair), compose_lcf(pair))
+    assert np.array_equal(compose("fnw", pair), compose("lcf", pair))
 
 
 def test_single_point_fixed_point_exact():
@@ -171,8 +169,8 @@ def test_order_sensitivity_of_folds():
     rng = np.random.default_rng(11)
     seq = random_points(rng, 6, 3)
     perm = seq[[3, 1, 5, 0, 2, 4]]
-    for fn in (compose_lcf, compose_lcb, compose_fnw, compose_bnw):
-        assert np.linalg.norm(fn(seq) - fn(perm)) > 1e-6
+    for method in ("lcf", "lcb", "fnw", "bnw"):
+        assert np.linalg.norm(compose(method, seq) - compose(method, perm)) > 1e-6
 
 
 def test_gyrotranslation_equivariance():
@@ -204,17 +202,17 @@ def test_outputs_inside_ball():
 def test_dispatch_and_validation():
     rng = np.random.default_rng(15)
     seq = random_points(rng, 4, 3)
-    assert np.array_equal(compose("fnw", seq), compose_fnw(seq))
+    assert np.array_equal(compose("fnw", seq), compose_batch("fnw", PointBatch.pack([seq]))[0])
     with pytest.raises(ValueError):
         compose("frechet", seq)
     with pytest.raises(ValueError):
-        compose_emean(np.empty((0, 3)))
+        compose("emean", np.empty((0, 3)))
     with pytest.raises(ValueError):
-        compose_lcf(seq, weights=[1.0, 2.0])
+        compose("lcf", seq, weights=[1.0, 2.0])
     with pytest.raises(ValueError):
-        compose_lcf(seq, weights=[1.0, 2.0, -1.0, 1.0])
+        compose("lcf", seq, weights=[1.0, 2.0, -1.0, 1.0])
     with pytest.raises(ValueError):
-        compose_emean(np.array([[np.nan, 0.0]]))
+        compose("emean", np.array([[np.nan, 0.0]]))
 
 
 def test_composition_config_validation():
@@ -229,6 +227,115 @@ def test_weighted_fold_accumulates_weights():
     # three points with weights (2, 1, 1): the fold must carry 2, then 3
     rng = np.random.default_rng(16)
     a, b, c = random_points(rng, 3, 3)
-    got = compose_lcf(np.stack([a, b, c]), weights=[2.0, 1.0, 1.0])
+    got = compose("lcf", np.stack([a, b, c]), weights=[2.0, 1.0, 1.0])
     expect = weighted_midpoint(weighted_midpoint(a, b, 2.0, 1.0), c, 3.0, 1.0)
     np.testing.assert_allclose(got, expect, atol=0)
+
+
+# ------------------------------------------- batched vs per-document reference
+
+
+def ragged_batch(rng, lengths, dim, s=1.0, max_norm=0.8, weighted=False):
+    docs = [random_points(rng, int(n), dim, max_norm) * s for n in lengths]
+    weights = [rng.uniform(0.5, 2.0, size=len(d)) for d in docs] if weighted else None
+    return docs, weights
+
+
+@pytest.mark.parametrize("s", [1.0, 2.5])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_batch_matches_per_document_reference(s, weighted):
+    # interior points: every scheme agrees with the one-at-a-time code to
+    # 1e-12 (summation order and libm vs numpy tanh differ by ulps only)
+    rng = np.random.default_rng(20)
+    lengths = np.concatenate([[1, 1, 2, 3, 64], rng.integers(1, 40, size=30)])
+    docs, weights = ragged_batch(rng, lengths, 7, s=s, weighted=weighted)
+    cfg = CompositionConfig(ball=BallParams(s=s))
+    batch = PointBatch.pack(docs, weights)
+    for method in METHODS:
+        got = compose_batch(method, batch, cfg)
+        for i, doc in enumerate(docs):
+            w = None if weights is None else weights[i]
+            expect = reference.compose(method, doc, w, cfg)
+            np.testing.assert_allclose(got[i], expect, rtol=0, atol=1e-12 * s,
+                                       err_msg=f"{method} doc {i}")
+
+
+def test_naive_overflow_matches_reference():
+    # near-boundary, mostly collinear sequences push the running Mobius sum
+    # onto the boundary, so the rescale fires; counts must agree exactly
+    rng = np.random.default_rng(21)
+    cfg = DEFAULT_COMPOSITION
+    direction = np.array([1.0, 0.0, 0.0])
+    docs = []
+    for n in (1, 2, 5, 17, 40):
+        jitter = 0.05 * rng.normal(size=(n, 3))
+        rows = direction + jitter
+        docs.append(rows / np.linalg.norm(rows, axis=1, keepdims=True) * 0.999)
+    fired = 0
+    naive_rows = compose_batch("naive", PointBatch.pack(docs), cfg)
+    for doc, row in zip(docs, naive_rows):
+        expect_sum, expect_count = reference.mobius_sum(doc, cfg)
+        got_sum, got_count = mobius_sum(doc, cfg)
+        assert got_count == expect_count
+        np.testing.assert_allclose(got_sum, expect_sum, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(row, reference.compose("naive", doc, cfg=cfg), rtol=0, atol=1e-9)
+        fired += expect_count
+    assert fired > 0
+
+
+def test_batch_of_one_equals_full_batch_bitwise():
+    # edge cases: single points, points on the clamp radius 1 - 1e-7 and at
+    # 1 - 1e-6, a constant sequence, and long and short sequences side by side
+    rng = np.random.default_rng(22)
+    docs, _ = ragged_batch(rng, [1, 2, 3, 9, 33, 1, 70], 5)
+    edge = random_points(rng, 6, 5)
+    edge /= np.linalg.norm(edge, axis=1, keepdims=True)
+    docs.append(edge * (1.0 - 1e-6))
+    docs.append(edge[:1] * (1.0 - 1e-7))
+    docs.append(np.tile(edge[2] * (1.0 - 1e-7), (4, 1)))
+    docs.append(np.concatenate([edge[:3] * (1.0 - 1e-6), docs[3]]))
+    weights = [rng.uniform(0.5, 2.0, size=len(d)) for d in docs]
+    for w in (None, weights):
+        batch = PointBatch.pack(docs, w)
+        for method in METHODS:
+            full = compose_batch(method, batch)
+            for i, doc in enumerate(docs):
+                one = compose(method, doc, None if w is None else w[i])
+                assert np.array_equal(one, full[i]), (method, i)
+                assert np.linalg.norm(one) < 1.0, (method, i)
+
+
+def test_tree_groups_match_one_group(monkeypatch):
+    # fnw/bnw split a large batch into groups of consecutive sequences; the
+    # grouping must not change any row
+    rng = np.random.default_rng(23)
+    docs, weights = ragged_batch(rng, rng.integers(1, 30, size=25), 4, weighted=True)
+    batch = PointBatch.pack(docs, weights)
+    # groups of at most 10 points of 4 coordinates; longer sequences alone
+    monkeypatch.setattr(composition, "STEP_BYTES", 10 * 4 * 8)
+    grouped = {m: compose_batch(m, batch) for m in ("fnw", "bnw")}
+    monkeypatch.setattr(composition, "STEP_BYTES", 10**9)
+    for method, rows in grouped.items():
+        assert np.array_equal(compose_batch(method, batch), rows), method
+
+
+def test_point_batch_validation():
+    pts = np.zeros((3, 2))
+    with pytest.raises(ValueError):
+        PointBatch.pack([])
+    with pytest.raises(ValueError):
+        PointBatch.pack([pts, np.zeros((2, 3))])
+    with pytest.raises(ValueError):
+        PointBatch.pack([pts, np.empty((0, 2))])
+    with pytest.raises(ValueError):
+        PointBatch.pack([pts], [np.ones(2)])
+    with pytest.raises(ValueError):
+        PointBatch.pack([pts], [np.array([1.0, 0.0, 1.0])])
+    with pytest.raises(ValueError):
+        PointBatch.pack([np.array([[np.inf, 0.0]])])
+    with pytest.raises(ValueError):
+        PointBatch(pts, np.array([2]), np.ones(3))
+    batch = PointBatch.pack([pts, pts[:1]])
+    assert batch.lengths.tolist() == [3, 1] and batch.starts.tolist() == [0, 3]
+    with pytest.raises(ValueError):
+        compose_batch("frechet", batch)

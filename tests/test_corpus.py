@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from gyrotext.composition import compose
 from gyrotext.corpus import (
     DocPoints,
     EmbeddingTable,
     TokenizerConfig,
+    compose_corpus,
+    corpus_points,
     doc_to_points,
     load_corpus,
     load_embeddings,
@@ -292,3 +295,46 @@ def test_represent_corpus_empty_corpus_raises():
         represent_corpus(
             LabeledCorpus(records=(), label_set=frozenset()), make_table(), "emean"
         )
+
+
+def test_corpus_rows_equal_per_text_compose_bitwise(tmp_path):
+    # represent_corpus composes the corpus as one batch; each of its rows
+    # must equal the per-text path (tokenize, look up, compose one) bit for
+    # bit, also for single-token texts, all-OOV texts (the origin), vectors
+    # at norm 1 - 1e-6 and vectors clamped on load from norm 1 + 1e-6
+    rng = np.random.default_rng(51)
+    lines = []
+    for i in range(40):
+        v = rng.normal(size=4)
+        norm = (1.0 - 1e-6, 1.0 + 1e-6)[i % 2] if i < 8 else rng.uniform(0.1, 0.9)
+        v *= norm / np.linalg.norm(v)
+        lines.append(f"w{i} " + " ".join(repr(float(x)) for x in v))
+    table, report = load_embeddings(write(tmp_path, "e.txt", "\n".join(lines) + "\n"), "poincare")
+    assert report.clamped == 4
+    texts = ["w0", "oov only here", "w1 w2 w3", "", "w7"]
+    texts += [" ".join(f"w{j}" for j in rng.integers(0, 40, size=n)) for n in (2, 5, 17, 60)]
+    texts += ["w0 w1 w2 w3 w4 w5 w6 w7 zzz"]
+    corpus = corpus_of(*(("x", t) for t in texts))
+    points = corpus_points(corpus, table)
+    assert points.diagnostics.empty_doc_indices == (1, 3)
+    for method in ("emean", "naive", "lcf", "lcb", "lca", "fnw", "bnw"):
+        reps = compose_corpus(points, method)
+        assert np.array_equal(reps, represent_corpus(corpus, table, method)[0])
+        for i, text in enumerate(texts):
+            doc = doc_to_points(tokenize(text), table)
+            one = np.zeros(4) if doc.empty else compose(method, doc.points)
+            assert np.array_equal(reps[i], one), (method, i)
+            assert np.linalg.norm(reps[i]) < 1.0
+
+
+def test_corpus_points_warns_about_empty_documents_once(caplog):
+    table = make_table()
+    corpus = corpus_of(("x", "a b"), ("y", "nope"), ("z", ""))
+    with caplog.at_level("WARNING", logger="gyrotext.corpus"):
+        points = corpus_points(corpus, table)
+        for method in ("emean", "lcf", "fnw"):
+            compose_corpus(points, method)
+    assert len(caplog.records) == 1
+    assert "2 of 3 documents" in caplog.records[0].getMessage()
+    assert points.nonempty.tolist() == [0]
+    assert points.batch.lengths.tolist() == [2]

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from gyrotext.classify import LinearPrimalConfig, SmoConfig
+from gyrotext import corpus as corpus_module
+from gyrotext.classify import LinearPrimalConfig, SmoConfig, knn_fit, knn_predict_batch
+from gyrotext.corpus import load_corpus, load_embeddings, represent_corpus
 from gyrotext.harness import (
     CSV_HEADER,
     EvalReport,
@@ -346,3 +348,52 @@ def test_emit_table_params_quoted_roundtrip(tmp_path):
 def test_emit_table_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         emit_table(sample_table(), "xml", tmp_path / "t.xml")
+
+
+def test_run_experiment_tokenizes_corpus_once(tmp_path, monkeypatch):
+    # every method composes from one tokenize + lookup pass over the corpus
+    emb, cor = tiny_files(tmp_path)
+    calls = []
+    real = corpus_module.tokenize
+    monkeypatch.setattr(corpus_module, "tokenize", lambda *a, **k: calls.append(1) or real(*a, **k))
+    config = ExperimentConfig(
+        corpus_path=cor,
+        embeddings_path=emb,
+        flavor="poincare",
+        methods=("emean", "lcf", "lca", "bnw"),
+        knn=KnnSpec(ks=(1, 3)),
+    )
+    results = run_experiment(config)
+    assert not results.errors
+    assert len(calls) == 12  # the corpus holds 12 documents
+
+
+def test_run_experiment_knn_cells_match_direct_prediction(tmp_path):
+    # the k cells of a method share one ranking per fold; their accuracies
+    # must be those of a fresh knn_predict_batch per k
+    emb, cor = tiny_files(tmp_path, labels=("red", "blue", "green"), docs_per_class=9)
+    ks = (1, 3, 5, 30)
+    config = ExperimentConfig(
+        corpus_path=cor,
+        embeddings_path=emb,
+        flavor="poincare",
+        methods=("lcf",),
+        knn=KnnSpec(ks=ks),
+        split=SplitSpec(kind="kfold", folds=3, seed=5),
+    )
+    rows = run_experiment(config).rows
+    table, _ = load_embeddings(emb, "poincare")
+    corpus, _ = load_corpus(cor)
+    X, labels, _ = represent_corpus(corpus, table, "lcf")
+    names = sorted(set(labels))
+    y = np.array([names.index(label) for label in labels])
+    for k, row in zip(ks, rows):
+        if k == 30:
+            # more neighbours than training points: only this cell fails
+            assert row.error is not None and "k must lie in" in row.error
+            continue
+        accs = []
+        for train, test in split(y, config.split):
+            model = knn_fit(X[train], y[train], k, "poincare")
+            accs.append(evaluate(knn_predict_batch(model, X[test]), y[test]).accuracy)
+        assert row.accuracy == float(np.mean(accs))
