@@ -27,14 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gyroball import BallParams, _add, _clamp, _geodesic, _scale
+from .gyroball import MAX_NORM, _add, _clamp, _geodesic, _scale
 
 # Not called here: benchmarks/tracing.py looks these names up in this module.
 from .gyroball import mobius_add, mobius_scale, weighted_midpoint  # noqa: F401
 
 __all__ = [
-    "CompositionConfig",
-    "DEFAULT_COMPOSITION",
     "METHODS",
     "PointBatch",
     "compose",
@@ -48,22 +46,9 @@ METHODS = ("emean", "naive", "lcf", "lcb", "lca", "fnw", "bnw")
 # bytes of points at a time, which bounds their working copy and temporaries
 STEP_BYTES = 256 * 1024
 
-
-@dataclass(frozen=True)
-class CompositionConfig:
-    """Rescale margin for the naive method's boundary overflow, plus ball params."""
-
-    overflow_eps: float = 1e-5
-    ball: BallParams = field(default_factory=BallParams)
-
-    def __post_init__(self):
-        if not (0 < self.overflow_eps <= 1e-3):
-            raise ValueError(
-                f"overflow_eps must lie in (0, 1e-3], got {self.overflow_eps}"
-            )
-
-
-DEFAULT_COMPOSITION = CompositionConfig()
+# the naive scheme's running sum is multiplied by this whenever its norm
+# reaches MAX_NORM, so that the next Mobius addition stays defined
+OVERFLOW_RESCALE = 1.0 - 1e-5
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +117,7 @@ def _by_length(lengths: np.ndarray):
     return order, active.tolist()
 
 
-def _emean(batch: PointBatch, cfg: CompositionConfig) -> np.ndarray:
+def _emean(batch: PointBatch) -> np.ndarray:
     """Weighted coordinate mean, every coordinate summed with ``math.fsum``
     so that it is exactly permutation-invariant."""
     out = np.empty((batch.lengths.size, batch.points.shape[1]))
@@ -147,9 +132,8 @@ def _emean(batch: PointBatch, cfg: CompositionConfig) -> np.ndarray:
     return out
 
 
-def _sums(batch: PointBatch, cfg: CompositionConfig):
+def _sums(batch: PointBatch):
     """Left-folded Mobius sums in lockstep, with per-sequence overflow counts."""
-    ball = cfg.ball
     order, active = _by_length(batch.lengths)
     starts = batch.starts[order]
     acc = batch.points[starts]
@@ -157,14 +141,14 @@ def _sums(batch: PointBatch, cfg: CompositionConfig):
 
     def rescale(m):
         head = acc[:m]
-        over = np.sqrt(np.vecdot(head, head)) >= ball.max_norm
+        over = np.sqrt(np.vecdot(head, head)) >= MAX_NORM
         if np.count_nonzero(over):
-            head[over] *= 1.0 - cfg.overflow_eps
+            head[over] *= OVERFLOW_RESCALE
             overflows[:m] += over
 
     rescale(starts.size)
     for k, m in enumerate(active, start=1):
-        acc[:m] = _add(acc[:m], batch.points[starts[:m] + k], ball)
+        acc[:m] = _add(acc[:m], batch.points[starts[:m] + k])
         rescale(m)
     sums = np.empty_like(acc)
     sums[order] = acc
@@ -173,13 +157,13 @@ def _sums(batch: PointBatch, cfg: CompositionConfig):
     return sums, counts
 
 
-def _naive(batch: PointBatch, cfg: CompositionConfig) -> np.ndarray:
-    sums, _ = _sums(batch, cfg)
+def _naive(batch: PointBatch) -> np.ndarray:
+    sums, _ = _sums(batch)
     n = batch.lengths
-    return np.where((n == 1)[:, None], batch.points[batch.starts], _scale(1.0 / n, sums, cfg.ball))
+    return np.where((n == 1)[:, None], batch.points[batch.starts], _scale(1.0 / n, sums))
 
 
-def _fold(points, weights, first, stride, lengths, ball: BallParams) -> np.ndarray:
+def _fold(points, weights, first, stride, lengths) -> np.ndarray:
     """lcf in lockstep over sequences read from row ``first`` by ``stride``
     (+1 forward, -1 backward): step k moves every sequence longer than k
     from its running centroid c_k to M(c_k, x_(k+1); W_k, w_(k+1))."""
@@ -191,7 +175,7 @@ def _fold(points, weights, first, stride, lengths, ball: BallParams) -> np.ndarr
         rows = first[:m] + k * stride[:m]
         w = weights[rows]
         total = mass[:m] + w
-        acc[:m] = _geodesic(acc[:m], points[rows], w / total, ball)
+        acc[:m] = _geodesic(acc[:m], points[rows], w / total)
         mass[:m] = total
     out = np.empty_like(acc)
     out[order] = acc
@@ -204,17 +188,17 @@ def _ends(batch: PointBatch):
     return (batch.starts, ones), (batch.starts + batch.lengths - 1, -ones)
 
 
-def _lcf(batch: PointBatch, cfg: CompositionConfig) -> np.ndarray:
+def _lcf(batch: PointBatch) -> np.ndarray:
     (first, stride), _ = _ends(batch)
-    return _fold(batch.points, batch.weights, first, stride, batch.lengths, cfg.ball)
+    return _fold(batch.points, batch.weights, first, stride, batch.lengths)
 
 
-def _lcb(batch: PointBatch, cfg: CompositionConfig) -> np.ndarray:
+def _lcb(batch: PointBatch) -> np.ndarray:
     _, (first, stride) = _ends(batch)
-    return _fold(batch.points, batch.weights, first, stride, batch.lengths, cfg.ball)
+    return _fold(batch.points, batch.weights, first, stride, batch.lengths)
 
 
-def _lca(batch: PointBatch, cfg: CompositionConfig) -> np.ndarray:
+def _lca(batch: PointBatch) -> np.ndarray:
     # the forward and backward folds of every sequence run as one fold
     (f_first, f_stride), (b_first, b_stride) = _ends(batch)
     folds = _fold(
@@ -223,14 +207,13 @@ def _lca(batch: PointBatch, cfg: CompositionConfig) -> np.ndarray:
         np.concatenate([f_first, b_first]),
         np.concatenate([f_stride, b_stride]),
         np.concatenate([batch.lengths, batch.lengths]),
-        cfg.ball,
     )
     b = batch.lengths.size
-    mid = _geodesic(folds[:b], folds[b:], 0.5, cfg.ball)
+    mid = _geodesic(folds[:b], folds[b:], 0.5)
     return np.where((batch.lengths == 1)[:, None], folds[:b], mid)
 
 
-def _tree(vals, mass, starts, lengths, ball: BallParams) -> np.ndarray:
+def _tree(vals, mass, starts, lengths) -> np.ndarray:
     """fnw in lockstep, one step per node height across all sequences.
 
     A node over rows lo..lo+n-1 (n >= 2) splits at half = floor(n/2) and
@@ -255,12 +238,12 @@ def _tree(vals, mass, starts, lengths, ball: BallParams) -> np.ndarray:
             left = lo[by_height[i:j]]
             right = left + size[by_height[i:j]] // 2
             both = mass[left] + mass[right]
-            vals[left] = _geodesic(vals[left], vals[right], mass[right] / both, ball)
+            vals[left] = _geodesic(vals[left], vals[right], mass[right] / both)
             mass[left] = both
     return vals[starts]
 
 
-def _trees(batch: PointBatch, cfg: CompositionConfig, first, stride) -> np.ndarray:
+def _trees(batch: PointBatch, first, stride) -> np.ndarray:
     """fnw of every sequence read from row ``first`` by ``stride``, over groups
     of consecutive sequences of at most STEP_BYTES of points each (a longer
     sequence is a group of its own): a tree works on a copy of its points,
@@ -275,19 +258,19 @@ def _trees(batch: PointBatch, cfg: CompositionConfig, first, stride) -> np.ndarr
         seq = np.repeat(np.arange(i, j), lengths[i:j])
         rows = first[seq] + stride[seq] * (np.arange(starts[i], ends[j - 1]) - starts[seq])
         g_starts = starts[i:j] - starts[i]
-        out[i:j] = _tree(batch.points[rows], batch.weights[rows], g_starts, lengths[i:j], cfg.ball)
+        out[i:j] = _tree(batch.points[rows], batch.weights[rows], g_starts, lengths[i:j])
         i = j
     return out
 
 
-def _fnw(batch: PointBatch, cfg: CompositionConfig) -> np.ndarray:
+def _fnw(batch: PointBatch) -> np.ndarray:
     (first, stride), _ = _ends(batch)
-    return _trees(batch, cfg, first, stride)
+    return _trees(batch, first, stride)
 
 
-def _bnw(batch: PointBatch, cfg: CompositionConfig) -> np.ndarray:
+def _bnw(batch: PointBatch) -> np.ndarray:
     _, (first, stride) = _ends(batch)
-    return _trees(batch, cfg, first, stride)
+    return _trees(batch, first, stride)
 
 
 _SCHEMES = {
@@ -301,38 +284,31 @@ _SCHEMES = {
 }
 
 
-def compose_batch(
-    method: str, batch: PointBatch, cfg: CompositionConfig = DEFAULT_COMPOSITION
-) -> np.ndarray:
+def compose_batch(method: str, batch: PointBatch) -> np.ndarray:
     """Compose every sequence of the batch; row i of the result is sequence i's point."""
     scheme = _SCHEMES.get(method)
     if scheme is None:
         raise ValueError(f"unknown composition method {method!r}; expected one of {METHODS}")
-    out = scheme(batch, cfg)
+    out = scheme(batch)
     if method == "emean":
         # convex combination: stays inside any ball containing the inputs,
         # and must pass through unclamped for unconstrained Euclidean vectors
         return out
-    return _clamp(out, cfg.ball)
+    return _clamp(out)
 
 
-def compose(
-    method: str,
-    points,
-    weights=None,
-    cfg: CompositionConfig = DEFAULT_COMPOSITION,
-) -> np.ndarray:
+def compose(method: str, points, weights=None) -> np.ndarray:
     """Compose one (n, d) point sequence by table name: the batch of one."""
-    return compose_batch(method, _single(points, weights), cfg)[0]
+    return compose_batch(method, _single(points, weights))[0]
 
 
-def mobius_sum(points, cfg: CompositionConfig = DEFAULT_COMPOSITION):
+def mobius_sum(points):
     """Left-folded Mobius sum with the boundary-overflow rescale.
 
-    Whenever the running sum's norm reaches the numerical boundary
-    ``1 - boundary_eps`` (in units of s), it is pulled back by the factor
-    ``1 - overflow_eps``. Returns ``(sum, overflow_count)`` where the count
-    records how many times the rescale fired.
+    Whenever the running sum's norm reaches the clamp norm ``MAX_NORM``
+    (1 - 1e-7), it is pulled back by the factor ``OVERFLOW_RESCALE``
+    (1 - 1e-5). Returns ``(sum, overflow_count)`` where the count records
+    how many times the rescale fired.
     """
-    sums, counts = _sums(_single(points, None), cfg)
+    sums, counts = _sums(_single(points, None))
     return sums[0], int(counts[0])

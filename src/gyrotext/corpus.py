@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .composition import CompositionConfig, DEFAULT_COMPOSITION, PointBatch, compose_batch
+from .composition import PointBatch, compose_batch
 from .gyroball import clamp_to_ball
 
 # Not called here: benchmarks/tracing.py looks this name up in this module.
@@ -32,8 +32,6 @@ __all__ = [
     "LoadReport",
     "CorpusLoadReport",
     "LabeledCorpus",
-    "TokenizerConfig",
-    "DEFAULT_TOKENIZER",
     "DocPoints",
     "CorpusDiagnostics",
     "CorpusPoints",
@@ -125,34 +123,20 @@ def load_embeddings(path, flavor: str):
     return table, LoadReport(total=total, parsed=total - skipped, skipped=skipped, clamped=clamped)
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
-    """Maximal runs of letter (L*) or decimal-digit (Nd) characters."""
-
-    lowercase: bool = True
-
-
-DEFAULT_TOKENIZER = TokenizerConfig()
-
-
 def _is_token_char(ch: str) -> bool:
     cat = unicodedata.category(ch)
     return cat.startswith("L") or cat == "Nd"
 
 
-def tokenize(text: str, cfg: TokenizerConfig = DEFAULT_TOKENIZER):
-    """Split text into maximal letter-or-digit runs, then lowercase.
+def tokenize(text: str):
+    """Split text into maximal runs of letter (L*) or decimal-digit (Nd)
+    characters, then lowercase each run.
 
     Runs are taken on the raw text and lowercased afterwards, so case
     mappings that change character category (e.g. dotted capital I
     lowercasing to "i" plus a combining dot) cannot split a token.
     """
-    tokens = []
-    for is_word, run in groupby(text, key=_is_token_char):
-        if is_word:
-            tok = "".join(run)
-            tokens.append(tok.lower() if cfg.lowercase else tok)
-    return tokens
+    return ["".join(run).lower() for is_word, run in groupby(text, key=_is_token_char) if is_word]
 
 
 @dataclass(frozen=True)
@@ -247,11 +231,7 @@ class CorpusPoints(NamedTuple):
     diagnostics: CorpusDiagnostics
 
 
-def corpus_points(
-    corpus: LabeledCorpus,
-    table: EmbeddingTable,
-    tokenizer: TokenizerConfig = DEFAULT_TOKENIZER,
-) -> CorpusPoints:
+def corpus_points(corpus: LabeledCorpus, table: EmbeddingTable) -> CorpusPoints:
     """Tokenize every document and map it to its points, once per corpus.
 
     Documents with no in-vocabulary tokens are listed in the diagnostics
@@ -260,7 +240,7 @@ def corpus_points(
     """
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
-    tokenized = [tokenize(text, tokenizer) for _, text in corpus.records]
+    tokenized = [tokenize(text) for _, text in corpus.records]
     total_tokens = sum(len(tokens) for tokens in tokenized)
     # every document's points are copied into one buffer as soon as they are
     # looked up, so the corpus is never held twice
@@ -302,23 +282,15 @@ def corpus_points(
     )
 
 
-def compose_corpus(
-    points: CorpusPoints, method: str, cfg: CompositionConfig = DEFAULT_COMPOSITION
-) -> np.ndarray:
+def compose_corpus(points: CorpusPoints, method: str) -> np.ndarray:
     """One composed row per document, in corpus order; empty documents are the origin."""
     reps = np.zeros((points.diagnostics.n_docs, points.dimension))
     if points.batch is not None:
-        reps[points.nonempty] = compose_batch(method, points.batch, cfg)
+        reps[points.nonempty] = compose_batch(method, points.batch)
     return reps
 
 
-def represent_corpus(
-    corpus: LabeledCorpus,
-    table: EmbeddingTable,
-    method: str,
-    cfg: CompositionConfig = DEFAULT_COMPOSITION,
-    tokenizer: TokenizerConfig = DEFAULT_TOKENIZER,
-):
+def represent_corpus(corpus: LabeledCorpus, table: EmbeddingTable, method: str):
     """Compose every document into one point; returns (matrix, labels, diagnostics).
 
     Documents with no in-vocabulary tokens are represented by the origin
@@ -326,6 +298,6 @@ def represent_corpus(
     count always equals the corpus record count. To compose several
     methods, call ``corpus_points`` once and ``compose_corpus`` per method.
     """
-    points = corpus_points(corpus, table, tokenizer)
+    points = corpus_points(corpus, table)
     labels = [label for label, _ in corpus.records]
-    return compose_corpus(points, method, cfg), labels, points.diagnostics
+    return compose_corpus(points, method), labels, points.diagnostics

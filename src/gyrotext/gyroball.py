@@ -1,17 +1,18 @@
 """Gyrovector operations on the Poincare ball.
 
-Points live in the open ball of radius ``s`` (default 1). The two basic
-operators are Mobius addition
+Points live in the open unit ball. The two basic operators are Mobius
+addition
 
-    x (+) y = ((1 + 2/s^2 <x,y> + 1/s^2 |y|^2) x + (1 - 1/s^2 |x|^2) y)
-              / (1 + 2/s^2 <x,y> + 1/s^4 |x|^2 |y|^2)
+    x (+) y = ((1 + 2 <x,y> + |y|^2) x + (1 - |x|^2) y)
+              / (1 + 2 <x,y> + |x|^2 |y|^2)
 
 and Mobius scalar multiplication
 
-    r (*) x = s * tanh(r * artanh(|x|/s)) * x/|x|
+    r (*) x = tanh(r * artanh(|x|)) * x/|x|
 
-from which geodesics, midpoints and weighted midpoints are built. The
-hyperbolic distance on the unit ball is
+from which geodesics, midpoints and weighted midpoints are built. A result
+whose norm rounds to 1 or beyond is pulled back to norm MAX_NORM. The
+hyperbolic distance is
 
     d(u, v) = arccosh(1 + 2 |u-v|^2 / ((1 - |u|^2)(1 - |v|^2)))
             = 2 asinh(sqrt(|u-v|^2 / ((1 - |u|^2)(1 - |v|^2))))
@@ -28,13 +29,11 @@ All computation is in float64; the operators compound rounding error and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "BallParams",
-    "DEFAULT_BALL",
+    "MAX_NORM",
     "clamp_to_ball",
     "mobius_add",
     "mobius_neg",
@@ -50,29 +49,9 @@ __all__ = [
 # byte budget of the (rows, N, d) difference block one chunk broadcasts
 CHUNK_BYTES = 512 * 1024
 
-
-@dataclass(frozen=True)
-class BallParams:
-    """Ball radius ``s`` and the numerical margin kept to the boundary."""
-
-    s: float = 1.0
-    boundary_eps: float = 1e-7
-
-    def __post_init__(self):
-        if not (math.isfinite(self.s) and self.s > 0):
-            raise ValueError(f"ball radius s must be positive, got {self.s}")
-        if not (0 < self.boundary_eps <= 1e-3):
-            raise ValueError(
-                f"boundary_eps must lie in (0, 1e-3], got {self.boundary_eps}"
-            )
-
-    @property
-    def max_norm(self) -> float:
-        """Largest norm a clamped point is assigned."""
-        return self.s * (1.0 - self.boundary_eps)
-
-
-DEFAULT_BALL = BallParams()
+# largest norm a point is given: results that reach the boundary are
+# clamped to it, and artanh is taken at no more than it
+MAX_NORM = 1.0 - 1e-7
 
 
 def _as_vector(x, name: str = "point") -> np.ndarray:
@@ -97,55 +76,54 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
 # batch of many.
 
 
-def _clamp(X: np.ndarray, params: BallParams) -> np.ndarray:
+def _clamp(X: np.ndarray) -> np.ndarray:
     n = np.sqrt(np.vecdot(X, X))
-    over = n >= params.s
+    over = n >= 1.0
     # count_nonzero: ndarray.any costs several times more on small arrays
     if np.count_nonzero(over):
-        X = np.where(over[:, None], X * (params.max_norm / np.where(over, n, 1.0))[:, None], X)
+        X = np.where(over[:, None], X * (MAX_NORM / np.where(over, n, 1.0))[:, None], X)
     return X
 
 
-def _add(A: np.ndarray, B: np.ndarray, params: BallParams) -> np.ndarray:
-    s2 = params.s * params.s
+def _add(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     dot2 = 2.0 * np.vecdot(A, B)[:, None]
     na2 = np.vecdot(A, A)[:, None]
     nb2 = np.vecdot(B, B)[:, None]
-    num = (1.0 + (dot2 + nb2) / s2) * A + (1.0 - na2 / s2) * B
-    den = 1.0 + dot2 / s2 + (na2 * nb2) / (s2 * s2)
-    return _clamp(num / den, params)
+    # 1 + (2<a,b> + |b|^2) in this order: (1 + 2<a,b>) + |b|^2 rounds differently
+    num = (1.0 + (dot2 + nb2)) * A + (1.0 - na2) * B
+    den = 1.0 + dot2 + na2 * nb2
+    return _clamp(num / den)
 
 
-def _scale(r, X: np.ndarray, params: BallParams) -> np.ndarray:
+def _scale(r, X: np.ndarray) -> np.ndarray:
     # r is a scalar or one factor per row
     n = np.sqrt(np.vecdot(X, X))
     # artanh blows up at 1; points numerically on the boundary are pulled in.
-    ratio = np.minimum(n / params.s, 1.0 - params.boundary_eps)
-    mag = params.s * np.tanh(r * np.arctanh(ratio))
+    mag = np.tanh(r * np.arctanh(np.minimum(n, MAX_NORM)))
     # x/|x| has a removable singularity at the origin, which maps to itself
-    return _clamp((mag / np.where(n > 0.0, n, 1.0))[:, None] * X, params)
+    return _clamp((mag / np.where(n > 0.0, n, 1.0))[:, None] * X)
 
 
-def _geodesic(A: np.ndarray, B: np.ndarray, t, params: BallParams) -> np.ndarray:
+def _geodesic(A: np.ndarray, B: np.ndarray, t) -> np.ndarray:
     # t is a scalar or one fraction per row
-    return _add(A, _scale(t, _add(-A, B, params), params), params)
+    return _add(A, _scale(t, _add(-A, B)))
 
 
-def clamp_to_ball(x, params: BallParams = DEFAULT_BALL) -> np.ndarray:
-    """Rescale ``x`` to norm ``s * (1 - boundary_eps)`` if its norm reaches ``s``."""
-    return _clamp(_as_vector(x)[None], params)[0]
+def clamp_to_ball(x) -> np.ndarray:
+    """Rescale ``x`` to norm MAX_NORM if its norm reaches 1."""
+    return _clamp(_as_vector(x)[None])[0]
 
 
-def mobius_add(a, b, params: BallParams = DEFAULT_BALL) -> np.ndarray:
+def mobius_add(a, b) -> np.ndarray:
     """Mobius addition a (+) b.
 
     Non-commutative and non-associative. The output is clamped back
-    inside the ball if rounding pushes its norm to ``s`` or beyond.
+    inside the ball if rounding pushes its norm to 1 or beyond.
     """
     a = _as_vector(a, "a")
     b = _as_vector(b, "b")
     _check_same_dim(a, b)
-    return _add(a[None], b[None], params)[0]
+    return _add(a[None], b[None])[0]
 
 
 def mobius_neg(a) -> np.ndarray:
@@ -153,17 +131,17 @@ def mobius_neg(a) -> np.ndarray:
     return -_as_vector(a, "a")
 
 
-def mobius_scale(r: float, x, params: BallParams = DEFAULT_BALL) -> np.ndarray:
-    """Mobius scalar multiplication r (*) x = s tanh(r artanh(|x|/s)) x/|x|.
+def mobius_scale(r: float, x) -> np.ndarray:
+    """Mobius scalar multiplication r (*) x = tanh(r artanh(|x|)) x/|x|.
 
     The origin is a removable singularity of x/|x| and maps to itself.
     """
     if not math.isfinite(r):
         raise ValueError(f"scalar r must be finite, got {r}")
-    return _scale(r, _as_vector(x, "x")[None], params)[0]
+    return _scale(r, _as_vector(x, "x")[None])[0]
 
 
-def geodesic_point(a, b, t: float, params: BallParams = DEFAULT_BALL) -> np.ndarray:
+def geodesic_point(a, b, t: float) -> np.ndarray:
     """Point at fraction ``t`` along the geodesic from a to b.
 
     Parametrized as a (+) ((-a (+) b) (*) t); satisfies
@@ -178,17 +156,15 @@ def geodesic_point(a, b, t: float, params: BallParams = DEFAULT_BALL) -> np.ndar
         return a.copy()
     if t == 1.0:
         return b.copy()
-    return _geodesic(a[None], b[None], t, params)[0]
+    return _geodesic(a[None], b[None], t)[0]
 
 
-def midpoint(a, b, params: BallParams = DEFAULT_BALL) -> np.ndarray:
+def midpoint(a, b) -> np.ndarray:
     """Geodesic midpoint, i.e. the t = 1/2 point; equidistant from a and b."""
-    return geodesic_point(a, b, 0.5, params)
+    return geodesic_point(a, b, 0.5)
 
 
-def weighted_midpoint(
-    a, b, m_a: float, m_b: float, params: BallParams = DEFAULT_BALL
-) -> np.ndarray:
+def weighted_midpoint(a, b, m_a: float, m_b: float) -> np.ndarray:
     """Weighted midpoint M_{ab|m_a m_b}: the geodesic point at t = m_b / (m_a + m_b).
 
     Splits the geodesic so that d(a, .) / d(., b) = m_b / m_a.
@@ -196,7 +172,7 @@ def weighted_midpoint(
     for name, m in (("m_a", m_a), ("m_b", m_b)):
         if not (math.isfinite(m) and m > 0):
             raise ValueError(f"weight {name} must be positive and finite, got {m}")
-    return geodesic_point(a, b, m_b / (m_a + m_b), params)
+    return geodesic_point(a, b, m_b / (m_a + m_b))
 
 
 def poincare_distance(u, v) -> float:
@@ -234,8 +210,7 @@ def pairwise_poincare_distance(U, V) -> np.ndarray:
     d(u, v) = 2 asinh(sqrt(|u-v|^2 / ((1 - |u|^2)(1 - |v|^2))))
 
     which equals the arccosh form but, unlike arccosh(1 + x), keeps full
-    relative precision when x is tiny. Stated for the unit ball only;
-    rescale coordinates by 1/s first when working at a different radius.
+    relative precision when x is tiny.
     """
     U = _as_rows(U)
     V = _as_rows(V)

@@ -36,6 +36,9 @@ __all__ = [
 
 KERNEL_KINDS = ("geodesic", "euclidean_rbf", "linear")
 
+# Jacobi sweeps before jacobi_eigenvalues returns whatever diagonal it has
+MAX_SWEEPS = 100
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -125,11 +128,11 @@ def _as_symmetric(matrix) -> np.ndarray:
     return np.array(a, dtype=np.float64)
 
 
-def jacobi_eigenvalues(matrix, max_sweeps: int = 100) -> np.ndarray:
+def jacobi_eigenvalues(matrix) -> np.ndarray:
     """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
     Sweeps stop once the off-diagonal Frobenius norm falls to
-    1e-12 * trace (or hits zero), capped at ``max_sweeps`` sweeps.
+    1e-12 * trace (or hits zero), capped at ``MAX_SWEEPS`` sweeps.
     Returns the eigenvalues in ascending order.
     """
     a = _as_symmetric(matrix)
@@ -138,7 +141,7 @@ def jacobi_eigenvalues(matrix, max_sweeps: int = 100) -> np.ndarray:
         return a[0, :1].copy()
     threshold = max(1e-12 * float(np.trace(a)), 0.0)
     off_diagonal = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         # summed from the off-diagonal entries themselves: the difference
         # sum(a^2) - sum(diag^2) cancels to a ~1e-7 floor above threshold
         if math.sqrt(float(np.sum(a[off_diagonal] ** 2))) <= threshold:

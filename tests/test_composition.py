@@ -6,15 +6,13 @@ import pytest
 
 from gyrotext import composition
 from gyrotext.composition import (
-    DEFAULT_COMPOSITION,
     METHODS,
-    CompositionConfig,
     PointBatch,
     compose,
     compose_batch,
     mobius_sum,
 )
-from gyrotext.gyroball import BallParams, midpoint, mobius_add, weighted_midpoint
+from gyrotext.gyroball import midpoint, mobius_add, weighted_midpoint
 
 
 def random_points(rng, n, dim, max_norm=0.8):
@@ -215,14 +213,6 @@ def test_dispatch_and_validation():
         compose("emean", np.array([[np.nan, 0.0]]))
 
 
-def test_composition_config_validation():
-    CompositionConfig(overflow_eps=1e-4)
-    with pytest.raises(ValueError):
-        CompositionConfig(overflow_eps=0.0)
-    with pytest.raises(ValueError):
-        CompositionConfig(overflow_eps=0.01)
-
-
 def test_weighted_fold_accumulates_weights():
     # three points with weights (2, 1, 1): the fold must carry 2, then 3
     rng = np.random.default_rng(16)
@@ -235,28 +225,26 @@ def test_weighted_fold_accumulates_weights():
 # ------------------------------------------- batched vs per-document reference
 
 
-def ragged_batch(rng, lengths, dim, s=1.0, max_norm=0.8, weighted=False):
-    docs = [random_points(rng, int(n), dim, max_norm) * s for n in lengths]
+def ragged_batch(rng, lengths, dim, max_norm=0.8, weighted=False):
+    docs = [random_points(rng, int(n), dim, max_norm) for n in lengths]
     weights = [rng.uniform(0.5, 2.0, size=len(d)) for d in docs] if weighted else None
     return docs, weights
 
 
-@pytest.mark.parametrize("s", [1.0, 2.5])
 @pytest.mark.parametrize("weighted", [False, True])
-def test_batch_matches_per_document_reference(s, weighted):
+def test_batch_matches_per_document_reference(weighted):
     # interior points: every scheme agrees with the one-at-a-time code to
     # 1e-12 (summation order and libm vs numpy tanh differ by ulps only)
     rng = np.random.default_rng(20)
     lengths = np.concatenate([[1, 1, 2, 3, 64], rng.integers(1, 40, size=30)])
-    docs, weights = ragged_batch(rng, lengths, 7, s=s, weighted=weighted)
-    cfg = CompositionConfig(ball=BallParams(s=s))
+    docs, weights = ragged_batch(rng, lengths, 7, weighted=weighted)
     batch = PointBatch.pack(docs, weights)
     for method in METHODS:
-        got = compose_batch(method, batch, cfg)
+        got = compose_batch(method, batch)
         for i, doc in enumerate(docs):
             w = None if weights is None else weights[i]
-            expect = reference.compose(method, doc, w, cfg)
-            np.testing.assert_allclose(got[i], expect, rtol=0, atol=1e-12 * s,
+            expect = reference.compose(method, doc, w)
+            np.testing.assert_allclose(got[i], expect, rtol=0, atol=1e-12,
                                        err_msg=f"{method} doc {i}")
 
 
@@ -264,7 +252,6 @@ def test_naive_overflow_matches_reference():
     # near-boundary, mostly collinear sequences push the running Mobius sum
     # onto the boundary, so the rescale fires; counts must agree exactly
     rng = np.random.default_rng(21)
-    cfg = DEFAULT_COMPOSITION
     direction = np.array([1.0, 0.0, 0.0])
     docs = []
     for n in (1, 2, 5, 17, 40):
@@ -272,13 +259,13 @@ def test_naive_overflow_matches_reference():
         rows = direction + jitter
         docs.append(rows / np.linalg.norm(rows, axis=1, keepdims=True) * 0.999)
     fired = 0
-    naive_rows = compose_batch("naive", PointBatch.pack(docs), cfg)
+    naive_rows = compose_batch("naive", PointBatch.pack(docs))
     for doc, row in zip(docs, naive_rows):
-        expect_sum, expect_count = reference.mobius_sum(doc, cfg)
-        got_sum, got_count = mobius_sum(doc, cfg)
+        expect_sum, expect_count = reference.mobius_sum(doc)
+        got_sum, got_count = mobius_sum(doc)
         assert got_count == expect_count
         np.testing.assert_allclose(got_sum, expect_sum, rtol=0, atol=1e-9)
-        np.testing.assert_allclose(row, reference.compose("naive", doc, cfg=cfg), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(row, reference.compose("naive", doc), rtol=0, atol=1e-9)
         fired += expect_count
     assert fired > 0
 

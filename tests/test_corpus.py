@@ -5,7 +5,6 @@ from gyrotext.composition import compose
 from gyrotext.corpus import (
     DocPoints,
     EmbeddingTable,
-    TokenizerConfig,
     compose_corpus,
     corpus_points,
     doc_to_points,
@@ -121,11 +120,6 @@ def test_tokenize_basic():
 def test_tokenize_digit_runs_and_casefolding():
     assert tokenize("ABC123def") == ["abc123def"]
     assert tokenize("v2.0-beta") == ["v2", "0", "beta"]
-    assert tokenize("Mixed CASE Words", TokenizerConfig(lowercase=False)) == [
-        "Mixed",
-        "CASE",
-        "Words",
-    ]
 
 
 def test_tokenize_turkish_fixture():

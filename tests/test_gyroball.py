@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gyrotext import gyroball
 from gyrotext.gyroball import (
-    BallParams,
+    MAX_NORM,
     clamp_to_ball,
     geodesic_point,
     midpoint,
@@ -35,16 +35,6 @@ def radial_scale(r, u):
 def random_ball(rng, dim, max_norm=0.9):
     u = rng.normal(size=dim)
     return u * rng.uniform(0.0, max_norm) / np.linalg.norm(u)
-
-
-def test_ball_params_validation():
-    BallParams(s=2.0, boundary_eps=1e-6)
-    with pytest.raises(ValueError):
-        BallParams(s=0.0)
-    with pytest.raises(ValueError):
-        BallParams(boundary_eps=0.0)
-    with pytest.raises(ValueError):
-        BallParams(boundary_eps=1e-2)
 
 
 def test_mobius_add_collinear_closed_form():
@@ -271,9 +261,6 @@ def unit(coords):
     return w / n if n > 1e-3 else np.eye(len(w))[0]
 
 
-MAX_NORM = BallParams().max_norm
-
-
 @st.composite
 def near_pairs(draw):
     """Pairs with |u| up to the clamp norm 1 - 1e-7 and |u - v| from 1e-9 to 1."""
@@ -364,13 +351,3 @@ def test_clamp_to_ball():
     )
     with pytest.raises(ValueError):
         clamp_to_ball(np.array([np.nan, 0.0]))
-
-
-def test_nonunit_radius_ball():
-    params = BallParams(s=2.0)
-    a = np.array([1.0, 0.0])
-    got = mobius_add(a, a, params)
-    # s=2 collinear closed form: (u+v)/(1+uv/s^2)
-    assert got[0] == pytest.approx(2.0 / 1.25, abs=1e-14)
-    doubled = mobius_scale(2.0, a, params)
-    assert doubled[0] == pytest.approx(2.0 * math.tanh(2.0 * math.atanh(0.5)), abs=1e-13)
