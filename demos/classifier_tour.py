@@ -54,7 +54,7 @@ def main():
     print("A peek inside one binary SMO problem (class 0 vs rest):")
     gram = gram_matrix(train_x, spec)
     y = np.where(train_y == 0, 1.0, -1.0)
-    model = svm_train_smo(gram, y, track_objective=True)
+    model = svm_train_smo(gram, y)
     h = model.objective_history
     print(f"  dual objective climbs {h[0]:.3f} -> {h[-1]:.3f} "
           f"over {h.size} updates, never decreasing: "

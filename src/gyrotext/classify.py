@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .gyroball import pairwise_poincare_distance, pairwise_squared_distance
-from .kernels import GramMatrix, KernelSpec, cross_kernel, gram_matrix
+from .kernels import GramMatrix, KernelSpec, check_gram, cross_kernel, gram_matrix
 
 __all__ = [
     "KnnModel",
@@ -46,6 +46,10 @@ METRIC_KINDS = ("poincare", "euclidean")
 
 # alphas below this are treated as zero when collecting support vectors
 SUPPORT_EPS = 1e-10
+# SMO: stop once the maximal KKT violation max_low F - min_up F falls to
+# KKT_TOL, or after MAX_PASSES * n pair steps; both read at call time
+KKT_TOL = 1e-3
+MAX_PASSES = 1000
 # linear SVM: cap on Newton steps (the exact minimiser usually takes under
 # ten), and the line-search step below which no descent counts as converged
 NEWTON_MAX_STEPS = 50
@@ -144,11 +148,12 @@ def knn_predict_batch(model: KnnModel, queries, ranking: Optional[KnnRanking] = 
 class SvmModel:
     """Fitted binary kernel SVM (dual form).
 
-    converged is False when the KKT residual still exceeded kkt_tol at the
-    iteration budget (or the pair step stalled on an indefinite Gram); the
-    residual is reported either way. psd_warning records whether any
+    converged is False when the KKT residual still exceeded ``KKT_TOL`` at
+    the iteration budget (or the pair step stalled on an indefinite Gram);
+    the residual is reported either way. psd_warning records whether any
     working pair exhibited negative curvature, a witness that the Gram
-    is not positive semidefinite.
+    is not positive semidefinite. objective_history holds the dual
+    objective after each pair step, one entry per iteration.
     """
 
     alphas: np.ndarray
@@ -162,7 +167,7 @@ class SvmModel:
     dual_objective: float
     psd_warning: bool
     n_iter: int
-    objective_history: Optional[np.ndarray] = None
+    objective_history: np.ndarray
 
 
 def _dual_objective(alpha: np.ndarray, y: np.ndarray, F: np.ndarray) -> float:
@@ -171,23 +176,18 @@ def _dual_objective(alpha: np.ndarray, y: np.ndarray, F: np.ndarray) -> float:
     return float(np.sum(alpha) - 0.5 * np.sum(alpha * y * (F + y)))
 
 
-def svm_train_smo(
-    gram: Union[GramMatrix, np.ndarray],
-    labels,
-    C: float = 1.0,
-    kkt_tol: float = 1e-3,
-    max_passes: int = 1000,
-    track_objective: bool = False,
-) -> SvmModel:
+def svm_train_smo(gram: Union[GramMatrix, np.ndarray], labels, C: float = 1.0) -> SvmModel:
     """Train a binary soft-margin SVM on a precomputed Gram matrix by SMO.
 
     Each iteration updates the maximal violating pair (Keerthi's working
     set selection): i from the candidates whose F may still decrease the
     violation from below, j from above; convergence when
-    max_low F - min_up F <= kkt_tol. F_k = sum_m alpha_m y_m K[m,k] - y_k
-    is maintained incrementally, so one iteration costs O(n). The budget
-    is max_passes * n iterations; running out is reported through
-    converged/kkt_residual, not raised.
+    max_low F - min_up F <= ``KKT_TOL``. F_k = sum_m alpha_m y_m K[m,k] - y_k
+    is maintained incrementally, so one iteration costs O(n), and so is
+    the dual objective recorded after each step. The budget is
+    ``MAX_PASSES * n`` iterations; running out is reported through
+    converged/kkt_residual, not raised. A raw Gram array gets the same
+    checks as ``GramMatrix``.
     """
     if isinstance(gram, GramMatrix):
         K = gram.entries
@@ -195,10 +195,7 @@ def svm_train_smo(
     else:
         K = np.asarray(gram, dtype=np.float64)
         spec = None
-        if K.ndim != 2 or K.shape[0] != K.shape[1]:
-            raise ValueError(f"Gram matrix must be square, got shape {K.shape}")
-        if not np.all(np.isfinite(K)):
-            raise ValueError("Gram matrix contains non-finite entries")
+        check_gram(K)
     y = np.asarray(labels, dtype=np.float64)
     n = K.shape[0]
     if y.shape != (n,):
@@ -213,10 +210,12 @@ def svm_train_smo(
     alpha = np.zeros(n)
     F = -y.copy()
     psd_warning = False
-    history = [] if track_objective else None
+    objective = 0.0
+    history = []
     stalled = False
     it = 0
-    budget = max_passes * n
+    budget = MAX_PASSES * n
+    kkt_tol = KKT_TOL
     # rounding can leave an alpha one ulp off its bound, which would keep
     # it in the working set and jam the pair update against the box; snap
     # near-bound values to the exact bound instead
@@ -238,15 +237,20 @@ def svm_train_smo(
         low_idx = np.flatnonzero(low)
         j = up_idx[np.argmin(F[up_idx])]
         i = low_idx[np.argmax(F[low_idx])]
-        if F[i] - F[j] <= kkt_tol:
+        # the pair's scalars as Python floats: numpy scalar arithmetic in
+        # this loop costs microseconds per iteration
+        F_i, F_j = float(F[i]), float(F[j])
+        if F_i - F_j <= kkt_tol:
             break
-        eta_raw = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        K_ii, K_jj, K_ij = float(K[i, i]), float(K[j, j]), float(K[i, j])
+        y_i, y_j = float(y[i]), float(y[j])
+        eta_raw = K_ii + K_jj - 2.0 * K_ij
         if eta_raw < -1e-12:
             psd_warning = True
         eta = max(eta_raw, 1e-12)
-        a_i, a_j = alpha[i], alpha[j]
-        a_j_new = a_j + y[j] * (F[i] - F[j]) / eta
-        if y[i] != y[j]:
+        a_i, a_j = float(alpha[i]), float(alpha[j])
+        a_j_new = a_j + y_j * (F_i - F_j) / eta
+        if y_i != y_j:
             lo, hi = max(0.0, a_j - a_i), min(C, C + a_j - a_i)
         else:
             lo, hi = max(0.0, a_i + a_j - C), min(C, a_i + a_j)
@@ -255,11 +259,15 @@ def svm_train_smo(
             # clip box blocks the maximal pair: no further progress possible
             stalled = True
             break
-        a_i_new = _snap(min(max(a_i - y[i] * y[j] * (a_j_new - a_j), 0.0), C))
-        F += (a_i_new - a_i) * y[i] * K[i, :] + (a_j_new - a_j) * y[j] * K[j, :]
+        a_i_new = _snap(min(max(a_i - y_i * y_j * (a_j_new - a_j), 0.0), C))
+        d_i, d_j = a_i_new - a_i, a_j_new - a_j
+        F += d_i * y_i * K[i, :] + d_j * y_j * K[j, :]
         alpha[i], alpha[j] = a_i_new, a_j_new
-        if track_objective:
-            history.append(_dual_objective(alpha, y, F))
+        # exact change of W over the two coordinates, from F before the step
+        objective += -(y_i * F_i * d_i + y_j * F_j * d_j) - 0.5 * (
+            K_ii * d_i * d_i + K_jj * d_j * d_j + 2.0 * y_i * y_j * K_ij * d_i * d_j
+        )
+        history.append(objective)
         it += 1
 
     up = (pos & (alpha < C)) | (~pos & (alpha > 0))
@@ -292,7 +300,7 @@ def svm_train_smo(
         dual_objective=_dual_objective(alpha, y, F),
         psd_warning=psd_warning,
         n_iter=it,
-        objective_history=np.asarray(history) if track_objective else None,
+        objective_history=np.asarray(history),
     )
 
 
@@ -364,8 +372,6 @@ class SmoConfig:
 
     kernel: KernelSpec
     C: float = 1.0
-    kkt_tol: float = 1e-3
-    max_passes: int = 1000
 
     def __post_init__(self):
         _check_C(self.C)
@@ -386,12 +392,12 @@ class OvrModel:
     """One binary model per class id, over a shared training representation.
 
     train_points is retained only for the kernel route, where decisions
-    need kernel rows against the training set.
+    need kernel rows against the training set; its presence marks that
+    route.
     """
 
     classes: np.ndarray
     models: tuple
-    kind: str
     train_points: Optional[np.ndarray] = None
 
 
@@ -408,33 +414,22 @@ def ovr_train(points, labels, config: Union[SmoConfig, LinearPrimalConfig]) -> O
     if isinstance(config, SmoConfig):
         gram = gram_matrix(P, config.kernel)
         models = tuple(
-            svm_train_smo(
-                gram,
-                np.where(y == c, 1.0, -1.0),
-                C=config.C,
-                kkt_tol=config.kkt_tol,
-                max_passes=config.max_passes,
-            )
-            for c in classes
+            svm_train_smo(gram, np.where(y == c, 1.0, -1.0), C=config.C) for c in classes
         )
-        return OvrModel(classes=classes, models=models, kind="smo", train_points=P)
+        return OvrModel(classes=classes, models=models, train_points=P)
     if isinstance(config, LinearPrimalConfig):
         models = tuple(
             linear_svm_primal_train(P, np.where(y == c, 1.0, -1.0), C=config.C)
             for c in classes
         )
-        return OvrModel(classes=classes, models=models, kind="linear")
+        return OvrModel(classes=classes, models=models)
     raise TypeError(f"unsupported trainer config {type(config).__name__}")
 
 
 def ovr_decision(model: OvrModel, queries) -> np.ndarray:
     """Decision-value matrix, one row per query and one column per class."""
     Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if model.kind == "smo":
-        if Q.shape[1] != model.train_points.shape[1]:
-            raise ValueError(
-                f"dimension mismatch: {Q.shape[1]} vs {model.train_points.shape[1]}"
-            )
+    if model.train_points is not None:
         rows = cross_kernel(Q, model.train_points, model.models[0].kernel)
         cols = [rows @ (m.alphas * m.labels) + m.bias for m in model.models]
     else:

@@ -5,7 +5,8 @@ File formats (both UTF-8 text, one record per line):
     embeddings   token SP num_1 SP ... SP num_d     (standard word-vector text)
     corpus       label TAB text
 
-The embedding dimension is inferred from the first parseable line.
+An embeddings file may open with the word2vec count header "V d". The
+embedding dimension is inferred from the first parseable line.
 Malformed lines are skipped and counted; more than 1% of them aborts the
 load. Poincare-flavor vectors are clamped inside the unit ball at load
 time; Euclidean-flavor vectors are stored as-is.
@@ -78,16 +79,20 @@ class LoadReport(NamedTuple):
 def load_embeddings(path, flavor: str):
     """Read a word-vector text file into an EmbeddingTable.
 
-    Returns (table, report). Skipped lines are those that fail to parse
-    as token + d finite numbers (d fixed by the first parseable line) or
-    that repeat an already-seen token; more than 1% skipped aborts. For
-    the poincare flavor, vectors with norm >= 1 are pulled just inside
-    the unit ball and counted in the report.
+    Returns (table, report). A first line "V d" of two integers, followed
+    by a line of d + 1 fields, is a word2vec count header: it is dropped
+    and counted nowhere in the report. Skipped lines are those that fail
+    to parse as token + d finite numbers (d fixed by the first parseable
+    line) or that repeat an already-seen token; more than 1% skipped
+    aborts. For the poincare flavor, vectors with norm >= 1 are pulled
+    just inside the unit ball and counted in the report.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
+    if _is_count_header(lines):
+        lines = lines[1:]
     vectors = {}
     dimension = None
     skipped = 0
@@ -121,6 +126,15 @@ def load_embeddings(path, flavor: str):
         logger.warning("%s: %d vectors clamped inside the unit ball", path, clamped)
     table = EmbeddingTable(dimension=dimension, vectors=vectors, flavor=flavor)
     return table, LoadReport(total=total, parsed=total - skipped, skipped=skipped, clamped=clamped)
+
+
+def _is_count_header(lines) -> bool:
+    head = lines[0].split() if len(lines) > 1 else []
+    return (
+        len(head) == 2
+        and all(part.isdecimal() for part in head)
+        and len(lines[1].split()) == int(head[1]) + 1
+    )
 
 
 def _is_token_char(ch: str) -> bool:

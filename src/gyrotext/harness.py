@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -213,20 +213,22 @@ class ResultsTable:
 
 
 def _classifier_cells(config: ExperimentConfig):
+    """(classifier, params, spec) per cell: spec is k for a k-NN cell and
+    the trainer config for an SVM cell."""
     cells = []
     if config.knn is not None:
         for k in config.knn.ks:
-            cells.append(("knn", f"k={k},metric={config.knn.metric}", ("knn", k)))
+            cells.append(("knn", f"k={k},metric={config.knn.metric}", k))
     if config.svm is not None:
         s = config.svm
         params = f"kernel={s.kernel.kind},lambda={s.kernel.lam!r},q={s.kernel.q!r},C={s.C!r}"
-        cells.append(("svm", params, ("svm",)))
+        cells.append(("svm", params, s))
     if config.linear_svm is not None:
-        cells.append(("linear-svm", f"C={config.linear_svm.C!r}", ("linear",)))
+        cells.append(("linear-svm", f"C={config.linear_svm.C!r}", config.linear_svm))
     return cells
 
 
-def _run_cell(kind, config, X, y, pairs, rankings):
+def _run_cell(spec, config, X, y, pairs, rankings):
     """Mean accuracy of one cell over the folds.
 
     ``rankings`` maps a fold to its query-by-training k-NN ranking. The
@@ -235,17 +237,13 @@ def _run_cell(kind, config, X, y, pairs, rankings):
     """
     accs = []
     for fold, (train, test) in enumerate(pairs):
-        if kind[0] == "knn":
-            model = knn_fit(X[train], y[train], kind[1], config.knn.metric)
+        if isinstance(spec, (SmoConfig, LinearPrimalConfig)):
+            preds = ovr_predict(ovr_train(X[train], y[train], spec), X[test])
+        else:
+            model = knn_fit(X[train], y[train], spec, config.knn.metric)
             if fold not in rankings:
                 rankings[fold] = knn_rank(model, X[test])
             preds = knn_predict_batch(model, X[test], rankings[fold])
-        elif kind[0] == "svm":
-            model = ovr_train(X[train], y[train], config.svm)
-            preds = ovr_predict(model, X[test])
-        else:
-            model = ovr_train(X[train], y[train], config.linear_svm)
-            preds = ovr_predict(model, X[test])
         accs.append(evaluate(preds, y[test]).accuracy)
     return float(np.mean(accs))
 
@@ -270,37 +268,29 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
     cells = _classifier_cells(config)
 
     rows = []
+
+    def empty_row(method, classifier, params, exc=None):
+        # NA row without an error (flavor rule), error row with one
+        error = None if exc is None else f"{type(exc).__name__}: {exc}"
+        return ResultRow(config.flavor, method, classifier, params, None, None, None, error)
+
     for method in config.methods:
         if config.flavor == "euclidean" and method != "emean":
             # hyperbolic composition of unconstrained vectors is undefined
-            for classifier, params, _ in cells:
-                rows.append(
-                    ResultRow(config.flavor, method, classifier, params, None, None, None)
-                )
+            rows.extend(empty_row(method, c, p) for c, p, _ in cells)
             continue
         try:
             X = compose_corpus(points, method)
         except Exception as exc:
-            for classifier, params, _ in cells:
-                rows.append(
-                    ResultRow(
-                        config.flavor, method, classifier, params, None, None, None,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
+            rows.extend(empty_row(method, c, p, exc) for c, p, _ in cells)
             continue
         rankings = {}
-        for classifier, params, kind in cells:
+        for classifier, params, spec in cells:
             start = time.perf_counter()
             try:
-                acc = _run_cell(kind, config, X, y, pairs, rankings)
+                acc = _run_cell(spec, config, X, y, pairs, rankings)
             except Exception as exc:
-                rows.append(
-                    ResultRow(
-                        config.flavor, method, classifier, params, None, None, None,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
+                rows.append(empty_row(method, classifier, params, exc))
                 continue
             elapsed = time.perf_counter() - start
             rows.append(
@@ -332,21 +322,8 @@ def emit_table(results: ResultsTable, fmt: str, destination) -> None:
                     ]
                 )
     elif fmt == "json":
-        payload = [
-            {
-                "embedding": r.embedding,
-                "composition": r.composition,
-                "classifier": r.classifier,
-                "params": r.params,
-                "accuracy": r.accuracy,
-                "micro_f1": r.micro_f1,
-                "runtime_s": r.runtime_s,
-                "error": r.error,
-            }
-            for r in results.rows
-        ]
         with open(destination, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, ensure_ascii=False)
+            json.dump([asdict(r) for r in results.rows], fh, indent=2, ensure_ascii=False)
             fh.write("\n")
     else:
         raise ValueError(f"unknown format {fmt!r}; expected csv or json")

@@ -27,6 +27,7 @@ __all__ = [
     "KernelSpec",
     "GramMatrix",
     "PsdReport",
+    "check_gram",
     "cross_kernel",
     "gram_matrix",
     "jacobi_eigenvalues",
@@ -69,17 +70,21 @@ class GramMatrix:
     spec: KernelSpec
 
     def __post_init__(self):
-        a = self.entries
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"Gram matrix must be square, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("Gram matrix contains non-finite entries")
-        if np.abs(a - a.T).max() > 1e-12:
-            raise ValueError("Gram matrix is asymmetric beyond tolerance")
+        check_gram(self.entries)
 
     @property
     def n(self) -> int:
         return self.entries.shape[0]
+
+
+def check_gram(entries: np.ndarray) -> None:
+    """Reject a Gram array that is not square, finite and symmetric to 1e-12."""
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise ValueError(f"Gram matrix must be square, got shape {entries.shape}")
+    if not np.all(np.isfinite(entries)):
+        raise ValueError("Gram matrix contains non-finite entries")
+    if np.abs(entries - entries.T).max() > 1e-12:
+        raise ValueError("Gram matrix is asymmetric beyond tolerance")
 
 
 def cross_kernel(queries, points, spec: KernelSpec) -> np.ndarray:

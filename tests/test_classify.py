@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gyrotext import classify
 from gyrotext.classify import (
     LinearPrimalConfig,
     LinearSvmModel,
@@ -61,7 +62,6 @@ def linear_decision(model, train_points, queries):
     ovr = OvrModel(
         classes=np.array([1]),
         models=(replace(model, kernel=KernelSpec("linear")),),
-        kind="smo",
         train_points=np.atleast_2d(np.asarray(train_points, dtype=np.float64)),
     )
     return ovr_decision(ovr, queries)[:, 0]
@@ -255,9 +255,13 @@ def test_smo_objective_history_is_nondecreasing():
     rng = np.random.default_rng(35)
     X, y01 = ball_blobs(rng, [(1.5, 1.0), (-1.5, -1.0)], per_class=25, spread=0.8)
     y = np.where(y01 == 0, 1.0, -1.0)
-    model = svm_train_smo(X @ X.T, y, track_objective=True)
-    assert model.objective_history is not None
+    model = svm_train_smo(X @ X.T, y)
+    assert model.objective_history.shape == (model.n_iter,)
+    assert model.n_iter > 0
     assert np.all(np.diff(model.objective_history) >= -1e-9)
+    # the running sum of per-step gains ends at the objective recomputed
+    # from the final alphas and F
+    assert model.objective_history[-1] == pytest.approx(model.dual_objective, rel=1e-12)
 
 
 def test_smo_validation():
@@ -277,9 +281,19 @@ def test_smo_validation():
             SmoConfig(kernel=KernelSpec(), C=bad)
 
 
-def test_smo_budget_exhaustion_reports_residual():
+def test_smo_rejects_asymmetric_raw_gram():
+    # GramMatrix and psd_check reject this matrix; a raw array must be too
+    asym = np.array([[1.0, 0.9, 0.1], [0.0, 1.0, 0.2], [0.1, 0.2, 1.0]])
+    with pytest.raises(ValueError, match="asymmetric"):
+        svm_train_smo(asym, [1.0, -1.0, 1.0])
+    with pytest.raises(ValueError, match="square"):
+        svm_train_smo(np.ones((2, 3)), [1.0, -1.0])
+
+
+def test_smo_budget_exhaustion_reports_residual(monkeypatch):
+    monkeypatch.setattr(classify, "MAX_PASSES", 0)
     gram = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    model = svm_train_smo(gram, [1.0, -1.0], max_passes=0)
+    model = svm_train_smo(gram, [1.0, -1.0])
     assert not model.converged
     assert model.kkt_residual == pytest.approx(2.0, abs=0)
     assert np.all(model.alphas == 0.0)
@@ -304,6 +318,7 @@ def test_svm_decision_examples():
         dual_objective=0.0,
         psd_warning=False,
         n_iter=0,
+        objective_history=np.zeros(0),
     )
     # linear kernel against unit-vector training rows: the query is its own kernel row
     assert linear_decision(zero, np.eye(2), [[0.3, 0.9]])[0] == 0.5
@@ -319,6 +334,7 @@ def test_svm_decision_examples():
         dual_objective=0.0,
         psd_warning=False,
         n_iter=0,
+        objective_history=np.zeros(0),
     )
     assert linear_decision(lone, [[1.0]], [[1.0]])[0] == 1.0
     pair = SvmModel(
@@ -333,6 +349,7 @@ def test_svm_decision_examples():
         dual_objective=0.0,
         psd_warning=False,
         n_iter=0,
+        objective_history=np.zeros(0),
     )
     # kernel row equidistant from the two opposing supports
     assert linear_decision(pair, np.eye(2), [[0.4, 0.4]])[0] == 0.0
@@ -438,12 +455,12 @@ def test_ovr_train_one_model_per_class():
         ovr_train(pts, labels, config="linear")
 
 
-def test_ovr_two_class_decisions_anticorrelated():
+def test_ovr_two_class_decisions_anticorrelated(monkeypatch):
+    # at the default KKT_TOL of 1e-3 the two scores differ by up to 2.7e-4
+    monkeypatch.setattr(classify, "KKT_TOL", 1e-6)
     rng = np.random.default_rng(41)
     pts, labels = ball_blobs(rng, [(0.4, 0.0), (-0.4, 0.0)], per_class=15)
-    model = ovr_train(
-        pts, labels, SmoConfig(kernel=KernelSpec("geodesic"), kkt_tol=1e-6)
-    )
+    model = ovr_train(pts, labels, SmoConfig(kernel=KernelSpec("geodesic")))
     scores = ovr_decision(model, pts)
     assert np.all(np.sign(scores[:, 0]) == -np.sign(scores[:, 1]))
     np.testing.assert_allclose(scores[:, 0], -scores[:, 1], atol=1e-4)
@@ -456,13 +473,11 @@ def test_ovr_predict_argmax_and_ties():
     model = OvrModel(
         classes=np.array([2, 5, 9]),
         models=(stub([0.0], -1.0), stub([0.0], 2.0), stub([0.0], -1.0)),
-        kind="linear",
     )
     assert ovr_predict(model, np.array([[0.3]])).tolist() == [5]
     tied = OvrModel(
         classes=np.array([1, 3]),
         models=(stub([0.0], 0.0), stub([0.0], 0.0)),
-        kind="linear",
     )
     assert ovr_predict(tied, np.array([[0.7]])).tolist() == [1]
 

@@ -50,6 +50,25 @@ def test_load_embeddings_euclidean_never_clamps(tmp_path):
     assert report.clamped == 0
 
 
+def test_load_embeddings_word2vec_count_header(tmp_path):
+    rng = np.random.default_rng(7)
+    vecs = rng.uniform(-0.5, 0.5, size=(200, 3))
+    body = "".join(f"w{i} " + " ".join(repr(float(x)) for x in v) + "\n" for i, v in enumerate(vecs))
+    table, report = load_embeddings(write(tmp_path, "w2v.txt", "200 3\n" + body), "poincare")
+    assert table.dimension == 3 and len(table) == 200
+    assert "200" not in table
+    np.testing.assert_array_equal(table.vectors["w0"], vecs[0])
+    # the header is neither a parsed nor a skipped line
+    assert report == (200, 200, 0, 0)
+    headless, _ = load_embeddings(write(tmp_path, "plain.txt", body), "poincare")
+    assert headless.vectors.keys() == table.vectors.keys()
+    # "7 2" is a 1-d vector when the next line has 2 fields, not d + 1 = 3
+    table, report = load_embeddings(write(tmp_path, "1d.txt", "7 2\na 0.5\n"), "euclidean")
+    assert table.dimension == 1 and len(table) == 2
+    np.testing.assert_array_equal(table.vectors["7"], [2.0])
+    assert report == (2, 2, 0, 0)
+
+
 def test_load_embeddings_skips_malformed_lines(tmp_path):
     lines = ["w%d 0.01 0.02" % i for i in range(300)]
     lines.insert(5, "bad 0.1 0.2 0.3")  # wrong dimension
