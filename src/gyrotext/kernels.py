@@ -10,11 +10,13 @@ Gaussian kernel, which is not positive semidefinite there - some point
 configurations give Gram matrices with negative eigenvalues. Euclidean
 RBF exp(-lambda |u - v|^2) and the plain dot product are provided as
 baselines. The eigensolver used for the PSD diagnostic is an in-repo
-cyclic Jacobi iteration.
+Jacobi iteration in the round-robin (parallel) ordering of Brent & Luk
+1985, which rotates disjoint index pairs together.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -134,7 +136,11 @@ def _as_symmetric(matrix) -> np.ndarray:
 
 
 def jacobi_eigenvalues(matrix) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+    """All eigenvalues of a symmetric matrix by Jacobi rotations.
+
+    Each sweep rotates every off-diagonal pair once, in the round-robin
+    ordering of Brent & Luk 1985 (SIAM J. Sci. Stat. Comput. 6): n - 1
+    rounds (n for odd n) of disjoint pairs, each round one matrix update.
 
     Sweeps stop once the off-diagonal Frobenius norm falls to
     1e-12 * trace (or hits zero), capped at ``MAX_SWEEPS`` sweeps.
@@ -156,31 +162,56 @@ def jacobi_eigenvalues(matrix) -> np.ndarray:
 
 
 def _jacobi_sweep(a: np.ndarray) -> None:
-    """One cyclic pass of rotations over the upper triangle, in place."""
+    """One round-robin pass of rotations over every off-diagonal pair, in place.
+
+    Each round rotates its disjoint pairs at once: the rotations commute, so
+    they form one orthogonal J and the round is the update a <- J^T a J.
+    """
     n = a.shape[0]
-    for p in range(n - 1):
-        for q in range(p + 1, n):
-            apq = a[p, q]
-            if apq == 0.0:
-                continue
-            # tangent of the rotation zeroing a[p, q]; this form of the
-            # quadratic root never overflows, unlike theta = delta/(2 apq)
-            delta = a[q, q] - a[p, p]
-            t = 2.0 * apq * math.copysign(1.0, delta) / (
-                abs(delta) + math.hypot(delta, 2.0 * apq)
-            )
-            c = 1.0 / math.hypot(1.0, t)
-            s = t * c
-            rot_p = c * a[p, :] - s * a[q, :]
-            rot_q = s * a[p, :] + c * a[q, :]
-            a[p, :] = rot_p
-            a[q, :] = rot_q
-            a[:, p] = rot_p
-            a[:, q] = rot_q
-            a[p, p] = c * rot_p[p] - s * rot_p[q]
-            a[q, q] = s * rot_q[p] + c * rot_q[q]
-            a[p, q] = 0.0
-            a[q, p] = 0.0
+    diag = a.diagonal()
+    for p, q, entries in _round_robin(n):
+        # tangent of the rotation zeroing a[p, q]; this form of the quadratic
+        # root never overflows, unlike theta = delta/(2 apq). A pair with
+        # apq = 0 and delta = 0 (0/0 here) is already diagonal: t = 0.
+        two_apq = 2.0 * a[p, q]
+        delta = diag[q] - diag[p]
+        den = delta + np.copysign(np.hypot(delta, two_apq), delta)
+        t = np.divide(two_apq, den, out=np.zeros_like(den), where=den != 0.0)
+        c = 1.0 / np.hypot(1.0, t)
+        s = t * c
+        J = np.eye(n)
+        J.put(entries, np.concatenate((c, c, s, -s)))
+        np.matmul(J.T @ a, J, out=a)
+        a.put(entries[2 * len(p):], 0.0)
+
+
+@functools.lru_cache(maxsize=16)
+def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Circle-method schedule: rounds of disjoint index pairs (p, q) that
+    together meet every pair of 0..n-1 once (Brent & Luk 1985).
+
+    Index 0 stays put while the others rotate one place per round. For odd
+    n a bye slot n pads the circle and its pair is dropped, so each round
+    one index sits out. Each round also carries the flat indices of its
+    (p, p), (q, q), (p, q), (q, p) entries in an n x n array. The arrays are
+    read-only: every caller shares them.
+    """
+    m = n + n % 2
+    circle = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        pairs = [
+            (circle[i], circle[m - 1 - i])
+            for i in range(m // 2)
+            if max(circle[i], circle[m - 1 - i]) < n
+        ]
+        p, q = (np.array(side, dtype=np.intp) for side in zip(*pairs))
+        entries = np.concatenate((p * n + p, q * n + q, p * n + q, q * n + p))
+        for array in (p, q, entries):
+            array.flags.writeable = False
+        rounds.append((p, q, entries))
+        circle = [circle[0], circle[-1], *circle[1:-1]]
+    return tuple(rounds)
 
 
 def min_eigenvalue(gram) -> float:

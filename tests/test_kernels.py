@@ -171,16 +171,27 @@ def test_jacobi_small_examples():
     np.testing.assert_allclose(jacobi_eigenvalues(ones), [0.0, 2.0], atol=1e-14)
     m = np.array([[2.0, 1.0], [1.0, 2.0]])
     np.testing.assert_allclose(jacobi_eigenvalues(m), [1.0, 3.0], atol=1e-12)
+    # pairs across the 2x2 blocks have a[p, q] = 0 and a[p, p] = a[q, q]
+    blocks = np.kron(np.eye(3), [[1.0, 0.5], [0.5, 1.0]])
+    np.testing.assert_allclose(jacobi_eigenvalues(blocks), [0.5] * 3 + [1.5] * 3, atol=1e-14)
 
 
-def test_jacobi_matches_reference_solver():
+def test_jacobi_matches_reference_solver(monkeypatch):
+    # odd n leaves one index out of each round; 60 is the benchmark's size.
+    # Of each matrix and its negation one has a trace <= 0, so its threshold
+    # is 0 and only an exactly zero off-diagonal stops the sweeps
+    sweeps = []
+    sweep = kernels._jacobi_sweep
+    monkeypatch.setattr(kernels, "_jacobi_sweep", lambda a: (sweeps.append(1), sweep(a)))
     rng = np.random.default_rng(26)
-    for n in (3, 8, 20):
+    for n in (2, 3, 8, 20, 59, 60, 61):
         a = rng.normal(size=(n, n))
-        sym = (a + a.T) / 2.0
-        got = jacobi_eigenvalues(sym)
-        expect = np.linalg.eigvalsh(sym)
-        np.testing.assert_allclose(got, expect, atol=1e-10 * max(1.0, np.abs(sym).sum()))
+        for sym in ((a + a.T) / 2.0, -(a + a.T) / 2.0):
+            sweeps.clear()
+            got = jacobi_eigenvalues(sym)
+            expect = np.linalg.eigvalsh(sym)
+            np.testing.assert_allclose(got, expect, atol=1e-10 * max(1.0, np.abs(sym).sum()))
+            assert len(sweeps) < kernels.MAX_SWEEPS
 
 
 def test_jacobi_accepts_gram_and_rejects_asymmetry():
