@@ -25,6 +25,7 @@ from .harness import (
     ExperimentConfig,
     KnnSpec,
     SplitSpec,
+    _composable,
     emit_table,
     run_experiment,
 )
@@ -177,6 +178,10 @@ def _cmd_check_kernel(args) -> int:
 
 
 def _cmd_compose(args) -> int:
+    if not _composable(args.flavor, args.method):
+        raise ValueError(
+            f"--method {args.method} is undefined on euclidean-flavor vectors; only emean is defined there"
+        )
     table, _ = load_embeddings(args.embeddings, args.flavor)
     tokens = tokenize(args.text)
     doc = doc_to_points(tokens, table)

@@ -10,8 +10,9 @@ Seven methods, identified by the names used in the results tables:
     fnw    binary tree centroid      divide and conquer weighted midpoints
     bnw    fnw on the reversed sequence
 
-A sequence is an (n, d) array of ball points plus an optional vector of
-positive weights (uniform when omitted). The naive method ignores weights.
+A sequence is an (n, d) array of ball points, every point counting once,
+so the weighted midpoints of the folds and trees step by fractions of
+point counts.
 
 Every scheme runs on a ``PointBatch``: many sequences packed back to back
 into one (total, d) array, composed in lockstep. The folds take one step
@@ -55,17 +56,16 @@ OVERFLOW_RESCALE = 1.0 - 1e-5
 class PointBatch:
     """Point sequences packed back to back, validated once on construction.
 
-    Sequence i is ``points[starts[i] : starts[i] + lengths[i]]`` with the
-    matching slice of ``weights``. Every sequence has at least one point.
+    Sequence i is ``points[starts[i] : starts[i] + lengths[i]]``. Every
+    sequence has at least one point.
     """
 
     points: np.ndarray
     lengths: np.ndarray
-    weights: np.ndarray
     starts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        pts, lengths, w = self.points, self.lengths, self.weights
+        pts, lengths = self.points, self.lengths
         if pts.ndim != 2 or pts.shape[1] == 0 or pts.dtype != np.float64:
             raise ValueError(f"points must be a float64 (total, d) array, got shape {pts.shape}")
         if not np.isfinite(pts).all():
@@ -74,15 +74,11 @@ class PointBatch:
             raise ValueError("a batch needs one or more sequences, each of positive length")
         if lengths.sum() != pts.shape[0]:
             raise ValueError("sequence lengths must sum to the point count")
-        if w.shape != (pts.shape[0],):
-            raise ValueError(f"weights shape {w.shape} does not match {pts.shape[0]} points")
-        if not (np.isfinite(w).all() and w.min() > 0):
-            raise ValueError("weights must be positive and finite")
         object.__setattr__(self, "starts", np.cumsum(lengths) - lengths)
 
     @classmethod
-    def pack(cls, sequences, weights=None) -> "PointBatch":
-        """Pack (n_i, d) point arrays, with optional per-sequence weight vectors."""
+    def pack(cls, sequences) -> "PointBatch":
+        """Pack (n_i, d) point arrays."""
         if not sequences:
             raise ValueError("no sequences to pack")
         seqs = [np.asarray(s, dtype=np.float64) for s in sequences]
@@ -91,18 +87,12 @@ class PointBatch:
         if len({s.shape[1] for s in seqs}) != 1:
             raise ValueError("sequences differ in dimension")
         lengths = np.array([s.shape[0] for s in seqs], dtype=np.int64)
-        if weights is None:
-            w = np.ones(lengths.sum())
-        else:
-            if [np.size(v) for v in weights] != lengths.tolist():
-                raise ValueError("weights do not match the sequence lengths")
-            w = np.concatenate([np.asarray(v, dtype=np.float64).ravel() for v in weights])
-        return cls(points=np.concatenate(seqs), lengths=lengths, weights=w)
+        return cls(points=np.concatenate(seqs), lengths=lengths)
 
 
-def _single(points, weights) -> PointBatch:
+def _single(points) -> PointBatch:
     pts = np.asarray(points, dtype=np.float64)
-    return PointBatch.pack([pts[None, :] if pts.ndim == 1 else pts], None if weights is None else [weights])
+    return PointBatch.pack([pts[None, :] if pts.ndim == 1 else pts])
 
 
 # The folds below take a batch's raw arrays, so that reversed and doubled
@@ -118,17 +108,13 @@ def _by_length(lengths: np.ndarray):
 
 
 def _emean(batch: PointBatch) -> np.ndarray:
-    """Weighted coordinate mean, every coordinate summed with ``math.fsum``
-    so that it is exactly permutation-invariant."""
+    """Coordinate mean, every coordinate summed with ``math.fsum`` so that
+    it is exactly permutation-invariant. A single point passes through as
+    it is (fsum would turn its -0.0 coordinates into 0.0)."""
     out = np.empty((batch.lengths.size, batch.points.shape[1]))
     for i, (s, n) in enumerate(zip(batch.starts.tolist(), batch.lengths.tolist())):
-        if n == 1:
-            out[i] = batch.points[s]
-            continue
-        w = batch.weights[s : s + n]
-        contrib = batch.points[s : s + n] * w[:, None]
-        total = math.fsum(w.tolist())
-        out[i] = [math.fsum(col.tolist()) / total for col in contrib.T]
+        rows = batch.points[s : s + n]
+        out[i] = rows[0] if n == 1 else [math.fsum(col.tolist()) / n for col in rows.T]
     return out
 
 
@@ -163,20 +149,17 @@ def _naive(batch: PointBatch) -> np.ndarray:
     return np.where((n == 1)[:, None], batch.points[batch.starts], _scale(1.0 / n, sums))
 
 
-def _fold(points, weights, first, stride, lengths) -> np.ndarray:
+def _fold(points, first, stride, lengths) -> np.ndarray:
     """lcf in lockstep over sequences read from row ``first`` by ``stride``
     (+1 forward, -1 backward): step k moves every sequence longer than k
-    from its running centroid c_k to M(c_k, x_(k+1); W_k, w_(k+1))."""
+    from its running centroid c_k to M(c_k, x_(k+1); k, 1), the point
+    1/(k+1) of the way to x_(k+1)."""
     order, active = _by_length(lengths)
     first, stride = first[order], stride[order]
     acc = points[first]
-    mass = weights[first]
     for k, m in enumerate(active, start=1):
         rows = first[:m] + k * stride[:m]
-        w = weights[rows]
-        total = mass[:m] + w
-        acc[:m] = _geodesic(acc[:m], points[rows], w / total)
-        mass[:m] = total
+        acc[:m] = _geodesic(acc[:m], points[rows], 1.0 / (k + 1))
     out = np.empty_like(acc)
     out[order] = acc
     return out
@@ -190,12 +173,12 @@ def _ends(batch: PointBatch):
 
 def _lcf(batch: PointBatch) -> np.ndarray:
     (first, stride), _ = _ends(batch)
-    return _fold(batch.points, batch.weights, first, stride, batch.lengths)
+    return _fold(batch.points, first, stride, batch.lengths)
 
 
 def _lcb(batch: PointBatch) -> np.ndarray:
     _, (first, stride) = _ends(batch)
-    return _fold(batch.points, batch.weights, first, stride, batch.lengths)
+    return _fold(batch.points, first, stride, batch.lengths)
 
 
 def _lca(batch: PointBatch) -> np.ndarray:
@@ -203,7 +186,6 @@ def _lca(batch: PointBatch) -> np.ndarray:
     (f_first, f_stride), (b_first, b_stride) = _ends(batch)
     folds = _fold(
         batch.points,
-        batch.weights,
         np.concatenate([f_first, b_first]),
         np.concatenate([f_stride, b_stride]),
         np.concatenate([batch.lengths, batch.lengths]),
@@ -213,13 +195,14 @@ def _lca(batch: PointBatch) -> np.ndarray:
     return np.where((batch.lengths == 1)[:, None], folds[:b], mid)
 
 
-def _tree(vals, mass, starts, lengths) -> np.ndarray:
+def _tree(vals, starts, lengths) -> np.ndarray:
     """fnw in lockstep, one step per node height across all sequences.
 
     A node over rows lo..lo+n-1 (n >= 2) splits at half = floor(n/2) and
-    has height ceil(log2 n), so both children are done before it. Works
-    in place on ``vals`` and ``mass``: a node leaves its centroid and mass
-    in row lo, where its parent reads them.
+    has height ceil(log2 n), so both children are done before it. It steps
+    from its left child's centroid by (n - half) / n, the right child's
+    share of its n points, and leaves its centroid in row lo of ``vals``,
+    where its parent reads it.
     """
     lo, size = starts[lengths > 1], lengths[lengths > 1]
     nodes = []
@@ -235,11 +218,9 @@ def _tree(vals, mass, starts, lengths) -> np.ndarray:
         by_height = np.argsort(height, kind="stable")
         bounds = np.searchsorted(height[by_height], np.arange(1, height.max() + 2)).tolist()
         for i, j in zip(bounds[:-1], bounds[1:]):
-            left = lo[by_height[i:j]]
-            right = left + size[by_height[i:j]] // 2
-            both = mass[left] + mass[right]
-            vals[left] = _geodesic(vals[left], vals[right], mass[right] / both)
-            mass[left] = both
+            left, n = lo[by_height[i:j]], size[by_height[i:j]]
+            half = n // 2
+            vals[left] = _geodesic(vals[left], vals[left + half], (n - half) / n)
     return vals[starts]
 
 
@@ -258,7 +239,7 @@ def _trees(batch: PointBatch, first, stride) -> np.ndarray:
         seq = np.repeat(np.arange(i, j), lengths[i:j])
         rows = first[seq] + stride[seq] * (np.arange(starts[i], ends[j - 1]) - starts[seq])
         g_starts = starts[i:j] - starts[i]
-        out[i:j] = _tree(batch.points[rows], batch.weights[rows], g_starts, lengths[i:j])
+        out[i:j] = _tree(batch.points[rows], g_starts, lengths[i:j])
         i = j
     return out
 
@@ -297,9 +278,9 @@ def compose_batch(method: str, batch: PointBatch) -> np.ndarray:
     return _clamp(out)
 
 
-def compose(method: str, points, weights=None) -> np.ndarray:
+def compose(method: str, points) -> np.ndarray:
     """Compose one (n, d) point sequence by table name: the batch of one."""
-    return compose_batch(method, _single(points, weights))[0]
+    return compose_batch(method, _single(points))[0]
 
 
 def mobius_sum(points):
@@ -310,5 +291,5 @@ def mobius_sum(points):
     (1 - 1e-5). Returns ``(sum, overflow_count)`` where the count records
     how many times the rescale fired.
     """
-    sums, counts = _sums(_single(points, None))
+    sums, counts = _sums(_single(points))
     return sums[0], int(counts[0])

@@ -289,7 +289,7 @@ def corpus_points(corpus: LabeledCorpus, table: EmbeddingTable) -> CorpusPoints:
         oov_rate=oov_tokens / total_tokens if total_tokens else 0.0,
     )
     return CorpusPoints(
-        batch=PointBatch(packed[:n_points], np.array(lengths), np.ones(n_points)) if lengths else None,
+        batch=PointBatch(packed[:n_points], np.array(lengths)) if lengths else None,
         nonempty=np.array(nonempty, dtype=np.int64),
         dimension=table.dimension,
         diagnostics=diagnostics,

@@ -101,6 +101,12 @@ class ExperimentConfig:
             raise ValueError("at least one classifier is required")
 
 
+def _composable(flavor: str, method: str) -> bool:
+    """The flavor rule: the hyperbolic schemes need ball points, so only
+    emean is defined on euclidean-flavor (unconstrained) vectors."""
+    return flavor == "poincare" or method == "emean"
+
+
 def split(labels, spec: SplitSpec):
     """Stratified partitions of range(len(labels)): a list of (train, test) pairs.
 
@@ -275,8 +281,7 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
         return ResultRow(config.flavor, method, classifier, params, None, None, None, error)
 
     for method in config.methods:
-        if config.flavor == "euclidean" and method != "emean":
-            # hyperbolic composition of unconstrained vectors is undefined
+        if not _composable(config.flavor, method):
             rows.extend(empty_row(method, c, p) for c, p, _ in cells)
             continue
         try:

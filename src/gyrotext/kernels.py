@@ -33,7 +33,6 @@ __all__ = [
     "cross_kernel",
     "gram_matrix",
     "jacobi_eigenvalues",
-    "min_eigenvalue",
     "psd_check",
 ]
 
@@ -129,6 +128,8 @@ def _as_symmetric(matrix) -> np.ndarray:
         a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains non-finite entries")
     scale = max(1.0, float(np.abs(a).max()))
     if np.abs(a - a.T).max() > 1e-12 * scale:
         raise ValueError("matrix is asymmetric beyond tolerance")
@@ -214,11 +215,6 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...
     return tuple(rounds)
 
 
-def min_eigenvalue(gram) -> float:
-    """Smallest eigenvalue of a Gram (or any symmetric) matrix via Jacobi."""
-    return float(jacobi_eigenvalues(gram)[0])
-
-
 class PsdReport(NamedTuple):
     passed: bool
     min_eigenvalue: float
@@ -232,6 +228,6 @@ def psd_check(gram, tol: float = 1e-8) -> PsdReport:
     which keeps the threshold dimensionless across kernel rates.
     """
     a = _as_symmetric(gram)
-    lo = min_eigenvalue(a)
+    lo = float(jacobi_eigenvalues(a)[0])
     scale = max(1.0, float(np.trace(a)) / a.shape[0])
     return PsdReport(passed=lo >= -tol * scale, min_eigenvalue=lo, tol=tol)

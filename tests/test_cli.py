@@ -283,6 +283,16 @@ def test_compose_prints_point(tmp_path, capsys):
     assert np.linalg.norm(payload["point"]) < 1.0
 
 
+def test_compose_rejects_hyperbolic_method_on_euclidean_flavor(tmp_path, capsys):
+    emb, _ = tiny_files(tmp_path)
+    args = ["compose", "--embeddings", emb, "--flavor", "euclidean", "--text", "red0 blue1"]
+    assert main([*args, "--method", "lcf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "only emean" in captured.err
+    assert main([*args, "--method", "emean"]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "emean"
+
+
 def test_compose_all_oov_is_origin(tmp_path, capsys):
     emb, _ = tiny_files(tmp_path)
     rc = main(["compose", "--embeddings", emb, "--method", "emean", "--text", "zz qq"])

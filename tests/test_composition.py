@@ -32,13 +32,6 @@ def test_emean_examples():
     )
 
 
-def test_emean_weighted():
-    pts = np.array([[0.6, 0.0], [0.0, 0.6]])
-    np.testing.assert_allclose(
-        compose("emean", pts, weights=[3.0, 1.0]), [0.45, 0.15], atol=1e-15
-    )
-
-
 def test_emean_exact_permutation_invariance():
     rng = np.random.default_rng(0)
     pts = random_points(rng, 40, 6)
@@ -56,13 +49,6 @@ def test_naive_examples():
     # (0.5 (+) 0.5) = 0.8, then tanh(0.5 artanh 0.8) = 0.5
     got = compose("naive", np.array([[0.5, 0.0], [0.5, 0.0]]))
     np.testing.assert_allclose(got, [0.5, 0.0], atol=1e-14)
-
-
-def test_naive_ignores_weights():
-    rng = np.random.default_rng(1)
-    pts = random_points(rng, 5, 3)
-    w = rng.uniform(0.5, 2.0, 5)
-    assert np.array_equal(compose("naive", pts, weights=w), compose("naive", pts))
 
 
 def test_mobius_sum_overflow_rescale():
@@ -97,9 +83,8 @@ def test_reversal_duality_bit_for_bit():
     rng = np.random.default_rng(4)
     for n in (2, 3, 7, 12):
         seq = random_points(rng, n, 4)
-        w = rng.uniform(0.5, 2.0, n)
-        assert np.array_equal(compose("lcb", seq, w), compose("lcf", seq[::-1], w[::-1]))
-        assert np.array_equal(compose("bnw", seq, w), compose("fnw", seq[::-1], w[::-1]))
+        assert np.array_equal(compose("lcb", seq), compose("lcf", seq[::-1]))
+        assert np.array_equal(compose("bnw", seq), compose("fnw", seq[::-1]))
 
 
 def test_lca_examples():
@@ -206,44 +191,27 @@ def test_dispatch_and_validation():
     with pytest.raises(ValueError):
         compose("emean", np.empty((0, 3)))
     with pytest.raises(ValueError):
-        compose("lcf", seq, weights=[1.0, 2.0])
-    with pytest.raises(ValueError):
-        compose("lcf", seq, weights=[1.0, 2.0, -1.0, 1.0])
-    with pytest.raises(ValueError):
         compose("emean", np.array([[np.nan, 0.0]]))
-
-
-def test_weighted_fold_accumulates_weights():
-    # three points with weights (2, 1, 1): the fold must carry 2, then 3
-    rng = np.random.default_rng(16)
-    a, b, c = random_points(rng, 3, 3)
-    got = compose("lcf", np.stack([a, b, c]), weights=[2.0, 1.0, 1.0])
-    expect = weighted_midpoint(weighted_midpoint(a, b, 2.0, 1.0), c, 3.0, 1.0)
-    np.testing.assert_allclose(got, expect, atol=0)
 
 
 # ------------------------------------------- batched vs per-document reference
 
 
-def ragged_batch(rng, lengths, dim, max_norm=0.8, weighted=False):
-    docs = [random_points(rng, int(n), dim, max_norm) for n in lengths]
-    weights = [rng.uniform(0.5, 2.0, size=len(d)) for d in docs] if weighted else None
-    return docs, weights
+def ragged_batch(rng, lengths, dim, max_norm=0.8):
+    return [random_points(rng, int(n), dim, max_norm) for n in lengths]
 
 
-@pytest.mark.parametrize("weighted", [False, True])
-def test_batch_matches_per_document_reference(weighted):
+def test_batch_matches_per_document_reference():
     # interior points: every scheme agrees with the one-at-a-time code to
     # 1e-12 (summation order and libm vs numpy tanh differ by ulps only)
     rng = np.random.default_rng(20)
     lengths = np.concatenate([[1, 1, 2, 3, 64], rng.integers(1, 40, size=30)])
-    docs, weights = ragged_batch(rng, lengths, 7, weighted=weighted)
-    batch = PointBatch.pack(docs, weights)
+    docs = ragged_batch(rng, lengths, 7)
+    batch = PointBatch.pack(docs)
     for method in METHODS:
         got = compose_batch(method, batch)
         for i, doc in enumerate(docs):
-            w = None if weights is None else weights[i]
-            expect = reference.compose(method, doc, w)
+            expect = reference.compose(method, doc)
             np.testing.assert_allclose(got[i], expect, rtol=0, atol=1e-12,
                                        err_msg=f"{method} doc {i}")
 
@@ -274,30 +242,27 @@ def test_batch_of_one_equals_full_batch_bitwise():
     # edge cases: single points, points on the clamp radius 1 - 1e-7 and at
     # 1 - 1e-6, a constant sequence, and long and short sequences side by side
     rng = np.random.default_rng(22)
-    docs, _ = ragged_batch(rng, [1, 2, 3, 9, 33, 1, 70], 5)
+    docs = ragged_batch(rng, [1, 2, 3, 9, 33, 1, 70], 5)
     edge = random_points(rng, 6, 5)
     edge /= np.linalg.norm(edge, axis=1, keepdims=True)
     docs.append(edge * (1.0 - 1e-6))
     docs.append(edge[:1] * (1.0 - 1e-7))
     docs.append(np.tile(edge[2] * (1.0 - 1e-7), (4, 1)))
     docs.append(np.concatenate([edge[:3] * (1.0 - 1e-6), docs[3]]))
-    weights = [rng.uniform(0.5, 2.0, size=len(d)) for d in docs]
-    for w in (None, weights):
-        batch = PointBatch.pack(docs, w)
-        for method in METHODS:
-            full = compose_batch(method, batch)
-            for i, doc in enumerate(docs):
-                one = compose(method, doc, None if w is None else w[i])
-                assert np.array_equal(one, full[i]), (method, i)
-                assert np.linalg.norm(one) < 1.0, (method, i)
+    batch = PointBatch.pack(docs)
+    for method in METHODS:
+        full = compose_batch(method, batch)
+        for i, doc in enumerate(docs):
+            one = compose(method, doc)
+            assert np.array_equal(one, full[i]), (method, i)
+            assert np.linalg.norm(one) < 1.0, (method, i)
 
 
 def test_tree_groups_match_one_group(monkeypatch):
     # fnw/bnw split a large batch into groups of consecutive sequences; the
     # grouping must not change any row
     rng = np.random.default_rng(23)
-    docs, weights = ragged_batch(rng, rng.integers(1, 30, size=25), 4, weighted=True)
-    batch = PointBatch.pack(docs, weights)
+    batch = PointBatch.pack(ragged_batch(rng, rng.integers(1, 30, size=25), 4))
     # groups of at most 10 points of 4 coordinates; longer sequences alone
     monkeypatch.setattr(composition, "STEP_BYTES", 10 * 4 * 8)
     grouped = {m: compose_batch(m, batch) for m in ("fnw", "bnw")}
@@ -315,13 +280,9 @@ def test_point_batch_validation():
     with pytest.raises(ValueError):
         PointBatch.pack([pts, np.empty((0, 2))])
     with pytest.raises(ValueError):
-        PointBatch.pack([pts], [np.ones(2)])
-    with pytest.raises(ValueError):
-        PointBatch.pack([pts], [np.array([1.0, 0.0, 1.0])])
-    with pytest.raises(ValueError):
         PointBatch.pack([np.array([[np.inf, 0.0]])])
     with pytest.raises(ValueError):
-        PointBatch(pts, np.array([2]), np.ones(3))
+        PointBatch(pts, np.array([2]))
     batch = PointBatch.pack([pts, pts[:1]])
     assert batch.lengths.tolist() == [3, 1] and batch.starts.tolist() == [0, 3]
     with pytest.raises(ValueError):

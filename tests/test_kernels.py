@@ -12,7 +12,6 @@ from gyrotext.kernels import (
     cross_kernel,
     gram_matrix,
     jacobi_eigenvalues,
-    min_eigenvalue,
     psd_check,
 )
 
@@ -218,9 +217,15 @@ def test_jacobi_diagonal_input_takes_zero_sweeps(monkeypatch):
     assert sweeps == []
 
 
-def test_min_eigenvalue():
-    m = np.array([[1.0, 2.0], [2.0, 1.0]])
-    assert min_eigenvalue(m) == pytest.approx(-1.0, abs=1e-12)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eigen_entry_points_reject_non_finite(bad):
+    # a NaN pair used to run every sweep and report nan eigenvalues; an inf
+    # one warned in the symmetry test
+    m = np.eye(4)
+    m[0, 1] = m[1, 0] = bad
+    for entry in (jacobi_eigenvalues, psd_check):
+        with pytest.raises(ValueError, match="non-finite"):
+            entry(m)
 
 
 def test_psd_check_verdicts():
