@@ -6,7 +6,11 @@ File formats (both UTF-8 text, one record per line):
     corpus       label TAB text
 
 An embeddings file may open with the word2vec count header "V d". The
-embedding dimension is inferred from the first parseable line.
+embedding dimension is inferred from the first parseable line. A number
+field is what numpy's C text reader accepts: ASCII decimal or scientific
+notation with an optional sign ("-0.25", "1.", ".5", "3E-7"), or an
+inf/infinity/nan spelling in any case. Python's float() also reads digit
+groups ("1_000") and non-ASCII digits; lines using them are malformed here.
 Malformed lines are skipped and counted; more than 1% of them aborts the
 load. Poincare-flavor vectors are clamped inside the unit ball at load
 time; Euclidean-flavor vectors are stored as-is.
@@ -23,7 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .composition import PointBatch, compose_batch
-from .gyroball import clamp_to_ball
+from .gyroball import _clamp
 
 # Not called here: benchmarks/tracing.py looks this name up in this module.
 from .composition import compose  # noqa: F401
@@ -52,6 +56,9 @@ FLAVORS = ("euclidean", "poincare")
 
 # fraction of bad lines tolerated before a loader gives up on the file
 SKIP_THRESHOLD = 0.01
+
+# embedding lines whose numbers go to numpy's text reader in one call
+PARSE_BLOCK_LINES = 4096
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,11 @@ def load_embeddings(path, flavor: str):
     line) or that repeat an already-seen token; more than 1% skipped
     aborts. For the poincare flavor, vectors with norm >= 1 are pulled
     just inside the unit ball and counted in the report.
+
+    The numbers of PARSE_BLOCK_LINES lines at a time go to numpy's text
+    reader in one call, and the checks above run on each block at once; a
+    block that fails is parsed again a line per call. The table's vectors
+    are 1-D float64 rows, which may be views into their block's array.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
@@ -97,26 +109,55 @@ def load_embeddings(path, flavor: str):
     dimension = None
     skipped = 0
     clamped = 0
-    for line in lines:
-        parts = line.split()
-        if len(parts) < 2:
-            skipped += 1
+    for start in range(0, len(lines), PARSE_BLOCK_LINES):
+        tokens = []
+        rests = []
+        for line in lines[start : start + PARSE_BLOCK_LINES]:
+            parts = line.split(None, 1)
+            if len(parts) < 2:
+                skipped += 1
+                continue
+            tokens.append(parts[0])
+            rests.append(parts[1])
+        if not rests:
             continue
-        token = parts[0]
-        try:
-            vec = np.array([float(p) for p in parts[1:]])
-        except ValueError:
-            skipped += 1
-            continue
+        block = _parse_numbers(rests)
+        if block is None:
+            # one bad line fails the whole call: parse the block again a line
+            # per call, skipping the lines that fail on their own
+            lone = [_parse_numbers([rest]) for rest in rests]
+            parsed = [i for i, row in enumerate(lone) if row is not None]
+            if dimension is None and parsed:
+                dimension = lone[parsed[0]].shape[1]
+            kept = [i for i in parsed if lone[i].shape[1] == dimension]
+            skipped += len(rests) - len(kept)
+            if not kept:
+                continue
+            tokens = [tokens[i] for i in kept]
+            block = np.concatenate([lone[i] for i in kept])
         if dimension is None:
-            dimension = vec.shape[0]
-        if vec.shape[0] != dimension or not np.all(np.isfinite(vec)) or token in vectors:
-            skipped += 1
+            dimension = block.shape[1]
+        if block.shape[1] != dimension:
+            skipped += len(tokens)
             continue
-        if flavor == "poincare" and float(np.linalg.norm(vec)) >= 1.0:
-            vec = clamp_to_ball(vec)
-            clamped += 1
-        vectors[token] = vec
+        # the first finite row of each token no earlier block had; the dict
+        # keeps the order of the lines
+        finite = np.isfinite(block).all(axis=1).tolist()
+        first = {}
+        for i, token in enumerate(tokens):
+            if finite[i] and token not in vectors:
+                first.setdefault(token, i)
+        skipped += len(tokens) - len(first)
+        rows = block[list(first.values())]
+        if flavor == "poincare":
+            # _clamp takes the same sqrt(vecdot) norm of each row it is given,
+            # so it clamps exactly the rows counted here
+            over = np.sqrt(np.vecdot(rows, rows)) >= 1.0
+            n_over = int(np.count_nonzero(over))
+            if n_over:
+                rows[over] = _clamp(rows[over])
+                clamped += n_over
+        vectors.update(zip(first, rows))
     total = len(lines)
     if dimension is None:
         raise ValueError(f"{path}: no parseable embedding lines")
@@ -126,6 +167,20 @@ def load_embeddings(path, flavor: str):
         logger.warning("%s: %d vectors clamped inside the unit ball", path, clamped)
     table = EmbeddingTable(dimension=dimension, vectors=vectors, flavor=flavor)
     return table, LoadReport(total=total, parsed=total - skipped, skipped=skipped, clamped=clamped)
+
+
+def _parse_numbers(rests):
+    """Parse strings of numbers as the rows of one (n, k) float64 array.
+
+    One call of numpy's C text reader; None if a field fails to parse or
+    the strings differ in field count.
+    """
+    try:
+        rows = np.loadtxt(rests, comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    # the reader drops blank lines, which split(None, 1) never leaves
+    return rows if rows.shape[0] == len(rests) else None
 
 
 def _is_count_header(lines) -> bool:

@@ -34,7 +34,6 @@ import numpy as np
 
 __all__ = [
     "MAX_NORM",
-    "clamp_to_ball",
     "mobius_add",
     "mobius_neg",
     "mobius_scale",
@@ -107,11 +106,6 @@ def _scale(r, X: np.ndarray) -> np.ndarray:
 def _geodesic(A: np.ndarray, B: np.ndarray, t) -> np.ndarray:
     # t is a scalar or one fraction per row
     return _add(A, _scale(t, _add(-A, B)))
-
-
-def clamp_to_ball(x) -> np.ndarray:
-    """Rescale ``x`` to norm MAX_NORM if its norm reaches 1."""
-    return _clamp(_as_vector(x)[None])[0]
 
 
 def mobius_add(a, b) -> np.ndarray:

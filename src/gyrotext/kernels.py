@@ -227,7 +227,8 @@ def psd_check(gram, tol: float = 1e-8) -> PsdReport:
     Passes iff the smallest eigenvalue is >= -tol * max(1, trace / n),
     which keeps the threshold dimensionless across kernel rates.
     """
-    a = _as_symmetric(gram)
-    lo = float(jacobi_eigenvalues(a)[0])
+    # jacobi_eigenvalues validates the matrix and works on its own copy
+    lo = float(jacobi_eigenvalues(gram)[0])
+    a = gram.entries if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=np.float64)
     scale = max(1.0, float(np.trace(a)) / a.shape[0])
     return PsdReport(passed=lo >= -tol * scale, min_eigenvalue=lo, tol=tol)

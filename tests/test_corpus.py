@@ -1,8 +1,11 @@
+import _load_reference as reference
 import numpy as np
 import pytest
 
+from gyrotext import corpus
 from gyrotext.composition import compose
 from gyrotext.corpus import (
+    FLAVORS,
     DocPoints,
     EmbeddingTable,
     compose_corpus,
@@ -125,6 +128,134 @@ def test_load_embeddings_deterministic(tmp_path):
     assert t1.vectors.keys() == t2.vectors.keys()
     for tok in t1.vectors:
         assert np.array_equal(t1.vectors[tok], t2.vectors[tok])
+
+
+def test_load_embeddings_clamp_values(tmp_path):
+    path = write(tmp_path, "emb.txt", "a 0.5 0\nb 1 0\nc 3 4\n")
+    table, report = load_embeddings(path, flavor="poincare")
+    assert np.array_equal(table.vectors["a"], [0.5, 0.0])
+    np.testing.assert_allclose(table.vectors["b"], [1.0 - 1e-7, 0.0], atol=1e-16)
+    np.testing.assert_allclose(
+        table.vectors["c"], np.array([0.6, 0.8]) * (1.0 - 1e-7), atol=1e-15
+    )
+    assert report == (3, 3, 0, 2)
+
+
+def test_load_embeddings_number_grammar(tmp_path):
+    # Python's float() reads digit groups and non-ASCII digits; numpy's text
+    # reader does not, so these two lines are malformed
+    lines = ["w%d 0.%d 0.5" % (i, i % 10) for i in range(200)] + ["w 1_000 2", "v ١ ٢"]
+    table, report = load_embeddings(write(tmp_path, "emb.txt", "\n".join(lines)), "euclidean")
+    assert report == (202, 200, 2, 0)
+    assert "w" not in table and "v" not in table
+
+
+# spellings that float() and numpy's text reader read alike
+NUMBER_FORMATS = ("{!r}", "{:.6e}", "{:+.17g}", "{:.17E}")
+SEPARATORS = (" ", "  ", "\t", " \t ")
+
+
+def mixed_embedding_lines(rng, dim, n_good, header, first_block_dirty):
+    """Seeded embedding-file lines: n_good good ones plus 7 bad ones.
+
+    Good line i holds a vector of norm in (0.05, 0.95), 1 - 1e-6, 1 + 1e-6 or
+    in (1.5, 4) as i % 4 is 0, 1, 2 or 3, with numbers and separators of
+    mixed spelling. The bad lines are an unparseable number, a wrong
+    dimension, a lone token, a nan, an inf, a repeat of a token just seen and
+    a repeat of the first token. The nan line carries the last good line's
+    token, which must still load. Returns the lines and the positions of the
+    bad ones, counted after the optional "V d" header.
+    """
+
+    def fields(values):
+        out = ""
+        for x in values:
+            out += SEPARATORS[rng.integers(len(SEPARATORS))]
+            out += NUMBER_FORMATS[rng.integers(len(NUMBER_FORMATS))].format(float(x))
+        return out + " " * int(rng.integers(2))
+
+    rows = []
+    for i in range(n_good):
+        v = rng.normal(size=dim)
+        norm = (rng.uniform(0.05, 0.95), 1.0 - 1e-6, 1.0 + 1e-6, rng.uniform(1.5, 4.0))[i % 4]
+        rows.append((f"w{i}" + fields(v * (norm / np.linalg.norm(v))), False))
+    small = rng.uniform(-0.1, 0.1, size=dim + 1)
+    bad = [
+        "garbled" + fields(small[:dim]) + " 0.1.2",
+        "wide" + fields(small),
+        "lonely  ",
+        f"w{n_good - 1}" + fields(small[1:dim]) + " NaN",
+        "infinite" + fields(small[1:dim]) + " -Infinity",
+    ]
+    # a dirty first block: the garbled line first (after the first line when
+    # a header needs that one good), the wide one after a good line
+    first = ([1, 2] if header else [0, 1]) if first_block_dirty else []
+    others = rng.choice(np.arange(8, n_good), size=len(bad) - len(first), replace=False)
+    # inserted from the back, so each position still points into the good lines
+    for pos, line in sorted(zip(first + sorted(others.tolist()), bad), reverse=True):
+        rows.insert(pos, (line, True))
+    k = int(rng.integers(10, n_good - 1))
+    at = next(i for i, (line, _) in enumerate(rows) if line.split()[0] == f"w{k}")
+    rows.insert(at + 1, (f"w{k}" + fields(small[:dim]), True))
+    rows.insert(int(rng.integers(len(rows) // 2, len(rows))), ("w0" + fields(small[:dim]), True))
+    lines = [line for line, _ in rows]
+    positions = [i for i, (_, is_bad) in enumerate(rows) if is_bad]
+    if header:
+        lines.insert(0, f"{len(rows)} {dim}")
+    return lines, positions
+
+
+def assert_same_load(got, want):
+    (table, report), (want_table, want_report) = got, want
+    assert report == want_report
+    assert table.dimension == want_table.dimension
+    assert list(table.vectors) == list(want_table.vectors)
+    for token, vec in want_table.vectors.items():
+        row = table.vectors[token]
+        assert row.dtype == np.float64 and row.shape == (table.dimension,)
+        assert row.tobytes() == vec.tobytes(), token
+
+
+@pytest.mark.parametrize(
+    "dim, header, first_block_dirty",
+    [(4, False, True), (4, True, True), (4, True, False), (1, False, True), (1, True, False)],
+)
+def test_load_embeddings_blocks_match_per_line_reference(
+    tmp_path, monkeypatch, dim, header, first_block_dirty
+):
+    # small blocks give clean blocks, dirty ones that are parsed a line per
+    # call, and (first_block_dirty) a dirty first block whose per-line parse
+    # fixes the dimension; one block of the default size holds the file
+    rng = np.random.default_rng(60 + dim + 2 * header + 4 * first_block_dirty)
+    lines, bad = mixed_embedding_lines(rng, dim, 800, header, first_block_dirty)
+    n_body = len(lines) - header
+    assert len(bad) == 7 and n_body == 807
+    path = write(tmp_path, "emb.txt", "\n".join(lines) + "\n")
+    junk = write(tmp_path, "junk.txt", "\n".join(lines + ["junk"] * 5) + "\n")
+    for block_lines in (3, 4, 5, corpus.PARSE_BLOCK_LINES):
+        monkeypatch.setattr(corpus, "PARSE_BLOCK_LINES", block_lines)
+        if block_lines < 6:
+            dirty = {pos // block_lines for pos in bad}
+            assert 0 < len(dirty) < -(-n_body // block_lines)
+            assert (0 in dirty) == first_block_dirty
+        for flavor in FLAVORS:
+            got = load_embeddings(path, flavor)
+            assert got[1] == (807, 800, 7, 400 if flavor == "poincare" else 0)
+            assert_same_load(got, reference.load_embeddings(path, flavor))
+        for load in (load_embeddings, reference.load_embeddings):
+            with pytest.raises(ValueError, match="12 of 812 lines malformed"):
+                load(junk, "poincare")
+
+
+def test_load_embeddings_skips_a_whole_block_of_wrong_dimension(tmp_path, monkeypatch):
+    # a block whose lines all parse, to the wrong width, is read in one call
+    monkeypatch.setattr(corpus, "PARSE_BLOCK_LINES", 2)
+    lines = ["w%d 0.%d 0.2" % (i, i % 10) for i in range(300)]
+    lines[100:100] = ["wide 0.1 0.2 0.3", "wider 0.1 0.2 0.3"]
+    path = write(tmp_path, "emb.txt", "\n".join(lines))
+    got = load_embeddings(path, "poincare")
+    assert got[1] == (302, 300, 2, 0)
+    assert_same_load(got, reference.load_embeddings(path, "poincare"))
 
 
 # --------------------------------------------------------------- tokenizer
