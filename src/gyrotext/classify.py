@@ -193,9 +193,8 @@ def svm_train_smo(gram: Union[GramMatrix, np.ndarray], labels, C: float = 1.0) -
         K = gram.entries
         spec = gram.spec
     else:
-        K = np.asarray(gram, dtype=np.float64)
+        K = check_gram(gram)
         spec = None
-        check_gram(K)
     y = np.asarray(labels, dtype=np.float64)
     n = K.shape[0]
     if y.shape != (n,):

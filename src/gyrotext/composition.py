@@ -17,7 +17,7 @@ point counts.
 Every scheme runs on a ``PointBatch``: many sequences packed back to back
 into one (total, d) array, composed in lockstep. The folds take one step
 per position over every sequence still long enough, the trees one step
-per node height over every sequence, so a corpus costs about as many
+per tree level over every sequence, so a corpus costs about as many
 numpy calls as its longest document. ``compose`` is the batch of one.
 """
 
@@ -196,31 +196,26 @@ def _lca(batch: PointBatch) -> np.ndarray:
 
 
 def _tree(vals, starts, lengths) -> np.ndarray:
-    """fnw in lockstep, one step per node height across all sequences.
+    """fnw in lockstep, one step per tree level across all sequences.
 
-    A node over rows lo..lo+n-1 (n >= 2) splits at half = floor(n/2) and
-    has height ceil(log2 n), so both children are done before it. It steps
-    from its left child's centroid by (n - half) / n, the right child's
-    share of its n points, and leaves its centroid in row lo of ``vals``,
-    where its parent reads it.
+    A node over rows lo..lo+n-1 (n >= 2) splits at half = floor(n/2). It
+    steps from its left child's centroid by (n - half) / n, the right
+    child's share of its n points, and leaves its centroid in row lo of
+    ``vals``, where its parent reads it. The levels are enumerated from the
+    roots down and stepped deepest first, so both children of a node are
+    done before it.
     """
     lo, size = starts[lengths > 1], lengths[lengths > 1]
-    nodes = []
+    levels = []
     while lo.size:
-        nodes.append((lo, size))
+        levels.append((lo, size))
         half = size // 2
         left, right = half > 1, size - half > 1
         lo = np.concatenate([lo[left], (lo + half)[right]])
         size = np.concatenate([half[left], (size - half)[right]])
-    if nodes:
-        lo, size = (np.concatenate(col) for col in zip(*nodes))
-        height = np.frexp(size - 1)[1]
-        by_height = np.argsort(height, kind="stable")
-        bounds = np.searchsorted(height[by_height], np.arange(1, height.max() + 2)).tolist()
-        for i, j in zip(bounds[:-1], bounds[1:]):
-            left, n = lo[by_height[i:j]], size[by_height[i:j]]
-            half = n // 2
-            vals[left] = _geodesic(vals[left], vals[left + half], (n - half) / n)
+    for lo, size in reversed(levels):
+        half = size // 2
+        vals[lo] = _geodesic(vals[lo], vals[lo + half], (size - half) / size)
     return vals[starts]
 
 

@@ -152,7 +152,13 @@ def load_embeddings(path, flavor: str):
         if flavor == "poincare":
             # _clamp takes the same sqrt(vecdot) norm of each row it is given,
             # so it clamps exactly the rows counted here
-            over = np.sqrt(np.vecdot(rows, rows)) >= 1.0
+            with np.errstate(over="ignore"):
+                norms = np.sqrt(np.vecdot(rows, rows))
+            # only the direction survives the clamp: a row whose norm
+            # overflows is first divided by its largest |coordinate|
+            inf = np.isinf(norms)
+            rows[inf] /= np.abs(rows[inf]).max(axis=1, keepdims=True)
+            over = norms >= 1.0
             n_over = int(np.count_nonzero(over))
             if n_over:
                 rows[over] = _clamp(rows[over])

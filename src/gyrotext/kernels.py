@@ -12,6 +12,10 @@ RBF exp(-lambda |u - v|^2) and the plain dot product are provided as
 baselines. The eigensolver used for the PSD diagnostic is an in-repo
 Jacobi iteration in the round-robin (parallel) ordering of Brent & Luk
 1985, which rotates disjoint index pairs together.
+
+Every square matrix this module or the kernel SVM takes - a
+``GramMatrix``, a raw Gram array, the eigensolver's input - passes the
+one check ``check_gram``.
 """
 
 from __future__ import annotations
@@ -73,19 +77,21 @@ class GramMatrix:
     def __post_init__(self):
         check_gram(self.entries)
 
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
+def check_gram(matrix) -> np.ndarray:
+    """The one rule for a square matrix, from a ``GramMatrix`` or an array.
 
-def check_gram(entries: np.ndarray) -> None:
-    """Reject a Gram array that is not square, finite and symmetric to 1e-12."""
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ValueError(f"Gram matrix must be square, got shape {entries.shape}")
-    if not np.all(np.isfinite(entries)):
+    Rejects a matrix that is not square, not finite, or asymmetric beyond
+    1e-12 * max(1, max |entry|), and returns its float64 entries.
+    """
+    a = np.asarray(matrix.entries if isinstance(matrix, GramMatrix) else matrix, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"Gram matrix must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
         raise ValueError("Gram matrix contains non-finite entries")
-    if np.abs(entries - entries.T).max() > 1e-12:
+    if np.abs(a - a.T).max() > 1e-12 * max(1.0, float(np.abs(a).max())):
         raise ValueError("Gram matrix is asymmetric beyond tolerance")
+    return a
 
 
 def cross_kernel(queries, points, spec: KernelSpec) -> np.ndarray:
@@ -103,37 +109,15 @@ def cross_kernel(queries, points, spec: KernelSpec) -> np.ndarray:
 
 
 def gram_matrix(points, spec: KernelSpec) -> GramMatrix:
-    """Build the symmetric Gram matrix of one point set.
+    """Build the Gram matrix of one point set: its cross-kernel with itself.
 
-    The upper triangle is computed once and mirrored, so symmetry is exact;
-    the diagonal is written directly (exp(0) = 1 for geodesic and rbf).
+    Geodesic and rbf entries are exactly symmetric with a diagonal of
+    exactly 1 (d(u, u) = 0); linear ones are the one matrix product P P^T.
     """
     P = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if P.shape[0] == 0:
         raise ValueError("gram_matrix requires at least one point")
-    full = cross_kernel(P, P, spec)
-    upper = np.triu(full, k=1)
-    entries = upper + upper.T
-    if spec.kind in ("geodesic", "euclidean_rbf"):
-        np.fill_diagonal(entries, 1.0)
-    else:
-        np.fill_diagonal(entries, np.sum(P * P, axis=1))
-    return GramMatrix(entries=entries, spec=spec)
-
-
-def _as_symmetric(matrix) -> np.ndarray:
-    if isinstance(matrix, GramMatrix):
-        a = matrix.entries
-    else:
-        a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
-    scale = max(1.0, float(np.abs(a).max()))
-    if np.abs(a - a.T).max() > 1e-12 * scale:
-        raise ValueError("matrix is asymmetric beyond tolerance")
-    return np.array(a, dtype=np.float64)
+    return GramMatrix(entries=cross_kernel(P, P, spec), spec=spec)
 
 
 def jacobi_eigenvalues(matrix) -> np.ndarray:
@@ -147,10 +131,8 @@ def jacobi_eigenvalues(matrix) -> np.ndarray:
     1e-12 * trace (or hits zero), capped at ``MAX_SWEEPS`` sweeps.
     Returns the eigenvalues in ascending order.
     """
-    a = _as_symmetric(matrix)
+    a = check_gram(matrix).copy()
     n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy()
     threshold = max(1e-12 * float(np.trace(a)), 0.0)
     off_diagonal = ~np.eye(n, dtype=bool)
     for _ in range(MAX_SWEEPS):

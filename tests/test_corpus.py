@@ -258,6 +258,31 @@ def test_load_embeddings_skips_a_whole_block_of_wrong_dimension(tmp_path, monkey
     assert_same_load(got, reference.load_embeddings(path, "poincare"))
 
 
+def test_load_embeddings_skips_a_block_of_unparseable_lines(tmp_path, monkeypatch):
+    # every line of one dirty block fails on its own, so none of it is kept
+    monkeypatch.setattr(corpus, "PARSE_BLOCK_LINES", 3)
+    lines = ["w%d 0.%d -0.3" % (i, i % 10) for i in range(397)]
+    lines[99:99] = ["bad1 0.1 x", "bad2 y 0.2", "bad3 0.1 0.2z"]
+    assert len(lines) == 400 and 99 % 3 == 0
+    path = write(tmp_path, "emb.txt", "\n".join(lines) + "\n")
+    got = load_embeddings(path, "poincare")
+    assert got[1] == (400, 397, 3, 0)
+    assert_same_load(got, reference.load_embeddings(path, "poincare"))
+
+
+def test_load_embeddings_keeps_direction_of_overflowing_vector(tmp_path):
+    # the squared norm of (1e200, 0) overflows to inf; the row must still be
+    # clamped along its direction, without a floating-point warning
+    path = write(tmp_path, "emb.txt", "a 1e200 0\nb -1e300 1e300\nc 0.1 0.2\n")
+    table, report = load_embeddings(path, "poincare")
+    assert report == (3, 3, 0, 2)
+    assert table.vectors["a"].tolist() == [0.9999999, 0.0]
+    b = table.vectors["b"]
+    assert b[0] == -b[1] and b[1] > 0
+    assert np.linalg.norm(b) == pytest.approx(0.9999999, abs=1e-15)
+    assert table.vectors["c"].tolist() == [0.1, 0.2]
+
+
 # --------------------------------------------------------------- tokenizer
 
 

@@ -1,10 +1,12 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gyrotext import corpus as corpus_module
+from gyrotext import harness
 from gyrotext.classify import LinearPrimalConfig, SmoConfig, knn_fit, knn_predict_batch
 from gyrotext.corpus import load_corpus, load_embeddings, represent_corpus
 from gyrotext.harness import (
@@ -234,6 +236,33 @@ def test_run_experiment_error_isolation(tmp_path):
     assert by_classifier["svm"].accuracy is None
     assert by_classifier["linear-svm"].error is not None
     assert len(results.errors) == 2
+
+
+def test_run_experiment_isolates_a_failing_composition(tmp_path, monkeypatch):
+    # a method whose composition raises gets one error row per cell; the
+    # other methods' rows are those of an unpatched run
+    emb, cor = tiny_files(tmp_path)
+    config = full_config(emb, cor)
+    clean = run_experiment(config)
+    real = harness.compose_corpus
+
+    def compose_corpus(points, method):
+        if method == "lcf":
+            raise RuntimeError("composition broke")
+        return real(points, method)
+
+    monkeypatch.setattr(harness, "compose_corpus", compose_corpus)
+    broken = run_experiment(config)
+    assert len(broken.rows) == len(clean.rows) == 3 * 4
+    assert len(broken.errors) == 4
+    for got, want in zip(broken.rows, clean.rows):
+        cell = (got.embedding, got.composition, got.classifier, got.params)
+        assert cell == (want.embedding, want.composition, want.classifier, want.params)
+        if got.composition == "lcf":
+            assert got.error == "RuntimeError: composition broke"
+            assert (got.accuracy, got.micro_f1, got.runtime_s) == (None, None, None)
+        else:
+            assert replace(got, runtime_s=None) == replace(want, runtime_s=None)
 
 
 def test_run_experiment_deterministic_modulo_runtime(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gyrotext import kernels
+from gyrotext.classify import svm_train_smo
 from gyrotext.gyroball import pairwise_poincare_distance, poincare_distance
 from gyrotext.kernels import (
     GramMatrix,
@@ -214,7 +215,45 @@ def test_jacobi_diagonal_input_takes_zero_sweeps(monkeypatch):
     for _ in range(20):
         diag = rng.uniform(0.5, 1.5, size=60)
         assert np.array_equal(jacobi_eigenvalues(np.diag(diag)), np.sort(diag))
+    # a 1x1 matrix has an empty off-diagonal
+    assert jacobi_eigenvalues([[2.5]]).tolist() == [2.5]
     assert sweeps == []
+
+
+def test_square_matrix_rule_is_one_for_every_entry_point():
+    # a linear Gram with entries up to 252: its symmetry tolerance is
+    # 1e-12 * 252, so 1e-11 off passes everywhere and 1e-9 off fails
+    # everywhere; with entries <= 1 the tolerance is 1e-12 itself
+    X = np.array(
+        [[14, 6, 4, 2], [1, 0, 2, 1], [0, 3, 1, 0], [2, 1, 0, 1], [1, 1, 1, 1], [0, 0, 3, 2]],
+        dtype=np.float64,
+    )
+    linear = X @ X.T
+    assert linear.max() == 252.0
+    small = np.exp(-pairwise_poincare_distance(X / 20.0, X / 20.0))
+    labels = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
+    for base, off, ok in [
+        (linear, 1e-11, True),
+        (linear, 1e-9, False),
+        (small, 5e-13, True),
+        (small, 1e-11, False),
+    ]:
+        m = base.copy()
+        m[0, 1] += off
+        verdicts = []
+        for entry in (
+            lambda a: svm_train_smo(a, labels),
+            jacobi_eigenvalues,
+            psd_check,
+            lambda a: GramMatrix(a, KernelSpec("linear")),
+        ):
+            try:
+                entry(m)
+                verdicts.append(True)
+            except ValueError as exc:
+                assert "asymmetric" in str(exc)
+                verdicts.append(False)
+        assert verdicts == [ok] * 4, (off, verdicts)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -234,6 +273,8 @@ def test_psd_check_verdicts():
     bad = psd_check(np.array([[1.0, 2.0], [2.0, 1.0]]))
     assert not bad.passed
     assert bad.min_eigenvalue == pytest.approx(-1.0, abs=1e-12)
+    lone = psd_check([[-2.0]])
+    assert not lone.passed and lone.min_eigenvalue == -2.0
 
 
 def test_laplacian_gram_is_psd():
