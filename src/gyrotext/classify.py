@@ -184,7 +184,9 @@ def svm_train_smo(gram: Union[GramMatrix, np.ndarray], labels, C: float = 1.0) -
     violation from below, j from above; convergence when
     max_low F - min_up F <= ``KKT_TOL``. F_k = sum_m alpha_m y_m K[m,k] - y_k
     is maintained incrementally, so one iteration costs O(n), and so is
-    the dual objective recorded after each step. The budget is
+    the dual objective recorded after each step. The up and low sets are
+    built once and updated at the two indices each step changes (Keerthi
+    et al. 2001; LIBSVM's per-index bound status). The budget is
     ``MAX_PASSES * n`` iterations; running out is reported through
     converged/kkt_residual, not raised. A raw Gram array gets the same
     checks as ``GramMatrix``.
@@ -205,14 +207,14 @@ def svm_train_smo(gram: Union[GramMatrix, np.ndarray], labels, C: float = 1.0) -
         raise ValueError("both classes must be present")
     _check_C(C)
 
-    pos = y > 0
     alpha = np.zeros(n)
     F = -y.copy()
+    # the working sets at alpha = 0; each pair step updates its two indices
+    up, low = y > 0, y < 0
     psd_warning = False
     objective = 0.0
     history = []
     stalled = False
-    it = 0
     budget = MAX_PASSES * n
     kkt_tol = KKT_TOL
     # rounding can leave an alpha one ulp off its bound, which would keep
@@ -227,15 +229,11 @@ def svm_train_smo(gram: Union[GramMatrix, np.ndarray], labels, C: float = 1.0) -
             return C
         return a
 
-    while it < budget:
-        up = (pos & (alpha < C)) | (~pos & (alpha > 0))
-        low = (pos & (alpha > 0)) | (~pos & (alpha < C))
-        if not up.any() or not low.any():
-            break
-        up_idx = np.flatnonzero(up)
-        low_idx = np.flatnonzero(low)
-        j = up_idx[np.argmin(F[up_idx])]
-        i = low_idx[np.argmax(F[low_idx])]
+    while len(history) < budget:
+        # neither set can be empty: that puts the positive and the negative
+        # alphas at opposite bounds, against sum(y * alpha) = 0
+        j = int(np.argmin(np.where(up, F, np.inf)))
+        i = int(np.argmax(np.where(low, F, -np.inf)))
         # the pair's scalars as Python floats: numpy scalar arithmetic in
         # this loop costs microseconds per iteration
         F_i, F_j = float(F[i]), float(F[j])
@@ -262,22 +260,18 @@ def svm_train_smo(gram: Union[GramMatrix, np.ndarray], labels, C: float = 1.0) -
         d_i, d_j = a_i_new - a_i, a_j_new - a_j
         F += d_i * y_i * K[i, :] + d_j * y_j * K[j, :]
         alpha[i], alpha[j] = a_i_new, a_j_new
+        for k, y_k, a in ((i, y_i, a_i_new), (j, y_j, a_j_new)):
+            # up: y_k alpha_k can still grow; low: it can still shrink
+            up[k], low[k] = (a < C, a > 0.0) if y_k > 0 else (a > 0.0, a < C)
         # exact change of W over the two coordinates, from F before the step
         objective += -(y_i * F_i * d_i + y_j * F_j * d_j) - 0.5 * (
             K_ii * d_i * d_i + K_jj * d_j * d_j + 2.0 * y_i * y_j * K_ij * d_i * d_j
         )
         history.append(objective)
-        it += 1
 
-    up = (pos & (alpha < C)) | (~pos & (alpha > 0))
-    low = (pos & (alpha > 0)) | (~pos & (alpha < C))
-    if up.any() and low.any():
-        b_up = float(F[up].min())
-        b_low = float(F[low].max())
-        residual = max(b_low - b_up, 0.0)
-    else:
-        b_up = b_low = 0.0
-        residual = 0.0
+    b_up = float(F[up].min())
+    b_low = float(F[low].max())
+    residual = max(b_low - b_up, 0.0)
     converged = residual <= kkt_tol and not stalled
 
     free = (alpha > SUPPORT_EPS) & (alpha < C - SUPPORT_EPS)
@@ -298,7 +292,7 @@ def svm_train_smo(gram: Union[GramMatrix, np.ndarray], labels, C: float = 1.0) -
         kkt_residual=residual,
         dual_objective=_dual_objective(alpha, y, F),
         psd_warning=psd_warning,
-        n_iter=it,
+        n_iter=len(history),
         objective_history=np.asarray(history),
     )
 

@@ -109,12 +109,10 @@ def _by_length(lengths: np.ndarray):
 
 def _emean(batch: PointBatch) -> np.ndarray:
     """Coordinate mean, every coordinate summed with ``math.fsum`` so that
-    it is exactly permutation-invariant. A single point passes through as
-    it is (fsum would turn its -0.0 coordinates into 0.0)."""
+    it is exactly permutation-invariant."""
     out = np.empty((batch.lengths.size, batch.points.shape[1]))
     for i, (s, n) in enumerate(zip(batch.starts.tolist(), batch.lengths.tolist())):
-        rows = batch.points[s : s + n]
-        out[i] = rows[0] if n == 1 else [math.fsum(col.tolist()) / n for col in rows.T]
+        out[i] = [math.fsum(col.tolist()) / n for col in batch.points[s : s + n].T]
     return out
 
 
@@ -145,8 +143,7 @@ def _sums(batch: PointBatch):
 
 def _naive(batch: PointBatch) -> np.ndarray:
     sums, _ = _sums(batch)
-    n = batch.lengths
-    return np.where((n == 1)[:, None], batch.points[batch.starts], _scale(1.0 / n, sums))
+    return _scale(1.0 / batch.lengths, sums)
 
 
 def _fold(points, first, stride, lengths) -> np.ndarray:
@@ -165,25 +162,17 @@ def _fold(points, first, stride, lengths) -> np.ndarray:
     return out
 
 
-def _ends(batch: PointBatch):
-    """(first row, stride) reading every sequence forward, and backward."""
+def _reading(batch: PointBatch, backward: bool):
+    """(first row, stride) of every sequence, read forward or backward."""
     ones = np.ones_like(batch.lengths)
-    return (batch.starts, ones), (batch.starts + batch.lengths - 1, -ones)
-
-
-def _lcf(batch: PointBatch) -> np.ndarray:
-    (first, stride), _ = _ends(batch)
-    return _fold(batch.points, first, stride, batch.lengths)
-
-
-def _lcb(batch: PointBatch) -> np.ndarray:
-    _, (first, stride) = _ends(batch)
-    return _fold(batch.points, first, stride, batch.lengths)
+    if backward:
+        return batch.starts + batch.lengths - 1, -ones
+    return batch.starts, ones
 
 
 def _lca(batch: PointBatch) -> np.ndarray:
     # the forward and backward folds of every sequence run as one fold
-    (f_first, f_stride), (b_first, b_stride) = _ends(batch)
+    (f_first, f_stride), (b_first, b_stride) = _reading(batch, False), _reading(batch, True)
     folds = _fold(
         batch.points,
         np.concatenate([f_first, b_first]),
@@ -191,8 +180,7 @@ def _lca(batch: PointBatch) -> np.ndarray:
         np.concatenate([batch.lengths, batch.lengths]),
     )
     b = batch.lengths.size
-    mid = _geodesic(folds[:b], folds[b:], 0.5)
-    return np.where((batch.lengths == 1)[:, None], folds[:b], mid)
+    return _geodesic(folds[:b], folds[b:], 0.5)
 
 
 def _tree(vals, starts, lengths) -> np.ndarray:
@@ -239,24 +227,14 @@ def _trees(batch: PointBatch, first, stride) -> np.ndarray:
     return out
 
 
-def _fnw(batch: PointBatch) -> np.ndarray:
-    (first, stride), _ = _ends(batch)
-    return _trees(batch, first, stride)
-
-
-def _bnw(batch: PointBatch) -> np.ndarray:
-    _, (first, stride) = _ends(batch)
-    return _trees(batch, first, stride)
-
-
 _SCHEMES = {
     "emean": _emean,
     "naive": _naive,
-    "lcf": _lcf,
-    "lcb": _lcb,
+    "lcf": lambda batch: _fold(batch.points, *_reading(batch, False), batch.lengths),
+    "lcb": lambda batch: _fold(batch.points, *_reading(batch, True), batch.lengths),
     "lca": _lca,
-    "fnw": _fnw,
-    "bnw": _bnw,
+    "fnw": lambda batch: _trees(batch, *_reading(batch, False)),
+    "bnw": lambda batch: _trees(batch, *_reading(batch, True)),
 }
 
 
@@ -266,6 +244,11 @@ def compose_batch(method: str, batch: PointBatch) -> np.ndarray:
     if scheme is None:
         raise ValueError(f"unknown composition method {method!r}; expected one of {METHODS}")
     out = scheme(batch)
+    # a one-point sequence composes to that point, bit for bit: fsum would
+    # turn its -0.0 coordinates into 0.0, and naive's rescale could move it
+    single = batch.lengths == 1
+    if np.count_nonzero(single):
+        out[single] = batch.points[batch.starts[single]]
     if method == "emean":
         # convex combination: stays inside any ball containing the inputs,
         # and must pass through unclamped for unconstrained Euclidean vectors

@@ -210,8 +210,10 @@ def pairwise_poincare_distance(U, V) -> np.ndarray:
     V = _as_rows(V)
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
         raise ValueError("non-finite coordinates")
-    nu2 = np.sum(U * U, axis=1)
-    nv2 = np.sum(V * V, axis=1)
+    # the squared norms _clamp and the loader take, so every row they keep
+    # passes the test below
+    nu2 = np.vecdot(U, U)
+    nv2 = np.vecdot(V, V)
     if np.any(nu2 >= 1.0) or np.any(nv2 >= 1.0):
         raise ValueError("pairwise_poincare_distance requires points strictly inside the unit ball")
     sq = pairwise_squared_distance(U, V)

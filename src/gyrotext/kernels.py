@@ -81,12 +81,12 @@ class GramMatrix:
 def check_gram(matrix) -> np.ndarray:
     """The one rule for a square matrix, from a ``GramMatrix`` or an array.
 
-    Rejects a matrix that is not square, not finite, or asymmetric beyond
-    1e-12 * max(1, max |entry|), and returns its float64 entries.
+    Rejects a matrix that is empty, not square, not finite, or asymmetric
+    beyond 1e-12 * max(1, max |entry|), and returns its float64 entries.
     """
     a = np.asarray(matrix.entries if isinstance(matrix, GramMatrix) else matrix, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"Gram matrix must be square, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(f"Gram matrix must be square and non-empty, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("Gram matrix contains non-finite entries")
     if np.abs(a - a.T).max() > 1e-12 * max(1.0, float(np.abs(a).max())):

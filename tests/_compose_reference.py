@@ -49,12 +49,10 @@ def weighted_midpoint(a, b, m_a, m_b):
     return mobius_add(a, mobius_scale(t, mobius_add(-a, b)))
 
 
-def emean(pts, w):
+def emean(pts):
     if pts.shape[0] == 1:
         return pts[0].copy()
-    contrib = pts * w[:, None]
-    total = math.fsum(w)
-    return np.array([math.fsum(contrib[:, j]) for j in range(pts.shape[1])]) / total
+    return np.array([math.fsum(pts[:, j]) for j in range(pts.shape[1])]) / pts.shape[0]
 
 
 def mobius_sum(pts):
@@ -79,43 +77,39 @@ def naive(pts):
     return mobius_scale(1.0 / n, acc)
 
 
-def lcf(pts, w):
+def lcf(pts):
+    # the running centroid of i points, each of weight 1, meets point i + 1
     acc = pts[0].copy()
-    acc_w = float(w[0])
     for i in range(1, pts.shape[0]):
-        acc = weighted_midpoint(acc, pts[i], acc_w, float(w[i]))
-        acc_w += float(w[i])
+        acc = weighted_midpoint(acc, pts[i], float(i), 1.0)
     return acc
 
 
-def lca(pts, w):
+def lca(pts):
     if pts.shape[0] == 1:
         return pts[0].copy()
-    return weighted_midpoint(lcf(pts, w), lcf(pts[::-1], w[::-1]), 1.0, 1.0)
+    return weighted_midpoint(lcf(pts), lcf(pts[::-1]), 1.0, 1.0)
 
 
-def fnw(pts, w):
+def fnw(pts):
     n = pts.shape[0]
     if n == 1:
         return pts[0].copy()
     half = n // 2
-    left = fnw(pts[:half], w[:half])
-    right = fnw(pts[half:], w[half:])
-    return weighted_midpoint(left, right, float(np.sum(w[:half])), float(np.sum(w[half:])))
+    return weighted_midpoint(fnw(pts[:half]), fnw(pts[half:]), float(half), float(n - half))
 
 
-def compose(method, points, weights=None):
+def compose(method, points):
     """One sequence, one method; the same contract as gyrotext.composition.compose."""
     pts = np.asarray(points, dtype=np.float64)
-    w = np.ones(pts.shape[0]) if weights is None else np.asarray(weights, dtype=np.float64)
     if method == "emean":
-        return emean(pts, w)
+        return emean(pts)
     out = {
         "naive": lambda: naive(pts),
-        "lcf": lambda: lcf(pts, w),
-        "lcb": lambda: lcf(pts[::-1], w[::-1]),
-        "lca": lambda: lca(pts, w),
-        "fnw": lambda: fnw(pts, w),
-        "bnw": lambda: fnw(pts[::-1], w[::-1]),
+        "lcf": lambda: lcf(pts),
+        "lcb": lambda: lcf(pts[::-1]),
+        "lca": lambda: lca(pts),
+        "fnw": lambda: fnw(pts),
+        "bnw": lambda: fnw(pts[::-1]),
     }[method]()
     return clamp(out)

@@ -134,10 +134,14 @@ def test_fnw_equals_lcf_for_pairs():
 
 
 def test_single_point_fixed_point_exact():
+    # bit for bit: a -0.0 coordinate stays -0.0, and a point on the clamp
+    # radius is not moved by naive's overflow rescale
     rng = np.random.default_rng(9)
     x = random_points(rng, 1, 4)
-    for method in METHODS:
-        assert np.array_equal(compose(method, x), x[0]), method
+    x[0, 1] = -0.0
+    for p in (x, x * ((1.0 - 1e-7) / np.linalg.norm(x))):
+        for method in METHODS:
+            assert compose(method, p).tobytes() == p[0].tobytes(), method
 
 
 def test_constant_sequence_fixed_point():

@@ -233,6 +233,19 @@ def test_distance_rejects_points_outside_unit_ball():
         poincare_distance(np.zeros(2), np.array([0.8, 0.8]))
 
 
+def test_distance_accepts_every_row_the_clamp_keeps():
+    # directions scaled to norm 1 - 2^-53: the clamp keeps a row whose
+    # sqrt(vecdot) norm rounds below 1, and the distance must then accept it,
+    # which a squared norm summed in another order can round up to 1
+    rng = np.random.default_rng(61)
+    X = rng.normal(size=(20000, 50))
+    X *= ((1.0 - 2.0**-53) / np.linalg.norm(X, axis=1))[:, None]
+    kept = X[np.all(_clamp(X) == X, axis=1)]
+    assert kept.shape[0] > 1000
+    D = pairwise_poincare_distance(kept, np.zeros((1, 50)))
+    assert np.all(np.isfinite(D))
+
+
 def test_pairwise_distance_matches_scalar():
     rng = np.random.default_rng(11)
     U = np.array([random_ball(rng, 4, 0.95) for _ in range(12)])

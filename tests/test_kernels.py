@@ -232,14 +232,20 @@ def test_square_matrix_rule_is_one_for_every_entry_point():
     assert linear.max() == 252.0
     small = np.exp(-pairwise_poincare_distance(X / 20.0, X / 20.0))
     labels = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
-    for base, off, ok in [
-        (linear, 1e-11, True),
-        (linear, 1e-9, False),
-        (small, 5e-13, True),
-        (small, 1e-11, False),
-    ]:
+
+    def shifted(base, off):
         m = base.copy()
         m[0, 1] += off
+        return m
+
+    # an empty matrix is rejected by the same rule, not by a numpy reduction
+    for m, ok, reason in [
+        (shifted(linear, 1e-11), True, "asymmetric"),
+        (shifted(linear, 1e-9), False, "asymmetric"),
+        (shifted(small, 5e-13), True, "asymmetric"),
+        (shifted(small, 1e-11), False, "asymmetric"),
+        (np.empty((0, 0)), False, "Gram matrix must be square and non-empty"),
+    ]:
         verdicts = []
         for entry in (
             lambda a: svm_train_smo(a, labels),
@@ -251,9 +257,9 @@ def test_square_matrix_rule_is_one_for_every_entry_point():
                 entry(m)
                 verdicts.append(True)
             except ValueError as exc:
-                assert "asymmetric" in str(exc)
+                assert reason in str(exc)
                 verdicts.append(False)
-        assert verdicts == [ok] * 4, (off, verdicts)
+        assert verdicts == [ok] * 4, (m.shape, reason, verdicts)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
