@@ -112,24 +112,15 @@ def knn_rank(model: KnnModel, queries) -> KnnRanking:
     return KnnRanking(order=order, distances=np.take_along_axis(d, order, axis=1))
 
 
-def _vote(order: np.ndarray, dist: np.ndarray, labels: np.ndarray, k: int) -> int:
-    votes = labels[order[:k]]
-    classes, counts = np.unique(votes, return_counts=True)
-    top = classes[counts == counts.max()]
-    if top.size == 1:
-        return int(top[0])
-    # vote tie: smallest summed distance to the query, then smallest id
-    sums = np.array([dist[:k][votes == c].sum() for c in top])
-    return int(top[sums == sums.min()].min())
-
-
 def knn_predict_batch(model: KnnModel, queries, ranking: Optional[KnnRanking] = None) -> np.ndarray:
     """Majority label among the k nearest training points, per query row.
 
     Distance ties at the k-th rank are broken by training index order;
     vote ties by the smallest summed distance, then the smallest class id.
     ``ranking``, when given, is ``knn_rank`` of the same training points
-    and queries, computed once and shared by several k.
+    and queries, computed once and shared by several k. Votes and summed
+    distances are counted for all queries at once, each sum added in rank
+    order; zero queries give an empty int64 array.
     """
     if ranking is None:
         ranking = knn_rank(model, queries)
@@ -138,10 +129,16 @@ def knn_predict_batch(model: KnnModel, queries, ranking: Optional[KnnRanking] = 
             f"ranking shape {ranking.order.shape} does not match "
             f"{len(queries)} queries x {model.points.shape[0]} training points"
         )
-    return np.array(
-        [_vote(o, d, model.labels, model.k) for o, d in zip(ranking.order, ranking.distances)],
-        dtype=np.int64,
-    )
+    classes, codes = np.unique(model.labels, return_inverse=True)
+    q, c = ranking.order.shape[0], classes.size
+    # one bin per (query, class) cell; bincount adds the weights in rank order
+    cells = (codes[ranking.order[:, : model.k]] + c * np.arange(q)[:, None]).ravel()
+    votes = np.bincount(cells, minlength=q * c).reshape(q, c)
+    sums = np.bincount(cells, ranking.distances[:, : model.k].ravel(), q * c).reshape(q, c)
+    # vote tie: smallest summed distance to the query, then smallest id
+    top = votes == votes.max(axis=1, keepdims=True)
+    sums = np.where(top, sums, np.inf)
+    return classes[np.argmax(top & (sums == sums.min(axis=1, keepdims=True)), axis=1)]
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,23 @@
 """Embedding tables, tokenization, and document-to-point-sequence mapping.
 
-File formats (both UTF-8 text, one record per line):
+File formats (both UTF-8 text, one record per line, a leading byte-order
+mark ignored):
 
     embeddings   token SP num_1 SP ... SP num_d     (standard word-vector text)
     corpus       label TAB text
 
-An embeddings file may open with the word2vec count header "V d". The
-embedding dimension is inferred from the first parseable line. A number
-field is what numpy's C text reader accepts: ASCII decimal or scientific
-notation with an optional sign ("-0.25", "1.", ".5", "3E-7"), or an
-inf/infinity/nan spelling in any case. Python's float() also reads digit
-groups ("1_000") and non-ASCII digits; lines using them are malformed here.
-Malformed lines are skipped and counted; more than 1% of them aborts the
-load. Poincare-flavor vectors are clamped inside the unit ball at load
-time; Euclidean-flavor vectors are stored as-is.
+A corpus line ends only at LF, CR LF or CR, so a form feed or a Unicode
+line separator stays in its text; embedding lines are those of
+str.splitlines. An embeddings file may open with the word2vec count
+header "V d". The embedding dimension is inferred from the first
+parseable line. A number field is what numpy's C text reader accepts:
+ASCII decimal or scientific notation with an optional sign ("-0.25",
+"1.", ".5", "3E-7"), or an inf/infinity/nan spelling in any case.
+Python's float() also reads digit groups ("1_000") and non-ASCII digits;
+lines using them are malformed here. Malformed lines are skipped and
+counted; more than 1% of them aborts the load. Poincare-flavor vectors
+are clamped inside the unit ball at load time; Euclidean-flavor vectors
+are stored as-is.
 """
 
 from __future__ import annotations
@@ -90,9 +94,10 @@ def load_embeddings(path, flavor: str):
     by a line of d + 1 fields, is a word2vec count header: it is dropped
     and counted nowhere in the report. Skipped lines are those that fail
     to parse as token + d finite numbers (d fixed by the first parseable
-    line) or that repeat an already-seen token; more than 1% skipped
-    aborts. For the poincare flavor, vectors with norm >= 1 are pulled
-    just inside the unit ball and counted in the report.
+    line) or that repeat an already-seen token, so every other line adds
+    one token and the skip count is lines minus tokens; more than 1%
+    skipped aborts. For the poincare flavor, vectors with norm >= 1 are
+    pulled just inside the unit ball and counted in the report.
 
     The numbers of PARSE_BLOCK_LINES lines at a time go to numpy's text
     reader in one call, and the checks above run on each block at once; a
@@ -101,24 +106,21 @@ def load_embeddings(path, flavor: str):
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
     if _is_count_header(lines):
         lines = lines[1:]
     vectors = {}
     dimension = None
-    skipped = 0
     clamped = 0
     for start in range(0, len(lines), PARSE_BLOCK_LINES):
         tokens = []
         rests = []
         for line in lines[start : start + PARSE_BLOCK_LINES]:
             parts = line.split(None, 1)
-            if len(parts) < 2:
-                skipped += 1
-                continue
-            tokens.append(parts[0])
-            rests.append(parts[1])
+            if len(parts) == 2:
+                tokens.append(parts[0])
+                rests.append(parts[1])
         if not rests:
             continue
         block = _parse_numbers(rests)
@@ -130,7 +132,6 @@ def load_embeddings(path, flavor: str):
             if dimension is None and parsed:
                 dimension = lone[parsed[0]].shape[1]
             kept = [i for i in parsed if lone[i].shape[1] == dimension]
-            skipped += len(rests) - len(kept)
             if not kept:
                 continue
             tokens = [tokens[i] for i in kept]
@@ -138,7 +139,6 @@ def load_embeddings(path, flavor: str):
         if dimension is None:
             dimension = block.shape[1]
         if block.shape[1] != dimension:
-            skipped += len(tokens)
             continue
         # the first finite row of each token no earlier block had; the dict
         # keeps the order of the lines
@@ -147,7 +147,6 @@ def load_embeddings(path, flavor: str):
         for i, token in enumerate(tokens):
             if finite[i] and token not in vectors:
                 first.setdefault(token, i)
-        skipped += len(tokens) - len(first)
         rows = block[list(first.values())]
         if flavor == "poincare":
             # _clamp takes the same sqrt(vecdot) norm of each row it is given,
@@ -165,6 +164,8 @@ def load_embeddings(path, flavor: str):
                 clamped += n_over
         vectors.update(zip(first, rows))
     total = len(lines)
+    # every line kept adds one token the table did not have
+    skipped = total - len(vectors)
     if dimension is None:
         raise ValueError(f"{path}: no parseable embedding lines")
     if skipped > SKIP_THRESHOLD * total:
@@ -234,20 +235,15 @@ class CorpusLoadReport(NamedTuple):
 def load_corpus(path):
     """Read a label-TAB-text file; returns (corpus, report).
 
+    A line ends only at LF, CR LF or CR, as a text-mode file reads it.
     Lines without a TAB are rejected and counted; more than 1% rejected
     aborts. Duplicate texts are permitted.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    records = []
-    rejected = 0
-    for line in lines:
-        label, sep, text = line.partition("\t")
-        if not sep:
-            rejected += 1
-            continue
-        records.append((label, text))
-    total = len(lines)
+    with open(path, encoding="utf-8-sig") as fh:
+        fields = [line.removesuffix("\n").partition("\t") for line in fh]
+    records = [(label, text) for label, sep, text in fields if sep]
+    total = len(fields)
+    rejected = total - len(records)
     if rejected > SKIP_THRESHOLD * total:
         raise ValueError(f"{path}: {rejected} of {total} lines lack a TAB (> 1%)")
     if not records:
@@ -324,10 +320,8 @@ def corpus_points(corpus: LabeledCorpus, table: EmbeddingTable) -> CorpusPoints:
     lengths = []
     nonempty = []
     empty_docs = []
-    oov_tokens = 0
     for i, tokens in enumerate(tokenized):
         doc = doc_to_points(tokens, table)
-        oov_tokens += doc.oov
         if doc.empty:
             empty_docs.append(i)
             continue
@@ -342,6 +336,7 @@ def corpus_points(corpus: LabeledCorpus, table: EmbeddingTable) -> CorpusPoints:
             len(empty_docs),
             len(corpus),
         )
+    oov_tokens = total_tokens - n_points
     diagnostics = CorpusDiagnostics(
         n_docs=len(corpus),
         empty_doc_indices=tuple(empty_docs),

@@ -1,6 +1,7 @@
 import math
 from collections import defaultdict
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -180,16 +181,19 @@ def test_knn_shared_ranking_matches_fresh_prediction():
     train = np.round(rng.uniform(-0.5, 0.5, size=(50, 2)), 1)
     labels = rng.integers(0, 3, size=50)
     queries = np.round(rng.uniform(-0.5, 0.5, size=(25, 2)), 1)
-    for metric in ("poincare", "euclidean"):
-        ranking = knn_rank(knn_fit(train, labels, 1, metric), queries)
+    # the same classes again as negative, non-contiguous ids in another order
+    for metric, y in product(("poincare", "euclidean"), (labels, np.array([7, -4, 0])[labels])):
+        ranking = knn_rank(knn_fit(train, y, 1, metric), queries)
         assert ranking.order.shape == ranking.distances.shape == (25, 50)
         assert np.all(np.diff(ranking.distances, axis=1) >= 0)
-        for k in (1, 2, 3, 4, 7, 50):
-            model = knn_fit(train, labels, k, metric)
+        for k in (1, 2, 3, 4, 7, 15, 50):
+            model = knn_fit(train, y, k, metric)
             shared = knn_predict_batch(model, queries, ranking)
             assert np.array_equal(shared, knn_predict_batch(model, queries)), (metric, k)
-            expect = [oracle_knn(train, labels, q, k, metric) for q in queries]
+            expect = [oracle_knn(train, y, q, k, metric) for q in queries]
             assert shared.tolist() == expect, (metric, k)
+            none = knn_predict_batch(model, queries[:0])
+            assert none.dtype == np.int64 and none.shape == (0,)
     with pytest.raises(ValueError):
         knn_predict_batch(model, queries[:3], ranking)
 

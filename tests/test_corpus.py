@@ -72,6 +72,15 @@ def test_load_embeddings_word2vec_count_header(tmp_path):
     assert report == (2, 2, 0, 0)
 
 
+def test_load_embeddings_ignores_a_byte_order_mark(tmp_path):
+    # a leading BOM is part of neither the count header nor the first token
+    body = "a 0.1 0.2\nb 0.3 0.4\nc 0.5 0.0\n"
+    for text in ("\ufeff3 2\n" + body, "\ufeff" + body):
+        table, report = load_embeddings(write(tmp_path, "bom.txt", text), "poincare")
+        assert list(table.vectors) == ["a", "b", "c"]
+        assert report == (3, 3, 0, 0)
+
+
 def test_load_embeddings_skips_malformed_lines(tmp_path):
     lines = ["w%d 0.01 0.02" % i for i in range(300)]
     lines.insert(5, "bad 0.1 0.2 0.3")  # wrong dimension
@@ -355,6 +364,28 @@ def test_load_corpus_keeps_duplicates_and_tabs_in_text(tmp_path):
     assert corpus.records[0] == corpus.records[1]
     # only the first TAB separates label from text
     assert corpus.records[2] == ("b", "col1\tcol2")
+
+
+def test_load_corpus_ignores_a_byte_order_mark(tmp_path):
+    path = write(tmp_path, "c.tsv", "\ufeffpos\tgood film\nneg\tdull\npos\tfine\n")
+    corpus, report = load_corpus(path)
+    assert corpus.records[0] == ("pos", "good film")
+    assert corpus.label_set == frozenset({"neg", "pos"})
+    assert report == (3, 3, 0)
+
+
+def test_load_corpus_ends_records_only_at_line_breaks(tmp_path):
+    # vertical tab, form feed, the file/group/record separators, NEL and the
+    # Unicode line and paragraph separators stay inside a record's text;
+    # \n, \r\n and \r each end one
+    inner = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    texts = [f"part one{ch}part two" for ch in inner]
+    ends = ["\n", "\r\n", "\r"]
+    path = tmp_path / "c.tsv"
+    path.write_bytes("".join(f"l{i % 2}\t{t}{ends[i % 3]}" for i, t in enumerate(texts)).encode())
+    corpus, report = load_corpus(path)
+    assert corpus.records == tuple((f"l{i % 2}", t) for i, t in enumerate(texts))
+    assert report == (8, 8, 0)
 
 
 # ----------------------------------------------------------- doc_to_points
