@@ -61,6 +61,15 @@ def _check_C(C: float) -> None:
         raise ValueError(f"C must be positive and finite, got {C}")
 
 
+def _class_ids(labels) -> np.ndarray:
+    """Labels as int64 class ids; a label that is not an integer is an
+    error, where a cast would truncate it (1.5 -> 1)."""
+    raw = np.asarray(labels)
+    if raw.dtype.kind == "f" and not (np.isfinite(raw).all() and (raw == np.floor(raw)).all()):
+        raise ValueError("class labels must be integers")
+    return np.asarray(labels, dtype=np.int64)
+
+
 def _pairwise_distance(queries, points, metric: str) -> np.ndarray:
     if metric == "poincare":
         return pairwise_poincare_distance(queries, points)
@@ -80,7 +89,7 @@ class KnnModel:
 def knn_fit(points, labels, k: int, metric: str = "poincare") -> KnnModel:
     """Store the training set verbatim after validating shapes and k."""
     P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    y = np.asarray(labels, dtype=np.int64)
+    y = _class_ids(labels)
     if P.shape[0] == 0:
         raise ValueError("training set is empty")
     if y.shape != (P.shape[0],):
@@ -394,7 +403,7 @@ class OvrModel:
 def ovr_train(points, labels, config: Union[SmoConfig, LinearPrimalConfig]) -> OvrModel:
     """Train one binary classifier per class (that class vs. the rest)."""
     P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    y = np.asarray(labels, dtype=np.int64)
+    y = _class_ids(labels)
     if y.shape != (P.shape[0],):
         raise ValueError(f"{P.shape[0]} points but {y.shape} labels")
     classes = np.unique(y)

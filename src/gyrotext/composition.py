@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gyroball import MAX_NORM, _add, _clamp, _geodesic, _scale
+from .gyroball import MAX_NORM, _add, _clamp, _geodesic, _inside, _scale
 
 # Not called here: benchmarks/tracing.py looks these names up in this module.
 from .gyroball import mobius_add, mobius_scale, weighted_midpoint  # noqa: F401
@@ -123,17 +123,17 @@ def _sums(batch: PointBatch):
     acc = batch.points[starts]
     overflows = np.zeros(starts.size, dtype=np.int64)
 
-    def rescale(m):
-        head = acc[:m]
-        over = np.sqrt(np.vecdot(head, head)) >= MAX_NORM
+    def rescale(m, norms):
+        over = norms >= MAX_NORM
         if np.count_nonzero(over):
-            head[over] *= OVERFLOW_RESCALE
+            acc[:m][over] *= OVERFLOW_RESCALE
             overflows[:m] += over
 
-    rescale(starts.size)
+    rescale(starts.size, np.sqrt(np.vecdot(acc, acc)))
     for k, m in enumerate(active, start=1):
-        acc[:m] = _add(acc[:m], batch.points[starts[:m] + k])
-        rescale(m)
+        # _add hands back the norms its clamp took of the rows it returns
+        acc[:m], norms = _add(acc[:m], batch.points[starts[:m] + k])
+        rescale(m, norms)
     sums = np.empty_like(acc)
     sums[order] = acc
     counts = np.empty_like(overflows)
@@ -239,10 +239,16 @@ _SCHEMES = {
 
 
 def compose_batch(method: str, batch: PointBatch) -> np.ndarray:
-    """Compose every sequence of the batch; row i of the result is sequence i's point."""
+    """Compose every sequence of the batch; row i of the result is sequence i's point.
+
+    Every method but emean needs points strictly inside the unit ball;
+    emean also takes unconstrained Euclidean vectors.
+    """
     scheme = _SCHEMES.get(method)
     if scheme is None:
         raise ValueError(f"unknown composition method {method!r}; expected one of {METHODS}")
+    if method != "emean":
+        _inside(batch.points, f"composition method {method!r}")
     out = scheme(batch)
     # a one-point sequence composes to that point, bit for bit: fsum would
     # turn its -0.0 coordinates into 0.0, and naive's rescale could move it

@@ -8,7 +8,9 @@ mark ignored):
 
 A corpus line ends only at LF, CR LF or CR, so a form feed or a Unicode
 line separator stays in its text; embedding lines are those of
-str.splitlines. An embeddings file may open with the word2vec count
+str.splitlines. Both loaders ignore lines of whitespace only (empty, or
+all str.isspace characters, a TAB included): such a line is not counted
+in a report at all. An embeddings file may open with the word2vec count
 header "V d". The embedding dimension is inferred from the first
 parseable line. A number field is what numpy's C text reader accepts:
 ASCII decimal or scientific notation with an optional sign ("-0.25",
@@ -90,7 +92,8 @@ class LoadReport(NamedTuple):
 def load_embeddings(path, flavor: str):
     """Read a word-vector text file into an EmbeddingTable.
 
-    Returns (table, report). A first line "V d" of two integers, followed
+    Returns (table, report). Lines of whitespace only are ignored, and
+    counted nowhere in the report. A first line "V d" of two integers, followed
     by a line of d + 1 fields, is a word2vec count header: it is dropped
     and counted nowhere in the report. Skipped lines are those that fail
     to parse as token + d finite numbers (d fixed by the first parseable
@@ -107,7 +110,7 @@ def load_embeddings(path, flavor: str):
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
     with open(path, encoding="utf-8-sig") as fh:
-        lines = fh.read().splitlines()
+        lines = [line for line in fh.read().splitlines() if line and not line.isspace()]
     if _is_count_header(lines):
         lines = lines[1:]
     vectors = {}
@@ -236,11 +239,12 @@ def load_corpus(path):
     """Read a label-TAB-text file; returns (corpus, report).
 
     A line ends only at LF, CR LF or CR, as a text-mode file reads it.
-    Lines without a TAB are rejected and counted; more than 1% rejected
-    aborts. Duplicate texts are permitted.
+    Lines of whitespace only are ignored, and counted nowhere in the
+    report. Other lines without a TAB are rejected and counted; more than
+    1% rejected aborts. Duplicate texts are permitted.
     """
     with open(path, encoding="utf-8-sig") as fh:
-        fields = [line.removesuffix("\n").partition("\t") for line in fh]
+        fields = [line.removesuffix("\n").partition("\t") for line in fh if not line.isspace()]
     records = [(label, text) for label, sep, text in fields if sep]
     total = len(fields)
     rejected = total - len(records)

@@ -10,9 +10,12 @@ and Mobius scalar multiplication
 
     r (*) x = tanh(r * artanh(|x|)) * x/|x|
 
-from which geodesics, midpoints and weighted midpoints are built. A result
-whose norm rounds to 1 or beyond is pulled back to norm MAX_NORM. The
-hyperbolic distance is
+from which geodesics, midpoints and weighted midpoints are defined. The
+geodesic step a (+) ((-a (+) b) (*) t) is evaluated in one closed form
+(see _geodesic) whose terms are all positive, so it stays accurate near
+the boundary, where the three operations composed cancel. A result whose
+norm rounds to 1 or beyond is pulled back to norm MAX_NORM, and Mobius
+scaling takes artanh at no more than MAX_NORM. The hyperbolic distance is
 
     d(u, v) = arccosh(1 + 2 |u-v|^2 / ((1 - |u|^2)(1 - |v|^2)))
             = 2 asinh(sqrt(|u-v|^2 / ((1 - |u|^2)(1 - |v|^2))))
@@ -49,7 +52,7 @@ __all__ = [
 CHUNK_BYTES = 512 * 1024
 
 # largest norm a point is given: results that reach the boundary are
-# clamped to it, and artanh is taken at no more than it
+# clamped to it, and Mobius scaling takes artanh at no more than it
 MAX_NORM = 1.0 - 1e-7
 
 
@@ -67,6 +70,18 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
 
 
+def _inside(X: np.ndarray, name: str) -> np.ndarray:
+    """Squared norms of the rows of X, which must lie strictly inside the unit ball.
+
+    They are the np.vecdot squared norms that _clamp and the loader take,
+    so every row they keep is accepted.
+    """
+    n2 = np.vecdot(X, X)
+    if np.any(n2 >= 1.0):
+        raise ValueError(f"{name} requires points strictly inside the unit ball")
+    return n2
+
+
 # Row kernels. Each takes (B, d) float64 row stacks and works row by row,
 # without validating: the public functions below check their arguments once,
 # and composition checks a whole batch once before folding it. A row's result
@@ -75,23 +90,32 @@ def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
 # batch of many.
 
 
-def _clamp(X: np.ndarray) -> np.ndarray:
+def _clamp_norms(X: np.ndarray):
+    """X with every row of norm >= 1 pulled back to norm MAX_NORM, and the
+    sqrt(vecdot) norms of its returned rows."""
     n = np.sqrt(np.vecdot(X, X))
     over = n >= 1.0
     # count_nonzero: ndarray.any costs several times more on small arrays
     if np.count_nonzero(over):
         X = np.where(over[:, None], X * (MAX_NORM / np.where(over, n, 1.0))[:, None], X)
-    return X
+        # a pulled-back row's norm is MAX_NORM only to rounding
+        n = np.where(over, np.sqrt(np.vecdot(X, X)), n)
+    return X, n
 
 
-def _add(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _clamp(X: np.ndarray) -> np.ndarray:
+    return _clamp_norms(X)[0]
+
+
+def _add(A: np.ndarray, B: np.ndarray):
+    """Rows of A (+) B, clamped, and their norms."""
     dot2 = 2.0 * np.vecdot(A, B)[:, None]
     na2 = np.vecdot(A, A)[:, None]
     nb2 = np.vecdot(B, B)[:, None]
     # 1 + (2<a,b> + |b|^2) in this order: (1 + 2<a,b>) + |b|^2 rounds differently
     num = (1.0 + (dot2 + nb2)) * A + (1.0 - na2) * B
     den = 1.0 + dot2 + na2 * nb2
-    return _clamp(num / den)
+    return _clamp_norms(num / den)
 
 
 def _scale(r, X: np.ndarray) -> np.ndarray:
@@ -104,8 +128,40 @@ def _scale(r, X: np.ndarray) -> np.ndarray:
 
 
 def _geodesic(A: np.ndarray, B: np.ndarray, t) -> np.ndarray:
-    # t is a scalar or one fraction per row
-    return _add(A, _scale(t, _add(-A, B)))
+    """Rows of a (+) ((-a (+) b) (*) t), for rows inside the ball; t is a
+    scalar or one fraction per row.
+
+    With D = b - a, c_a = 1 - |a|^2, c_b = 1 - |b|^2 and the half distance
+    h = asinh(x), x = sqrt(|D|^2 / (c_a c_b)), the step is
+
+        a + (beta D - gamma a) / (alpha + beta + gamma)
+        alpha = sinh(2 (1 - t) h) / c_a,  beta = sinh(2 t h) / c_b,
+        gamma = 2 x sinh(t h) sinh((1 - t) h)
+
+    (the geodesic of the hyperboloid model, mapped back to the ball). All
+    three weights are positive, so nothing cancels, and the step is taken
+    from a, so a short step keeps its relative precision. Composing the
+    three Mobius operations instead cancels in (-a) (+) b for nearby
+    points and, for far points near the boundary, in the final addition,
+    whose denominator shrinks like c_a^2 while its terms stay of order 1.
+    What is left is the rounding of 1 - |a|^2 and 1 - |b|^2, a relative
+    error of about dim eps / c that moves the result by about
+    (1 - |m|^2) dim eps ((1 - t) / c_a + t / c_b).
+    """
+    D = B - A
+    c_a = 1.0 - np.vecdot(A, A)
+    c_b = 1.0 - np.vecdot(B, B)
+    x = np.sqrt(np.vecdot(D, D) / (c_a * c_b))
+    h = np.arcsinh(x)
+    th = t * h
+    uh = h - th
+    alpha = np.sinh(2.0 * uh) / c_a
+    beta = np.sinh(2.0 * th) / c_b
+    gamma = 2.0 * x * np.sinh(th) * np.sinh(uh)
+    # all three weights are 0 only where b = a, whose step is a; elsewhere
+    # beta or alpha is at least sinh(h), far above the smallest normal
+    den = np.maximum(alpha + beta + gamma, np.finfo(np.float64).tiny)
+    return _clamp((1.0 - gamma / den)[:, None] * A + (beta / den)[:, None] * D)
 
 
 def mobius_add(a, b) -> np.ndarray:
@@ -117,7 +173,7 @@ def mobius_add(a, b) -> np.ndarray:
     a = _as_vector(a, "a")
     b = _as_vector(b, "b")
     _check_same_dim(a, b)
-    return _add(a[None], b[None])[0]
+    return _add(a[None], b[None])[0][0]
 
 
 def mobius_neg(a) -> np.ndarray:
@@ -139,13 +195,15 @@ def geodesic_point(a, b, t: float) -> np.ndarray:
     """Point at fraction ``t`` along the geodesic from a to b.
 
     Parametrized as a (+) ((-a (+) b) (*) t); satisfies
-    d(a, result) = t * d(a, b).
+    d(a, result) = t * d(a, b). Both points must lie strictly inside the
+    unit ball.
     """
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"t must lie in [0, 1], got {t}")
     a = _as_vector(a, "a")
     b = _as_vector(b, "b")
     _check_same_dim(a, b)
+    _inside(np.stack([a, b]), "geodesic_point")
     if t == 0.0:
         return a.copy()
     if t == 1.0:
@@ -210,12 +268,8 @@ def pairwise_poincare_distance(U, V) -> np.ndarray:
     V = _as_rows(V)
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
         raise ValueError("non-finite coordinates")
-    # the squared norms _clamp and the loader take, so every row they keep
-    # passes the test below
-    nu2 = np.vecdot(U, U)
-    nv2 = np.vecdot(V, V)
-    if np.any(nu2 >= 1.0) or np.any(nv2 >= 1.0):
-        raise ValueError("pairwise_poincare_distance requires points strictly inside the unit ball")
+    nu2 = _inside(U, "pairwise_poincare_distance")
+    nv2 = _inside(V, "pairwise_poincare_distance")
     sq = pairwise_squared_distance(U, V)
     sq /= (1.0 - nu2)[:, None] * (1.0 - nv2)[None, :]
     np.sqrt(sq, out=sq)

@@ -97,6 +97,23 @@ def test_knn_fit_validation():
         knn_fit(pts, labels, k=1, metric="manhattan")
 
 
+def test_knn_fit_rejects_labels_that_are_not_integers():
+    pts = np.array([[0.1], [0.2]])
+    # a cast to int64 would make these the class ids [1, 2] without a word
+    for labels in ([1.5, 2.7], [1.0, np.nan], np.array([0.0, np.inf])):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            knn_fit(pts, labels, 1)
+    # integral floats are class ids as they stand
+    assert knn_fit(pts, [1.0, -2.0], 1).labels.tolist() == [1, -2]
+    assert knn_fit(pts, np.array([3, 4], dtype=np.uint8), 1).labels.dtype == np.int64
+
+
+def test_ovr_train_rejects_labels_that_are_not_integers():
+    pts = np.array([[0.1], [0.2], [0.3], [0.4]])
+    with pytest.raises(ValueError, match="labels must be integers"):
+        ovr_train(pts, [0.5, 0.5, 1.5, 1.5], LinearPrimalConfig())
+
+
 def test_knn_zero_distance_and_majority():
     pts = np.array([[0.1, 0.0], [0.2, 0.0], [0.9, 0.0]])
     labels = [0, 0, 1]

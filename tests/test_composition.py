@@ -205,6 +205,18 @@ def ragged_batch(rng, lengths, dim, max_norm=0.8):
     return [random_points(rng, int(n), dim, max_norm) for n in lengths]
 
 
+def test_compose_batch_rejects_points_outside_ball_except_for_emean():
+    # the geodesic steps turn such points into NaN or into points of no geodesic
+    outside = [np.array([[0.5, 0.0], [1.5, 0.0], [0.0, 2.0]]), np.array([[0.0, 1.0]])]
+    for pts in outside:
+        batch = PointBatch.pack([np.array([[0.1, 0.2]]), pts])
+        for method in (m for m in METHODS if m != "emean"):
+            with pytest.raises(ValueError, match="strictly inside the unit ball"):
+                compose_batch(method, batch)
+        # emean takes unconstrained Euclidean vectors as they are
+        assert np.array_equal(compose_batch("emean", batch)[1], pts.sum(axis=0) / len(pts))
+
+
 def test_batch_matches_per_document_reference():
     # interior points: every scheme agrees with the one-at-a-time code to
     # 1e-12 (summation order and libm vs numpy tanh differ by ulps only)

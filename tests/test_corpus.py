@@ -81,6 +81,20 @@ def test_load_embeddings_ignores_a_byte_order_mark(tmp_path):
         assert report == (3, 3, 0, 0)
 
 
+def test_load_embeddings_ignores_whitespace_only_lines(tmp_path):
+    # counted as a skipped line, one trailing blank line after 40 vectors
+    # would abort the load with "1 of 41 lines malformed"
+    lines = [f"w{i} 0.{i % 9} 0.1\n" for i in range(40)]
+    body = "".join(lines)
+    for text in (body + "\n", "\n \t\n" + "".join(lines[:7]) + "  \n" + "".join(lines[7:]) + "\n\n"):
+        table, report = load_embeddings(write(tmp_path, "emb.txt", text), "poincare")
+        assert len(table) == 40
+        assert report == (40, 40, 0, 0)
+    # a count header is still the first line that is not blank
+    table, report = load_embeddings(write(tmp_path, "w2v.txt", "\n40 2\n\n" + body), "poincare")
+    assert "40" not in table and report == (40, 40, 0, 0)
+
+
 def test_load_embeddings_skips_malformed_lines(tmp_path):
     lines = ["w%d 0.01 0.02" % i for i in range(300)]
     lines.insert(5, "bad 0.1 0.2 0.3")  # wrong dimension
@@ -344,6 +358,17 @@ def test_load_corpus_rejects_tabless_lines(tmp_path):
     assert report.rejected == 1
     assert report.parsed + report.rejected == report.total == 301
     assert len(corpus) == 300
+
+
+def test_load_corpus_ignores_whitespace_only_lines(tmp_path):
+    # counted as a line without a TAB, one trailing blank line after 40
+    # records would abort the load with "1 of 41 lines lack a TAB"
+    lines = [f"lab{i % 2}\tdoc {i}\n" for i in range(40)]
+    body = "".join(lines)
+    for text in (body + "\n", " \n" + "".join(lines[:7]) + "\t\n\f\n" + "".join(lines[7:]) + "\r\n\n"):
+        corpus, report = load_corpus(write(tmp_path, "c.tsv", text))
+        assert [text for _, text in corpus.records] == [f"doc {i}" for i in range(40)]
+        assert report == (40, 40, 0)
 
 
 def test_load_corpus_abort_above_threshold(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gyrotext import gyroball
+from gyrotext.composition import compose
 from gyrotext.gyroball import (
     MAX_NORM,
     _clamp,
@@ -350,3 +351,219 @@ def test_outputs_stay_inside_ball():
         r = rng.uniform(-20, 20)
         for out in (mobius_add(a, b), mobius_scale(r, a), midpoint(a, b)):
             assert np.linalg.norm(out) < 1.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a, b: geodesic_point(a, b, 0.5),
+        lambda a, b: geodesic_point(a, b, 0.0),
+        lambda a, b: geodesic_point(b, a, 1.0),
+    ],
+)
+def test_geodesic_point_rejects_points_outside_ball(call):
+    # [0, 1] has squared norm 1: the three Mobius operations make
+    # [2.2e-7, 0.99925] of its t = 1/2 point, which is no midpoint at all
+    with pytest.raises(ValueError, match="strictly inside the unit ball"):
+        call(np.array([0.5, 0.0]), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="strictly inside the unit ball"):
+        call(np.array([1.5, 0.0]), np.array([0.0, 0.5]))
+
+
+def test_midpoint_rejects_points_outside_ball():
+    with pytest.raises(ValueError, match="strictly inside the unit ball"):
+        midpoint(np.array([0.5, 0.0]), np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="strictly inside the unit ball"):
+        midpoint(np.array([0.0, -2.0]), np.array([0.1, 0.0]))
+
+
+def test_weighted_midpoint_rejects_points_outside_ball():
+    with pytest.raises(ValueError, match="strictly inside the unit ball"):
+        weighted_midpoint(np.array([0.5, 0.0]), np.array([0.0, 1.0]), 1.0, 3.0)
+    with pytest.raises(ValueError, match="strictly inside the unit ball"):
+        weighted_midpoint(np.array([1.0, 0.0]), np.array([0.2, 0.0]), 2.0, 1.0)
+
+
+def mp_add(x, y):
+    xy = mpmath.fsum(p * q for p, q in zip(x, y))
+    x2 = mpmath.fsum(p * p for p in x)
+    y2 = mpmath.fsum(q * q for q in y)
+    den = 1 + 2 * xy + x2 * y2
+    return [((1 + 2 * xy + y2) * p + (1 - x2) * q) / den for p, q in zip(x, y)]
+
+
+def mp_geodesic_exact(a, b, t):
+    """a (+) ((-a (+) b) (*) t), the definition itself, on mpmath vectors.
+
+    Call it at 50 digits. Its cancellations cost about log10(1 / |b - a|)
+    digits for nearby points and 2 log10(1 / (1 - |a|^2)) for far points
+    near the boundary, at most 14 on the inputs below, so over 30 are left.
+    """
+    w = mp_add([-p for p in a], b)
+    n = mpmath.sqrt(mpmath.fsum(p * p for p in w))
+    if n == 0:
+        return list(a)
+    k = mpmath.tanh(mpmath.mpf(float(t)) * mpmath.atanh(n)) / n
+    return mp_add(a, [k * p for p in w])
+
+
+def mp_vector(x):
+    return [mpmath.mpf(float(v)) for v in x]
+
+
+def as_float(x):
+    return np.array([float(v) for v in x])
+
+
+def mp_geodesic(a, b, t):
+    """50-digit geodesic point of float vectors, taken as exact for them."""
+    with mpmath.workdps(50):
+        return as_float(mp_geodesic_exact(mp_vector(a), mp_vector(b), t))
+
+
+def geodesic_error_bound(a, b, t, m):
+    """Error allowed to the float t-point of a and b, whose exact value is m.
+
+    Forming the result from a, b - a and a few dozen correctly rounded
+    row operations costs a few ulps of max(|a|, |b|) < 1. The step is ill
+    conditioned only through 1 - |a|^2 and 1 - |b|^2: a squared norm summed
+    in float64 is off by up to dim ulps, so c = 1 - |x|^2 carries a relative
+    error of about (dim + 1) eps / c. That error acts like moving the
+    endpoint by a hyperbolic distance of the same size; geodesic points in
+    the hyperbolic plane move by at most (1 - t) and t times the moves of
+    their endpoints, and a hyperbolic move delta at m is a Euclidean move
+    of (1 - |m|^2) delta / 2. 4 (dim + 2) covers both terms, as in the
+    distance oracle test.
+    """
+    eps = np.finfo(np.float64).eps
+    c_a = 1.0 - float(a @ a)
+    c_b = 1.0 - float(b @ b)
+    cond = (1.0 - float(m @ m)) * ((1.0 - t) / c_a + t / c_b)
+    return 4.0 * (len(a) + 2) * eps * (1.0 + cond)
+
+
+def orthogonal_unit(u, coords):
+    """A unit vector orthogonal to the unit vector u, from drawn coordinates."""
+    w = np.asarray(coords, dtype=np.float64)
+    w = w - (w @ u) * u
+    if np.linalg.norm(w) <= 1e-3:
+        # the axis u leans on least is at least 45 degrees off u
+        w = np.eye(len(u))[np.argmin(np.abs(u))]
+        w = w - (w @ u) * u
+    return w / np.linalg.norm(w)
+
+
+@st.composite
+def nearby_boundary_pairs(draw):
+    """a at norm 1 - 10^-2 .. 1 - 10^-7 and b within 10^-9 .. 10^-3 of it."""
+    dim = draw(st.integers(2, 6))
+    coords = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
+    a = unit(draw(coords)) * (1.0 - 10.0 ** draw(st.floats(-7.0, -2.0)))
+    b = a + 10.0 ** draw(st.floats(-9.0, -3.0)) * unit(draw(coords))
+    norm = np.linalg.norm(b)
+    if norm > MAX_NORM:
+        b *= MAX_NORM / norm
+    return a, b, draw(st.floats(0.0, 1.0))
+
+
+@st.composite
+def far_boundary_pairs(draw):
+    """a and b at norms 1 - 10^-4 .. 1 - 10^-7, at least 45 degrees apart,
+    so d(a, b) > 2 artanh(MAX_NORM) = 16.8, the length at which the
+    three-operation step, whose Mobius scaling caps artanh at MAX_NORM,
+    goes wrong."""
+    dim = draw(st.integers(2, 6))
+    coords = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
+    u = unit(draw(coords))
+    angle = draw(st.floats(math.pi / 4, math.pi))
+    v = math.cos(angle) * u + math.sin(angle) * orthogonal_unit(u, draw(coords))
+    gaps = st.floats(-7.0, -4.0)
+    a = u * (1.0 - 10.0 ** draw(gaps))
+    b = v * (1.0 - 10.0 ** draw(gaps))
+    return a, b, draw(st.floats(0.0, 1.0))
+
+
+def check_geodesic_point(a, b, t):
+    got = geodesic_point(a, b, t)
+    ref = mp_geodesic(a, b, t)
+    assert np.linalg.norm(got - ref) <= geodesic_error_bound(a, b, t, ref)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(nearby_boundary_pairs())
+def test_geodesic_point_matches_oracle_for_nearby_boundary_pairs(case):
+    # (-a) (+) b cancels here: composing the three Mobius operations at
+    # |a| = 1 - 1e-6 with |b - a| = 1e-9 gives steps off by 17%
+    check_geodesic_point(*case)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(far_boundary_pairs())
+def test_geodesic_point_matches_oracle_for_far_boundary_pairs(case):
+    a, b, t = case
+    assert poincare_distance(a, b) > 2.0 * math.atanh(MAX_NORM)
+    # the three-operation midpoints of such pairs are off by 0.35 to 0.70
+    check_geodesic_point(a, b, t)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(nearby_boundary_pairs(), far_boundary_pairs()), st.floats(0.1, 10.0))
+def test_weighted_midpoint_matches_oracle_for_boundary_pairs(case, m_a):
+    a, b, _ = case
+    m_b = 1.0
+    t = m_b / (m_a + m_b)
+    got = weighted_midpoint(a, b, m_a, m_b)
+    ref = mp_geodesic(a, b, t)
+    assert np.linalg.norm(got - ref) <= geodesic_error_bound(a, b, t, ref)
+
+
+def mp_fold(points):
+    """lcf by exact steps, with the error its float evaluation is allowed.
+
+    Every float step starts from inputs that carry the errors of earlier
+    steps. Since d(gamma(t), gamma'(t)) <= (1 - t) d(a, a') + t d(b, b') in
+    the hyperbolic plane, a step passes on at most the larger hyperbolic
+    error of its inputs and adds its own, 2 geodesic_error_bound / (1 - |m|^2)
+    at its exact result m. So the hyperbolic errors add up over the steps.
+    Returns the exact result (on mpmath vectors) and that sum.
+    """
+    acc, budget = points[0], 0.0
+    for k in range(1, len(points)):
+        acc, spent = mp_step(acc, points[k], 1.0 / (k + 1))
+        budget += spent
+    return acc, budget
+
+
+def mp_tree(points):
+    """fnw by exact steps; the error budget as in mp_fold, summed over nodes."""
+    n = len(points)
+    if n == 1:
+        return points[0], 0.0
+    half = n // 2
+    left, b_left = mp_tree(points[:half])
+    right, b_right = mp_tree(points[half:])
+    m, spent = mp_step(left, right, (n - half) / n)
+    return m, b_left + b_right + spent
+
+
+def mp_step(a, b, t):
+    m = mp_geodesic_exact(a, b, t)
+    a, b, m_f = as_float(a), as_float(b), as_float(m)
+    return m, 2.0 * geodesic_error_bound(a, b, t, m_f) / (1.0 - float(m_f @ m_f))
+
+
+@pytest.mark.parametrize("method, oracle", [("lcf", mp_fold), ("fnw", mp_tree)])
+def test_boundary_composition_matches_oracle(method, oracle):
+    # words near the boundary, some far apart and some in a tight cluster:
+    # the three-operation steps between far points are off by up to 0.7
+    rng = np.random.default_rng(62)
+    dirs = rng.normal(size=(9, 5))
+    dirs[5:] = dirs[4] + 1e-6 * rng.normal(size=(4, 5))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    points = dirs * (1.0 - 10.0 ** rng.uniform(-7.0, -4.0, size=(9, 1)))
+    for seq in (points, points[::-1], points[2:7]):
+        with mpmath.workdps(50):
+            exact, budget = oracle([mp_vector(p) for p in seq])
+        ref = as_float(exact)
+        got = compose(method, seq)
+        assert np.linalg.norm(got - ref) <= (1.0 - float(ref @ ref)) / 2.0 * budget
