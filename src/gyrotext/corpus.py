@@ -6,13 +6,14 @@ mark ignored):
     embeddings   token SP num_1 SP ... SP num_d     (standard word-vector text)
     corpus       label TAB text
 
-A corpus line ends only at LF, CR LF or CR, so a form feed or a Unicode
-line separator stays in its text; embedding lines are those of
-str.splitlines. Both loaders ignore lines of whitespace only (empty, or
-all str.isspace characters, a TAB included): such a line is not counted
-in a report at all. An embeddings file may open with the word2vec count
-header "V d". The embedding dimension is inferred from the first
-parseable line. A number field is what numpy's C text reader accepts:
+In both files a line ends only at LF, CR LF or CR, as a text-mode file
+reads it, so a form feed or a Unicode line separator stays in its line;
+between embedding fields it is whitespace. Both loaders ignore lines of
+whitespace only (empty, or all str.isspace characters, a TAB included):
+such a line is not counted in a report at all. The embeddings file is
+read a block of lines at a time, never whole. It may open with the
+word2vec count header "V d". The embedding dimension is inferred from the
+first parseable line. A number field is what numpy's C text reader accepts:
 ASCII decimal or scientific notation with an optional sign ("-0.25",
 "1.", ".5", "3E-7"), or an inf/infinity/nan spelling in any case.
 Python's float() also reads digit groups ("1_000") and non-ASCII digits;
@@ -27,7 +28,7 @@ from __future__ import annotations
 import logging
 import unicodedata
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby, islice
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -102,71 +103,39 @@ def load_embeddings(path, flavor: str):
     skipped aborts. For the poincare flavor, vectors with norm >= 1 are
     pulled just inside the unit ball and counted in the report.
 
-    The numbers of PARSE_BLOCK_LINES lines at a time go to numpy's text
-    reader in one call, and the checks above run on each block at once; a
-    block that fails is parsed again a line per call. The table's vectors
-    are 1-D float64 rows, which may be views into their block's array.
+    A line ends only at LF, CR LF or CR. The file is read PARSE_BLOCK_LINES
+    lines at a time, so a load holds one block's text beside the table,
+    never the whole file. Each block's numbers go to numpy's text reader in
+    one call, and the checks above run on the block at once; a block that
+    fails is parsed again a line per call. The table's vectors are 1-D
+    float64 rows, which may be views into their block's array.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
-    with open(path, encoding="utf-8-sig") as fh:
-        lines = [line for line in fh.read().splitlines() if line and not line.isspace()]
-    if _is_count_header(lines):
-        lines = lines[1:]
     vectors = {}
     dimension = None
     clamped = 0
-    for start in range(0, len(lines), PARSE_BLOCK_LINES):
-        tokens = []
-        rests = []
-        for line in lines[start : start + PARSE_BLOCK_LINES]:
-            parts = line.split(None, 1)
-            if len(parts) == 2:
-                tokens.append(parts[0])
-                rests.append(parts[1])
-        if not rests:
-            continue
-        block = _parse_numbers(rests)
-        if block is None:
-            # one bad line fails the whole call: parse the block again a line
-            # per call, skipping the lines that fail on their own
-            lone = [_parse_numbers([rest]) for rest in rests]
-            parsed = [i for i, row in enumerate(lone) if row is not None]
-            if dimension is None and parsed:
-                dimension = lone[parsed[0]].shape[1]
-            kept = [i for i in parsed if lone[i].shape[1] == dimension]
-            if not kept:
-                continue
-            tokens = [tokens[i] for i in kept]
-            block = np.concatenate([lone[i] for i in kept])
-        if dimension is None:
-            dimension = block.shape[1]
-        if block.shape[1] != dimension:
-            continue
-        # the first finite row of each token no earlier block had; the dict
-        # keeps the order of the lines
-        finite = np.isfinite(block).all(axis=1).tolist()
-        first = {}
-        for i, token in enumerate(tokens):
-            if finite[i] and token not in vectors:
-                first.setdefault(token, i)
-        rows = block[list(first.values())]
-        if flavor == "poincare":
-            # _clamp takes the same sqrt(vecdot) norm of each row it is given,
-            # so it clamps exactly the rows counted here
-            with np.errstate(over="ignore"):
-                norms = np.sqrt(np.vecdot(rows, rows))
-            # only the direction survives the clamp: a row whose norm
-            # overflows is first divided by its largest |coordinate|
-            inf = np.isinf(norms)
-            rows[inf] /= np.abs(rows[inf]).max(axis=1, keepdims=True)
-            over = norms >= 1.0
-            n_over = int(np.count_nonzero(over))
-            if n_over:
-                rows[over] = _clamp(rows[over])
-                clamped += n_over
-        vectors.update(zip(first, rows))
-    total = len(lines)
+    total = 0
+    with open(path, encoding="utf-8-sig") as fh:
+        lines = _after_count_header(fh)
+        while True:
+            # only this block's tokens and number strings are held
+            tokens = []
+            rests = []
+            read = blank = 0
+            for read, line in enumerate(islice(lines, PARSE_BLOCK_LINES), 1):
+                parts = line.split(None, 1)
+                if len(parts) == 2:
+                    tokens.append(parts[0])
+                    rests.append(parts[1])
+                elif not parts:
+                    blank += 1
+            if not read:
+                break
+            total += read - blank
+            if rests:
+                dimension, n_clamped = _add_block(vectors, tokens, rests, dimension, flavor)
+                clamped += n_clamped
     # every line kept adds one token the table did not have
     skipped = total - len(vectors)
     if dimension is None:
@@ -177,6 +146,71 @@ def load_embeddings(path, flavor: str):
         logger.warning("%s: %d vectors clamped inside the unit ball", path, clamped)
     table = EmbeddingTable(dimension=dimension, vectors=vectors, flavor=flavor)
     return table, LoadReport(total=total, parsed=total - skipped, skipped=skipped, clamped=clamped)
+
+
+def _after_count_header(fh):
+    """The lines of fh, less a "V d" count header; the header test reads the
+    first two lines that are not blank, whichever blocks they fall in."""
+    head = []
+    nonblank = []
+    for line in fh:
+        head.append(line)
+        if not line.isspace():
+            nonblank.append(line)
+            if len(nonblank) == 2:
+                break
+    if _is_count_header(nonblank):
+        head.remove(nonblank[0])
+    return chain(head, fh)
+
+
+def _add_block(vectors, tokens, rests, dimension, flavor):
+    """Parse and check one block's lines, adding its new tokens to vectors.
+
+    Returns the dimension, fixed by the first parseable line, and how many
+    of the block's vectors were clamped.
+    """
+    block = _parse_numbers(rests)
+    if block is None:
+        # one bad line fails the whole call: parse the block again a line
+        # per call, skipping the lines that fail on their own
+        lone = [_parse_numbers([rest]) for rest in rests]
+        parsed = [i for i, row in enumerate(lone) if row is not None]
+        if dimension is None and parsed:
+            dimension = lone[parsed[0]].shape[1]
+        kept = [i for i in parsed if lone[i].shape[1] == dimension]
+        if not kept:
+            return dimension, 0
+        tokens = [tokens[i] for i in kept]
+        block = np.concatenate([lone[i] for i in kept])
+    if dimension is None:
+        dimension = block.shape[1]
+    if block.shape[1] != dimension:
+        return dimension, 0
+    # the first finite row of each token no earlier block had; the dict
+    # keeps the order of the lines
+    finite = np.isfinite(block).all(axis=1).tolist()
+    first = {}
+    for i, token in enumerate(tokens):
+        if finite[i] and token not in vectors:
+            first.setdefault(token, i)
+    rows = block[list(first.values())]
+    clamped = 0
+    if flavor == "poincare":
+        # _clamp takes the same sqrt(vecdot) norm of each row it is given,
+        # so it clamps exactly the rows counted here
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(np.vecdot(rows, rows))
+        # only the direction survives the clamp: a row whose norm
+        # overflows is first divided by its largest |coordinate|
+        inf = np.isinf(norms)
+        rows[inf] /= np.abs(rows[inf]).max(axis=1, keepdims=True)
+        over = norms >= 1.0
+        clamped = int(np.count_nonzero(over))
+        if clamped:
+            rows[over] = _clamp(rows[over])
+    vectors.update(zip(first, rows))
+    return dimension, clamped
 
 
 def _parse_numbers(rests):

@@ -14,8 +14,9 @@ from which geodesics, midpoints and weighted midpoints are defined. The
 geodesic step a (+) ((-a (+) b) (*) t) is evaluated in one closed form
 (see _geodesic) whose terms are all positive, so it stays accurate near
 the boundary, where the three operations composed cancel. A result whose
-norm rounds to 1 or beyond is pulled back to norm MAX_NORM, and Mobius
-scaling takes artanh at no more than MAX_NORM. The hyperbolic distance is
+norm rounds to 1 or beyond is pulled back to norm MAX_NORM. Mobius
+scaling takes artanh at the point's own norm, uncapped, and so holds for
+every point strictly inside the ball. The hyperbolic distance is
 
     d(u, v) = arccosh(1 + 2 |u-v|^2 / ((1 - |u|^2)(1 - |v|^2)))
             = 2 asinh(sqrt(|u-v|^2 / ((1 - |u|^2)(1 - |v|^2))))
@@ -52,7 +53,7 @@ __all__ = [
 CHUNK_BYTES = 512 * 1024
 
 # largest norm a point is given: results that reach the boundary are
-# clamped to it, and Mobius scaling takes artanh at no more than it
+# clamped to it
 MAX_NORM = 1.0 - 1e-7
 
 
@@ -119,10 +120,11 @@ def _add(A: np.ndarray, B: np.ndarray):
 
 
 def _scale(r, X: np.ndarray) -> np.ndarray:
-    # r is a scalar or one factor per row
+    # r is a scalar or one factor per row, and the rows lie inside the ball:
+    # a squared norm below 1 has a correctly rounded sqrt of at most
+    # 1 - 2^-53, whose artanh is finite
     n = np.sqrt(np.vecdot(X, X))
-    # artanh blows up at 1; points numerically on the boundary are pulled in.
-    mag = np.tanh(r * np.arctanh(np.minimum(n, MAX_NORM)))
+    mag = np.tanh(r * np.arctanh(n))
     # x/|x| has a removable singularity at the origin, which maps to itself
     return _clamp((mag / np.where(n > 0.0, n, 1.0))[:, None] * X)
 
@@ -184,11 +186,14 @@ def mobius_neg(a) -> np.ndarray:
 def mobius_scale(r: float, x) -> np.ndarray:
     """Mobius scalar multiplication r (*) x = tanh(r artanh(|x|)) x/|x|.
 
-    The origin is a removable singularity of x/|x| and maps to itself.
+    x must lie strictly inside the unit ball. The origin is a removable
+    singularity of x/|x| and maps to itself.
     """
     if not math.isfinite(r):
         raise ValueError(f"scalar r must be finite, got {r}")
-    return _scale(r, _as_vector(x, "x")[None])[0]
+    X = _as_vector(x, "x")[None]
+    _inside(X, "mobius_scale")
+    return _scale(r, X)[0]
 
 
 def geodesic_point(a, b, t: float) -> np.ndarray:

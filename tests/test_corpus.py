@@ -1,3 +1,5 @@
+import tracemalloc
+
 import _load_reference as reference
 import numpy as np
 import pytest
@@ -304,6 +306,68 @@ def test_load_embeddings_keeps_direction_of_overflowing_vector(tmp_path):
     assert b[0] == -b[1] and b[1] > 0
     assert np.linalg.norm(b) == pytest.approx(0.9999999, abs=1e-15)
     assert table.vectors["c"].tolist() == [0.1, 0.2]
+
+
+def test_load_embeddings_ends_lines_only_at_line_breaks(tmp_path):
+    # as in a corpus, vertical tab, form feed, the file/group/record
+    # separators, NEL and the Unicode line and paragraph separators stay
+    # inside a line, where str.split and numpy's reader both take them for
+    # whitespace between fields; \n, \r\n and \r each end a line
+    inner = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    ends = ["\n", "\r\n", "\r"]
+    path = tmp_path / "emb.txt"
+    path.write_bytes("".join(f"w{i}{ch}0.5{ch}-0.25{ends[i % 3]}" for i, ch in enumerate(inner)).encode())
+    table, report = load_embeddings(path, "poincare")
+    assert report == (8, 8, 0, 0)
+    assert table.dimension == 2
+    assert {token: v.tolist() for token, v in table.vectors.items()} == {
+        f"w{i}": [0.5, -0.25] for i in range(8)
+    }
+
+
+def test_load_embeddings_finds_the_count_header_across_blocks(tmp_path, monkeypatch):
+    # the header test reads the first two lines that are not blank, however
+    # few lines a block holds
+    body = "".join(f"w{i} 0.{i % 9} 0.1\n" for i in range(40))
+    header = write(tmp_path, "w2v.txt", "\n \n40 2\n\n\t\n" + body)
+    one_d = write(tmp_path, "1d.txt", "\n7 2\n\n\na 0.5\n \nb 0.25\n")
+    for block_lines in (1, 2, corpus.PARSE_BLOCK_LINES):
+        monkeypatch.setattr(corpus, "PARSE_BLOCK_LINES", block_lines)
+        table, report = load_embeddings(header, "poincare")
+        assert list(table.vectors) == [f"w{i}" for i in range(40)]
+        assert report == (40, 40, 0, 0)
+        # "7 2" is no header when the next line that is not blank has 2 fields
+        table, report = load_embeddings(one_d, "euclidean")
+        assert table.dimension == 1 and list(table.vectors) == ["7", "a", "b"]
+        assert report == (3, 3, 0, 0)
+
+
+def test_load_embeddings_holds_one_block_of_text_at_a_time(tmp_path, monkeypatch):
+    block_lines, n_blocks, dim = 200, 10, 32
+    monkeypatch.setattr(corpus, "PARSE_BLOCK_LINES", block_lines)
+    rng = np.random.default_rng(64)
+    lines = [
+        f"w{i}" + "".join(f" {x!r}" for x in rng.uniform(-0.03, 0.03, dim).tolist()) + "\n"
+        for i in range(block_lines * n_blocks)
+    ]
+    block_text = max(len("".join(lines[k : k + block_lines])) for k in range(0, len(lines), block_lines))
+    path = write(tmp_path, "emb.txt", "".join(lines))
+    tracemalloc.start()
+    try:
+        table, report = load_embeddings(path, "poincare")
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report == (2000, 2000, 0, 0) and len(table) == 2000
+    # Beyond the table it returns, a load holds one block's tokens and
+    # number strings, which is the block's text once (ASCII, a byte a
+    # character). Their str headers, two of about 50 bytes a line, and the
+    # block's float64 array, 8 bytes a number against about 20 characters
+    # a number here, add under half of that again; the file's read buffer
+    # and the line being split add a few kB. Three times the text of one
+    # block covers it; holding the whole file's text, ten blocks of it,
+    # does not fit.
+    assert peak - kept < 3 * block_text
 
 
 # --------------------------------------------------------------- tokenizer

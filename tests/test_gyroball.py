@@ -384,6 +384,13 @@ def test_weighted_midpoint_rejects_points_outside_ball():
         weighted_midpoint(np.array([1.0, 0.0]), np.array([0.2, 0.0]), 2.0, 1.0)
 
 
+def test_mobius_scale_rejects_points_outside_ball():
+    # [0.6, 0.8] has squared norm 1 to rounding; artanh is undefined there
+    for x in ([1.0, 0.0], [0.6, 0.8], [3.0, -4.0]):
+        with pytest.raises(ValueError, match="strictly inside the unit ball"):
+            mobius_scale(0.5, np.array(x))
+
+
 def mp_add(x, y):
     xy = mpmath.fsum(p * q for p, q in zip(x, y))
     x2 = mpmath.fsum(p * p for p in x)
@@ -515,6 +522,65 @@ def test_weighted_midpoint_matches_oracle_for_boundary_pairs(case, m_a):
     got = weighted_midpoint(a, b, m_a, m_b)
     ref = mp_geodesic(a, b, t)
     assert np.linalg.norm(got - ref) <= geodesic_error_bound(a, b, t, ref)
+
+
+def mp_scale(r, x):
+    """50-digit r (*) x of a float vector, taken as exact for it."""
+    with mpmath.workdps(50):
+        mx = mp_vector(x)
+        n = mpmath.sqrt(mpmath.fsum(p * p for p in mx))
+        if n == 0:
+            return np.zeros(len(x))
+        k = mpmath.tanh(mpmath.mpf(float(r)) * mpmath.atanh(n)) / n
+        return as_float([k * p for p in mx])
+
+
+def check_mobius_scale(r, x):
+    """mobius_scale against the oracle, within the error its rounding allows.
+
+    |x|^2 summed in float64 is off by up to dim ulps, and its sqrt by half
+    an ulp more, so |x| carries a relative error of about (dim / 2 + 1) eps.
+    artanh has slope 1 / (1 - |x|^2) = 1 / c, and r times it goes through
+    tanh, whose slope at the result norm m is 1 - m^2: the norm is off by
+    about (1 - m^2) |r| (dim / 2 + 3) eps / c, the last term counting
+    artanh <= |x| / c and the roundings of artanh and the product. Forming
+    the vector from x adds a few ulps of m. 4 (dim + 2) covers both terms,
+    as in the distance and geodesic oracle tests.
+    """
+    got = mobius_scale(r, x)
+    ref = mp_scale(r, x)
+    eps = np.finfo(np.float64).eps
+    c = 1.0 - float(x @ x)
+    m = float(np.linalg.norm(ref))
+    assert np.linalg.norm(got - ref) <= 4.0 * (len(x) + 2) * eps * (1.0 + (1.0 - m * m) * abs(r) / c)
+
+
+@st.composite
+def ball_points(draw):
+    """x at norm 1 - 10^g for g in [-12, 0], the origin included."""
+    dim = draw(st.integers(2, 6))
+    coords = draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim))
+    return unit(coords) * (1.0 - 10.0 ** draw(st.floats(-12.0, 0.0)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ball_points(), st.floats(-1.0, 1.0))
+def test_mobius_scale_matches_oracle_up_to_the_boundary(x, r):
+    # |r| <= 1 keeps the exact result within |x| of the origin, so no clamp
+    # applies. Taking artanh at no more than MAX_NORM would put 0.5 (*) x at
+    # norm 0.99955289 for |x| = 1 - 1e-9, where the oracle gives 0.99995528
+    check_mobius_scale(r, x)
+
+
+def test_mobius_scale_at_the_largest_squared_norm_below_one():
+    # the squared norm of x is the largest double below 1, whose correctly
+    # rounded sqrt is 1 - 2^-53 < 1: artanh(|x|) stays finite, and pytest
+    # turns any floating-point warning into a failure
+    x = np.array([1.0 - 2.0**-52, 1.825511988460775e-08])
+    assert np.vecdot(x, x) == np.nextafter(1.0, 0.0)
+    for r in (0.5, 0.25, 1e-3, -0.5):
+        check_mobius_scale(r, x)
+    assert np.array_equal(mobius_scale(0.0, x), [0.0, 0.0])
 
 
 def mp_fold(points):
