@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .gyroball import pairwise_poincare_distance, pairwise_squared_distance
+from .gyroball import _rows, _same_width, pairwise_poincare_distance, pairwise_squared_distance
 from .kernels import GramMatrix, KernelSpec, check_gram, cross_kernel, gram_matrix
 
 __all__ = [
@@ -61,13 +61,31 @@ def _check_C(C: float) -> None:
         raise ValueError(f"C must be positive and finite, got {C}")
 
 
-def _class_ids(labels) -> np.ndarray:
-    """Labels as int64 class ids; a label that is not an integer is an
-    error, where a cast would truncate it (1.5 -> 1)."""
+def _class_ids(labels, n: int) -> np.ndarray:
+    """The multiclass label rule: n int64 class ids; a label that is not an
+    integer is an error, where a cast would truncate it (1.5 -> 1)."""
     raw = np.asarray(labels)
     if raw.dtype.kind == "f" and not (np.isfinite(raw).all() and (raw == np.floor(raw)).all()):
         raise ValueError("class labels must be integers")
-    return np.asarray(labels, dtype=np.int64)
+    y = np.asarray(labels, dtype=np.int64)
+    if y.shape != (n,):
+        raise ValueError(f"{n} points but {y.shape} labels")
+    return y
+
+
+def _signs(labels, n: int) -> np.ndarray:
+    """The binary label rule: n class ids, each -1 or +1, both present, as float64."""
+    y = _class_ids(labels, n)
+    if set(y.tolist()) != {-1, 1}:
+        raise ValueError("labels must be -1 or +1, with both classes present")
+    return y.astype(np.float64)
+
+
+def _check_k(k, n=math.inf) -> int:
+    """k as an int if it is a whole number in [1, n]; a cast would truncate 2.5."""
+    if not (1 <= k <= n and k % 1 == 0):
+        raise ValueError(f"k must lie in [1, {n}] and be a whole number, got {k!r}")
+    return int(k)
 
 
 def _pairwise_distance(queries, points, metric: str) -> np.ndarray:
@@ -87,18 +105,15 @@ class KnnModel:
 
 
 def knn_fit(points, labels, k: int, metric: str = "poincare") -> KnnModel:
-    """Store the training set verbatim after validating shapes and k."""
-    P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    y = _class_ids(labels)
+    """Store the point rows and class ids verbatim; k is a whole number in [1, n]."""
+    P = _rows(points, "points")
+    y = _class_ids(labels, P.shape[0])
     if P.shape[0] == 0:
         raise ValueError("training set is empty")
-    if y.shape != (P.shape[0],):
-        raise ValueError(f"{P.shape[0]} points but {y.shape} labels")
-    if not (1 <= k <= P.shape[0]):
-        raise ValueError(f"k must lie in [1, {P.shape[0]}], got {k}")
+    k = _check_k(k, P.shape[0])
     if metric not in METRIC_KINDS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_KINDS}")
-    return KnnModel(points=P, labels=y, k=int(k), metric=metric)
+    return KnnModel(points=P, labels=y, k=k, metric=metric)
 
 
 class KnnRanking(NamedTuple):
@@ -116,7 +131,7 @@ class KnnRanking(NamedTuple):
 
 def knn_rank(model: KnnModel, queries) -> KnnRanking:
     """Rank the model's training points for every query row (ignores model.k)."""
-    d = _pairwise_distance(queries, model.points, model.metric)
+    d = _pairwise_distance(_rows(queries, "queries"), model.points, model.metric)
     order = np.argsort(d, axis=1, kind="stable")
     return KnnRanking(order=order, distances=np.take_along_axis(d, order, axis=1))
 
@@ -129,15 +144,14 @@ def knn_predict_batch(model: KnnModel, queries, ranking: Optional[KnnRanking] = 
     ``ranking``, when given, is ``knn_rank`` of the same training points
     and queries, computed once and shared by several k. Votes and summed
     distances are counted for all queries at once, each sum added in rank
-    order; zero queries give an empty int64 array.
+    order; zero query rows give an empty int64 array.
     """
+    Q = _rows(queries, "queries")
+    _same_width(Q, model.points)
     if ranking is None:
-        ranking = knn_rank(model, queries)
-    elif ranking.order.shape != (len(queries), model.points.shape[0]):
-        raise ValueError(
-            f"ranking shape {ranking.order.shape} does not match "
-            f"{len(queries)} queries x {model.points.shape[0]} training points"
-        )
+        ranking = knn_rank(model, Q)
+    elif ranking.order.shape != (shape := (Q.shape[0], model.points.shape[0])):
+        raise ValueError(f"ranking shape {ranking.order.shape} is not queries x points {shape}")
     classes, codes = np.unique(model.labels, return_inverse=True)
     q, c = ranking.order.shape[0], classes.size
     # one bin per (query, class) cell; bincount adds the weights in rank order
@@ -195,7 +209,7 @@ def svm_train_smo(gram: Union[GramMatrix, np.ndarray], labels, C: float = 1.0) -
     et al. 2001; LIBSVM's per-index bound status). The budget is
     ``MAX_PASSES * n`` iterations; running out is reported through
     converged/kkt_residual, not raised. A raw Gram array gets the same
-    checks as ``GramMatrix``.
+    checks as ``GramMatrix``; the labels are -1 or +1, both present.
     """
     if isinstance(gram, GramMatrix):
         K = gram.entries
@@ -203,14 +217,8 @@ def svm_train_smo(gram: Union[GramMatrix, np.ndarray], labels, C: float = 1.0) -
     else:
         K = check_gram(gram)
         spec = None
-    y = np.asarray(labels, dtype=np.float64)
     n = K.shape[0]
-    if y.shape != (n,):
-        raise ValueError(f"{n}x{n} Gram but {y.shape} labels")
-    if not set(np.unique(y)) <= {-1.0, 1.0}:
-        raise ValueError("labels must be -1 or +1")
-    if len(np.unique(y)) < 2:
-        raise ValueError("both classes must be present")
+    y = _signs(labels, n)
     _check_C(C)
 
     alpha = np.zeros(n)
@@ -323,15 +331,10 @@ def linear_svm_primal_train(vectors, labels, C: float = 1.0) -> LinearSvmModel:
     minimiser of that quadratic (R = diag(1, ..., 1, 0)), then halves the
     step until the objective does not rise. Once a full step keeps A,
     z' is the exact minimiser. The objective after each step is recorded.
+    The vectors are point rows; the labels are -1 or +1, both present.
     """
-    X = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
-    y = np.asarray(labels, dtype=np.float64)
-    if y.shape != (X.shape[0],):
-        raise ValueError(f"{X.shape[0]} vectors but {y.shape} labels")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("features contain non-finite values")
-    if not set(np.unique(y)) <= {-1.0, 1.0} or len(np.unique(y)) < 2:
-        raise ValueError("labels must be -1/+1 with both classes present")
+    X = _rows(vectors, "vectors")
+    y = _signs(labels, X.shape[0])
     _check_C(C)
 
     n, d = X.shape
@@ -402,10 +405,8 @@ class OvrModel:
 
 def ovr_train(points, labels, config: Union[SmoConfig, LinearPrimalConfig]) -> OvrModel:
     """Train one binary classifier per class (that class vs. the rest)."""
-    P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    y = _class_ids(labels)
-    if y.shape != (P.shape[0],):
-        raise ValueError(f"{P.shape[0]} points but {y.shape} labels")
+    P = _rows(points, "points")
+    y = _class_ids(labels, P.shape[0])
     classes = np.unique(y)
     if classes.size < 2:
         raise ValueError("one-vs-rest needs at least 2 classes")
@@ -426,16 +427,13 @@ def ovr_train(points, labels, config: Union[SmoConfig, LinearPrimalConfig]) -> O
 
 
 def ovr_decision(model: OvrModel, queries) -> np.ndarray:
-    """Decision-value matrix, one row per query and one column per class."""
-    Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    """Decision-value matrix, one row per query row and one column per class."""
+    Q = _rows(queries, "queries")
     if model.train_points is not None:
         rows = cross_kernel(Q, model.train_points, model.models[0].kernel)
         cols = [rows @ (m.alphas * m.labels) + m.bias for m in model.models]
     else:
-        if Q.shape[1] != model.models[0].weights.shape[0]:
-            raise ValueError(
-                f"dimension mismatch: {Q.shape[1]} vs {model.models[0].weights.shape[0]}"
-            )
+        _same_width(Q, model.models[0].weights)
         cols = [Q @ m.weights + m.bias for m in model.models]
     return np.stack(cols, axis=1)
 

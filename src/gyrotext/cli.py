@@ -49,6 +49,14 @@ def _parse_pairs(text: str, flag: str) -> dict:
     return pairs
 
 
+def _number(kind, text: str, flag: str, key: str):
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"{flag}: {key} takes {noun} only, got {text!r}") from None
+
+
 def _parse_methods(text: str) -> tuple:
     methods = tuple(m.strip() for m in text.split(",") if m.strip())
     unknown = [m for m in methods if m not in METHODS]
@@ -63,11 +71,7 @@ def _parse_knn(text: str) -> tuple:
     # the k list shares one key: k=3,5,7,9,11
     if not text.startswith("k="):
         raise ValueError(f"--knn: expected k=K1,K2,..., got {text!r}")
-    try:
-        ks = tuple(int(v) for v in text[2:].split(","))
-    except ValueError:
-        raise ValueError(f"--knn: k values must be integers, got {text!r}") from None
-    return ks
+    return tuple(_number(int, v, "--knn", "k") for v in text[2:].split(","))
 
 def _parse_svm(text: str) -> SmoConfig:
     pairs = _parse_pairs(text, "--svm")
@@ -75,9 +79,9 @@ def _parse_svm(text: str) -> SmoConfig:
     if name not in KERNEL_NAMES:
         raise ValueError(f"--svm: unknown kernel {name!r}; choose from {','.join(KERNEL_NAMES)}")
     kind, q = KERNEL_NAMES[name]
-    lam = float(pairs.pop("lambda", 1.0))
-    q = float(pairs.pop("q", q if q is not None else 1.0))
-    C = float(pairs.pop("C", 1.0))
+    lam = _number(float, pairs.pop("lambda", 1.0), "--svm", "lambda")
+    q = _number(float, pairs.pop("q", q if q is not None else 1.0), "--svm", "q")
+    C = _number(float, pairs.pop("C", 1.0), "--svm", "C")
     if pairs:
         raise ValueError(f"--svm: unknown keys {sorted(pairs)}")
     return SmoConfig(kernel=KernelSpec(kind=kind, lam=lam, q=q), C=C)
@@ -85,7 +89,7 @@ def _parse_svm(text: str) -> SmoConfig:
 
 def _parse_linear_svm(text: str) -> LinearPrimalConfig:
     pairs = _parse_pairs(text, "--linear-svm")
-    C = float(pairs.pop("C", 1.0))
+    C = _number(float, pairs.pop("C", 1.0), "--linear-svm", "C")
     if pairs:
         raise ValueError(f"--linear-svm: unknown keys {sorted(pairs)}")
     return LinearPrimalConfig(C=C)
@@ -94,11 +98,12 @@ def _parse_linear_svm(text: str) -> LinearPrimalConfig:
 def _parse_split(text: str, seed: int) -> SplitSpec:
     kind, sep, value = text.partition(":")
     if kind == "holdout":
-        return SplitSpec(kind="holdout", ratio=float(value) if sep else 0.8, seed=seed)
+        ratio = _number(float, value, "--split", "holdout:RATIO") if sep else 0.8
+        return SplitSpec(kind="holdout", ratio=ratio, seed=seed)
     if kind == "kfold":
         if not sep:
             raise ValueError("--split: kfold needs a fold count, e.g. kfold:5")
-        return SplitSpec(kind="kfold", folds=int(value), seed=seed)
+        return SplitSpec(kind="kfold", folds=_number(int, value, "--split", "kfold:K"), seed=seed)
     raise ValueError(f"--split: expected holdout:RATIO or kfold:K, got {text!r}")
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gyroball import MAX_NORM, _add, _clamp, _geodesic, _inside, _scale
+from .gyroball import MAX_NORM, _add, _clamp, _geodesic, _inside, _rows, _same_width, _scale
 
 # Not called here: benchmarks/tracing.py looks these names up in this module.
 from .gyroball import mobius_add, mobius_scale, weighted_midpoint  # noqa: F401
@@ -56,8 +56,8 @@ OVERFLOW_RESCALE = 1.0 - 1e-5
 class PointBatch:
     """Point sequences packed back to back, validated once on construction.
 
-    Sequence i is ``points[starts[i] : starts[i] + lengths[i]]``. Every
-    sequence has at least one point.
+    Sequence i is ``points[starts[i] : starts[i] + lengths[i]]``; the
+    points are point rows, and every sequence has at least one of them.
     """
 
     points: np.ndarray
@@ -65,11 +65,8 @@ class PointBatch:
     starts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        pts, lengths = self.points, self.lengths
-        if pts.ndim != 2 or pts.shape[1] == 0 or pts.dtype != np.float64:
-            raise ValueError(f"points must be a float64 (total, d) array, got shape {pts.shape}")
-        if not np.isfinite(pts).all():
-            raise ValueError("point sequence contains non-finite coordinates")
+        pts, lengths = _rows(self.points, "point sequence"), self.lengths
+        object.__setattr__(self, "points", pts)
         if lengths.ndim != 1 or lengths.dtype.kind not in "iu" or lengths.size == 0 or lengths.min() < 1:
             raise ValueError("a batch needs one or more sequences, each of positive length")
         if lengths.sum() != pts.shape[0]:
@@ -78,21 +75,14 @@ class PointBatch:
 
     @classmethod
     def pack(cls, sequences) -> "PointBatch":
-        """Pack (n_i, d) point arrays."""
+        """Pack point-row arrays of one width, one sequence each."""
         if not sequences:
             raise ValueError("no sequences to pack")
-        seqs = [np.asarray(s, dtype=np.float64) for s in sequences]
-        if any(s.ndim != 2 or s.shape[0] == 0 for s in seqs):
-            raise ValueError("every sequence must be a non-empty (n, d) array")
-        if len({s.shape[1] for s in seqs}) != 1:
-            raise ValueError("sequences differ in dimension")
+        seqs = [_rows(s, "point sequence") for s in sequences]
+        for s in seqs[1:]:
+            _same_width(seqs[0], s)
         lengths = np.array([s.shape[0] for s in seqs], dtype=np.int64)
         return cls(points=np.concatenate(seqs), lengths=lengths)
-
-
-def _single(points) -> PointBatch:
-    pts = np.asarray(points, dtype=np.float64)
-    return PointBatch.pack([pts[None, :] if pts.ndim == 1 else pts])
 
 
 # The folds below take a batch's raw arrays, so that reversed and doubled
@@ -264,7 +254,7 @@ def compose_batch(method: str, batch: PointBatch) -> np.ndarray:
 
 def compose(method: str, points) -> np.ndarray:
     """Compose one (n, d) point sequence by table name: the batch of one."""
-    return compose_batch(method, _single(points))[0]
+    return compose_batch(method, PointBatch.pack([points]))[0]
 
 
 def mobius_sum(points):
@@ -275,5 +265,5 @@ def mobius_sum(points):
     (1 - 1e-5). Returns ``(sum, overflow_count)`` where the count records
     how many times the rescale fired.
     """
-    sums, counts = _sums(_single(points))
+    sums, counts = _sums(PointBatch.pack([points]))
     return sums[0], int(counts[0])

@@ -22,10 +22,12 @@ every point strictly inside the ball. The hyperbolic distance is
             = 2 asinh(sqrt(|u-v|^2 / ((1 - |u|^2)(1 - |v|^2))))
 
 and is evaluated in the asinh form, with |u-v|^2 summed from actual
-coordinate differences, so nearby points keep full relative precision.
-Each Mobius operation has one row-wise implementation over (B, d) row
-stacks; the public functions take 1-D vectors, and the compositions call
-the row kernels on whole batches.
+coordinate differences, so nearby points lose nothing to cancellation;
+the floor is the rounding of 1 - |u|^2 at the point nearer the boundary,
+a relative error of about (dim + 2) eps / (1 - |u|^2). Each Mobius
+operation has one row-wise implementation over (B, d) row stacks, and
+point arrays pass one rule, _rows: finite float64 (n, d) rows, d >= 1,
+a 1-D vector as one row; the Mobius functions take 1-D vectors.
 All computation is in float64; the operators compound rounding error and
 32-bit floats do not survive deep compositions.
 """
@@ -57,18 +59,27 @@ CHUNK_BYTES = 512 * 1024
 MAX_NORM = 1.0 - 1e-7
 
 
-def _as_vector(x, name: str = "point") -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] < 1:
-        raise ValueError(f"{name} must be a 1-D vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+def _rows(X, name: str = "points") -> np.ndarray:
+    """The point-row rule: X as finite float64 (n, d) rows, d >= 1; a 1-D
+    vector is one row, and n = 0 is allowed (zero queries, empty results)."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim not in (1, 2) or X.shape[-1] < 1:
+        raise ValueError(f"{name} must be (n, d) point rows with d >= 1, got shape {X.shape}")
+    if not np.isfinite(X).all():
         raise ValueError(f"{name} contains non-finite coordinates")
-    return x
+    return X[None] if X.ndim == 1 else X
 
 
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+def _same_width(A: np.ndarray, B: np.ndarray) -> None:
+    if A.shape[-1] != B.shape[-1]:
+        raise ValueError(f"dimension mismatch: {A.shape[-1]} vs {B.shape[-1]}")
+
+
+def _as_vector(x, name: str = "point") -> np.ndarray:
+    """A 1-D vector, as the one row that _rows makes of it."""
+    if np.ndim(x) != 1:
+        raise ValueError(f"{name} must be a 1-D vector, got shape {np.shape(x)}")
+    return _rows(x, name)
 
 
 def _inside(X: np.ndarray, name: str) -> np.ndarray:
@@ -172,15 +183,15 @@ def mobius_add(a, b) -> np.ndarray:
     Non-commutative and non-associative. The output is clamped back
     inside the ball if rounding pushes its norm to 1 or beyond.
     """
-    a = _as_vector(a, "a")
-    b = _as_vector(b, "b")
-    _check_same_dim(a, b)
-    return _add(a[None], b[None])[0][0]
+    A = _as_vector(a, "a")
+    B = _as_vector(b, "b")
+    _same_width(A, B)
+    return _add(A, B)[0][0]
 
 
 def mobius_neg(a) -> np.ndarray:
     """Gyrogroup inverse: coordinate-wise negation."""
-    return -_as_vector(a, "a")
+    return -_as_vector(a, "a")[0]
 
 
 def mobius_scale(r: float, x) -> np.ndarray:
@@ -191,7 +202,7 @@ def mobius_scale(r: float, x) -> np.ndarray:
     """
     if not math.isfinite(r):
         raise ValueError(f"scalar r must be finite, got {r}")
-    X = _as_vector(x, "x")[None]
+    X = _as_vector(x, "x")
     _inside(X, "mobius_scale")
     return _scale(r, X)[0]
 
@@ -205,15 +216,15 @@ def geodesic_point(a, b, t: float) -> np.ndarray:
     """
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    a = _as_vector(a, "a")
-    b = _as_vector(b, "b")
-    _check_same_dim(a, b)
-    _inside(np.stack([a, b]), "geodesic_point")
+    A = _as_vector(a, "a")
+    B = _as_vector(b, "b")
+    _same_width(A, B)
+    _inside(np.concatenate([A, B]), "geodesic_point")
     if t == 0.0:
-        return a.copy()
+        return A[0].copy()
     if t == 1.0:
-        return b.copy()
-    return _geodesic(a[None], b[None], t)[0]
+        return B[0].copy()
+    return _geodesic(A, B, t)[0]
 
 
 def midpoint(a, b) -> np.ndarray:
@@ -237,22 +248,17 @@ def poincare_distance(u, v) -> float:
     return float(pairwise_poincare_distance(_as_vector(u, "u"), _as_vector(v, "v"))[0, 0])
 
 
-def _as_rows(X) -> np.ndarray:
-    return np.atleast_2d(np.asarray(X, dtype=np.float64))
-
-
 def pairwise_squared_distance(U, V) -> np.ndarray:
     """Squared Euclidean distance matrix S[i, j] = |U[i] - V[j]|^2.
 
     Summed from actual row differences, never as |u|^2 + |v|^2 - 2 u.v,
     so equal rows give exactly 0 and S is exactly symmetric in U, V.
     The differences are broadcast a block of rows at a time, keeping the
-    temporary within CHUNK_BYTES.
+    temporary within CHUNK_BYTES. U and V are point rows of one width.
     """
-    U = _as_rows(U)
-    V = _as_rows(V)
-    if U.shape[1] != V.shape[1]:
-        raise ValueError(f"dimension mismatch: {U.shape[1]} vs {V.shape[1]}")
+    U = _rows(U, "U")
+    V = _rows(V, "V")
+    _same_width(U, V)
     out = np.empty((U.shape[0], V.shape[0]))
     rows = max(1, CHUNK_BYTES // max(1, V.size * 8))
     for start in range(0, U.shape[0], rows):
@@ -266,13 +272,13 @@ def pairwise_poincare_distance(U, V) -> np.ndarray:
 
     d(u, v) = 2 asinh(sqrt(|u-v|^2 / ((1 - |u|^2)(1 - |v|^2))))
 
-    which equals the arccosh form but, unlike arccosh(1 + x), keeps full
-    relative precision when x is tiny.
+    which equals the arccosh form but, unlike arccosh(1 + x), loses nothing
+    to cancellation when x is tiny; rounding 1 - |u|^2 leaves a floor, a
+    relative error of about (dim + 2) eps / (1 - |u|^2) for the u nearer the
+    boundary. U and V are point rows of one width, strictly inside the ball.
     """
-    U = _as_rows(U)
-    V = _as_rows(V)
-    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
-        raise ValueError("non-finite coordinates")
+    U = _rows(U, "U")
+    V = _rows(V, "V")
     nu2 = _inside(U, "pairwise_poincare_distance")
     nv2 = _inside(V, "pairwise_poincare_distance")
     sq = pairwise_squared_distance(U, V)

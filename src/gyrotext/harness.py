@@ -22,6 +22,7 @@ import numpy as np
 from .classify import (
     LinearPrimalConfig,
     SmoConfig,
+    _check_k,
     knn_fit,
     knn_predict_batch,
     knn_rank,
@@ -76,8 +77,10 @@ class KnnSpec:
     metric: str = "poincare"
 
     def __post_init__(self):
-        if len(self.ks) == 0 or any(k < 1 for k in self.ks):
-            raise ValueError(f"ks must be a non-empty list of positive ints, got {self.ks}")
+        if len(self.ks) == 0:
+            raise ValueError("ks must be a non-empty list of positive ints")
+        for k in self.ks:
+            _check_k(k)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gyroball import pairwise_poincare_distance, pairwise_squared_distance
+from .gyroball import _rows, _same_width, pairwise_poincare_distance, pairwise_squared_distance
 
 __all__ = [
     "KernelSpec",
@@ -95,11 +95,10 @@ def check_gram(matrix) -> np.ndarray:
 
 
 def cross_kernel(queries, points, spec: KernelSpec) -> np.ndarray:
-    """Kernel matrix K[i, j] between query rows and reference point rows."""
-    Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if Q.shape[1] != P.shape[1]:
-        raise ValueError(f"dimension mismatch: {Q.shape[1]} vs {P.shape[1]}")
+    """Kernel matrix K[i, j] between query and reference point rows of one width."""
+    Q = _rows(queries, "queries")
+    P = _rows(points, "points")
+    _same_width(Q, P)
     if spec.kind == "geodesic":
         d = pairwise_poincare_distance(Q, P)
         return np.exp(-spec.lam * d**spec.q)
@@ -109,14 +108,12 @@ def cross_kernel(queries, points, spec: KernelSpec) -> np.ndarray:
 
 
 def gram_matrix(points, spec: KernelSpec) -> GramMatrix:
-    """Build the Gram matrix of one point set: its cross-kernel with itself.
+    """Build the Gram matrix of one set of point rows: its cross-kernel with itself.
 
     Geodesic and rbf entries are exactly symmetric with a diagonal of
     exactly 1 (d(u, u) = 0); linear ones are the one matrix product P P^T.
     """
-    P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if P.shape[0] == 0:
-        raise ValueError("gram_matrix requires at least one point")
+    P = _rows(points, "points")
     return GramMatrix(entries=cross_kernel(P, P, spec), spec=spec)
 
 

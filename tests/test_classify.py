@@ -22,7 +22,8 @@ from gyrotext.classify import (
     ovr_train,
     svm_train_smo,
 )
-from gyrotext.gyroball import mobius_add
+from gyrotext.composition import PointBatch
+from gyrotext.gyroball import mobius_add, pairwise_poincare_distance, pairwise_squared_distance
 from gyrotext.kernels import KernelSpec, cross_kernel, gram_matrix
 
 
@@ -85,10 +86,11 @@ def test_knn_fit_validation():
     labels = [0, 1, 0]
     model = knn_fit(pts, labels, k=3)
     assert model.k == 3 and model.metric == "poincare"
-    with pytest.raises(ValueError):
-        knn_fit(pts, labels, k=0)
-    with pytest.raises(ValueError):
-        knn_fit(pts, labels, k=4)
+    # a whole float is that k; any other k used to be truncated (2.5 -> 2)
+    assert type(knn_fit(pts, labels, k=2.0).k) is int
+    for k in (0, 4, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="k must lie in"):
+            knn_fit(pts, labels, k=k)
     with pytest.raises(ValueError):
         knn_fit(pts, [0, 1], k=1)
     with pytest.raises(ValueError):
@@ -554,3 +556,114 @@ def test_ovr_smo_reuses_single_gram():
         solo = svm_train_smo(gram, y)
         assert np.array_equal(binary.alphas, solo.alphas)
         assert binary.bias == solo.bias
+
+
+# ------------------------------------------------- point-row and label rules
+
+
+def test_point_row_rule_is_one_for_every_entry_point():
+    P = np.array([[0.1, 0.0], [0.0, 0.2], [-0.1, 0.1], [0.0, -0.2]])
+    y = [0, 0, 1, 1]
+    knn = {m: knn_fit(P, y, 1, m) for m in ("poincare", "euclidean")}
+    ovr = {
+        "linear-svm": ovr_train(P, y, LinearPrimalConfig()),
+        "rbf": ovr_train(P, y, SmoConfig(KernelSpec("euclidean_rbf"))),
+        "linear": ovr_train(P, y, SmoConfig(KernelSpec("linear"))),
+        "geodesic": ovr_train(P, y, SmoConfig(KernelSpec("geodesic"))),
+    }
+    # each entry point takes X in place of one point-row argument
+    entries = {
+        "pairwise_squared_distance": lambda X: pairwise_squared_distance(X, P),
+        "pairwise_poincare_distance": lambda X: pairwise_poincare_distance(P, X),
+        "cross_kernel": lambda X: cross_kernel(X, P, KernelSpec("linear")),
+        "gram_matrix": lambda X: gram_matrix(X, KernelSpec("euclidean_rbf")),
+        "knn_fit": lambda X: knn_fit(X, y, 1, "euclidean"),
+        "linear_svm_primal_train": lambda X: linear_svm_primal_train(X, [1, 1, -1, -1]),
+        "ovr_train": lambda X: ovr_train(X, y, LinearPrimalConfig()),
+        "PointBatch": lambda X: PointBatch(X, np.array([4])),
+        "PointBatch.pack": lambda X: PointBatch.pack([X]),
+    }
+    for metric, model in knn.items():
+        entries[f"knn_rank/{metric}"] = lambda X, m=model: knn_rank(m, X)
+        entries[f"knn_predict_batch/{metric}"] = lambda X, m=model: knn_predict_batch(m, X)
+        # a shared ranking spares the distances, not the rule
+        ranking = knn_rank(model, P)
+        entries[f"knn_predict_batch+ranking/{metric}"] = (
+            lambda X, m=model, r=ranking: knn_predict_batch(m, X, r)
+        )
+    for name, model in ovr.items():
+        entries[f"ovr_decision/{name}"] = lambda X, m=model: ovr_decision(m, X)
+        entries[f"ovr_predict/{name}"] = lambda X, m=model: ovr_predict(m, X)
+    nan = P.copy()
+    nan[0, 0] = np.nan
+    for X, ok, reason in [
+        (P, True, None),
+        (nan, False, "non-finite coordinates"),
+        (np.zeros((4, 2, 2)), False, "point rows"),
+        (np.empty((4, 0)), False, "point rows"),
+    ]:
+        verdicts = {}
+        for name, entry in entries.items():
+            try:
+                entry(X)
+                verdicts[name] = True
+            except ValueError as exc:
+                assert reason is not None and reason in str(exc), (name, exc)
+                verdicts[name] = False
+        assert verdicts == dict.fromkeys(entries, ok), (X.shape, reason)
+
+
+def test_query_entry_points_take_zero_and_one_dimensional_queries():
+    P = np.array([[0.1, 0.0], [0.0, 0.2], [-0.1, 0.1], [0.0, -0.2]])
+    y = [0, 0, 1, 1]
+    models = [knn_fit(P, y, 3, m) for m in ("poincare", "euclidean")]
+    q = np.array([0.05, 0.1])
+    for model in models:
+        # a 1-D query is one row, with a shared ranking as without one
+        expected = knn_predict_batch(model, q[None])
+        assert knn_predict_batch(model, q).tolist() == expected.tolist()
+        assert knn_predict_batch(model, q, knn_rank(model, q)).tolist() == expected.tolist()
+        assert knn_predict_batch(model, np.empty((0, 2))).shape == (0,)
+    assert pairwise_squared_distance(np.empty((0, 2)), P).shape == (0, 4)
+    assert cross_kernel(np.empty((0, 2)), P, KernelSpec("geodesic")).shape == (0, 4)
+    model = ovr_train(P, y, SmoConfig(KernelSpec("geodesic")))
+    assert ovr_predict(model, np.empty((0, 2))).shape == (0,)
+    assert ovr_predict(model, q).tolist() == ovr_predict(model, q[None]).tolist()
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        knn_predict_batch(models[0], np.zeros((1, 3)), knn_rank(models[0], q))
+
+
+def test_label_rules_are_one_for_both_trainers():
+    P = np.array([[0.1, 0.0], [0.0, 0.2], [-0.1, 0.1], [0.0, -0.2]])
+    gram = gram_matrix(P, KernelSpec("geodesic"))
+    for labels, ok in [
+        ([1.0, 1.0, -1.0, -1.0], True),
+        ([1, 1, -1, -1], True),
+        ([1.0, -1.0, 1.0], False),
+        ([1.0, 1.0, 1.0, 1.0], False),
+        ([0.0, 1.0, -1.0, 1.0], False),
+        ([1.5, 1.0, -1.0, -1.0], False),
+        ([np.nan, 1.0, -1.0, -1.0], False),
+    ]:
+        verdicts = []
+        for train in (svm_train_smo, linear_svm_primal_train):
+            try:
+                train(gram if train is svm_train_smo else P, labels)
+                verdicts.append(True)
+            except ValueError:
+                verdicts.append(False)
+        assert verdicts == [ok, ok], labels
+    for labels, ok in [
+        ([0, 0, 1, 1], True),
+        ([0.0, 0.0, 1.0, 1.0], True),
+        ([0, 1, 1], False),
+        ([0.5, 0.0, 1.0, 1.0], False),
+    ]:
+        verdicts = []
+        for train in (lambda y: knn_fit(P, y, 1), lambda y: ovr_train(P, y, LinearPrimalConfig())):
+            try:
+                train(labels)
+                verdicts.append(True)
+            except ValueError:
+                verdicts.append(False)
+        assert verdicts == [ok, ok], labels

@@ -87,6 +87,26 @@ def test_parse_split():
         _parse_split("jackknife:3", seed=0)
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--svm", "lambda=abc", "--svm: lambda takes numbers only, got 'abc'"),
+        ("--svm", "C=x", "--svm: C takes numbers only, got 'x'"),
+        ("--svm", "q=1,5", "--svm: expected key=value items"),
+        ("--linear-svm", "C=abc", "--linear-svm: C takes numbers only, got 'abc'"),
+        ("--split", "holdout:abc", "--split: holdout:RATIO takes numbers only, got 'abc'"),
+        ("--split", "kfold:x", "--split: kfold:K takes integers only, got 'x'"),
+        ("--split", "kfold:2.5", "--split: kfold:K takes integers only, got '2.5'"),
+        ("--knn", "k=3,2.5", "--knn: k takes integers only, got '2.5'"),
+    ],
+)
+def test_bad_numbers_name_their_flag_and_key(capsys, flag, value, message):
+    # the values are parsed before any file is read
+    rc = main(["run", "--corpus", "c", "--embeddings", "e", "--flavor", "poincare", flag, value])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_parser_rejects_bad_choices(capsys):
     parser = build_parser()
     with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -66,10 +67,15 @@ def test_split_spec_validation():
 
 def test_knn_spec_validation():
     KnnSpec(ks=(1,))
+    KnnSpec(ks=(3.0, 5))
     with pytest.raises(ValueError):
         KnnSpec(ks=())
     with pytest.raises(ValueError):
         KnnSpec(ks=(3, 0))
+    # knn_fit's rule: 2.5 would read k=2.5 in its row and vote with 2
+    for ks in ((2.5, 3), (3, math.nan), (math.inf,)):
+        with pytest.raises(ValueError, match="whole number"):
+            KnnSpec(ks=ks)
 
 
 def test_experiment_config_validation():
