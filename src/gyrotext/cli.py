@@ -57,6 +57,14 @@ def _number(kind, text: str, flag: str, key: str):
         raise ValueError(f"{flag}: {key} takes {noun} only, got {text!r}") from None
 
 
+def _spec(flag: str, build, **fields):
+    """Build a spec from parsed flag values, naming the flag in its range errors."""
+    try:
+        return build(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _parse_methods(text: str) -> tuple:
     methods = tuple(m.strip() for m in text.split(",") if m.strip())
     unknown = [m for m in methods if m not in METHODS]
@@ -84,7 +92,8 @@ def _parse_svm(text: str) -> SmoConfig:
     C = _number(float, pairs.pop("C", 1.0), "--svm", "C")
     if pairs:
         raise ValueError(f"--svm: unknown keys {sorted(pairs)}")
-    return SmoConfig(kernel=KernelSpec(kind=kind, lam=lam, q=q), C=C)
+    kernel = _spec("--svm", KernelSpec, kind=kind, lam=lam, q=q)
+    return _spec("--svm", SmoConfig, kernel=kernel, C=C)
 
 
 def _parse_linear_svm(text: str) -> LinearPrimalConfig:
@@ -92,18 +101,19 @@ def _parse_linear_svm(text: str) -> LinearPrimalConfig:
     C = _number(float, pairs.pop("C", 1.0), "--linear-svm", "C")
     if pairs:
         raise ValueError(f"--linear-svm: unknown keys {sorted(pairs)}")
-    return LinearPrimalConfig(C=C)
+    return _spec("--linear-svm", LinearPrimalConfig, C=C)
 
 
 def _parse_split(text: str, seed: int) -> SplitSpec:
     kind, sep, value = text.partition(":")
     if kind == "holdout":
         ratio = _number(float, value, "--split", "holdout:RATIO") if sep else 0.8
-        return SplitSpec(kind="holdout", ratio=ratio, seed=seed)
+        return _spec("--split", SplitSpec, kind="holdout", ratio=ratio, seed=seed)
     if kind == "kfold":
         if not sep:
             raise ValueError("--split: kfold needs a fold count, e.g. kfold:5")
-        return SplitSpec(kind="kfold", folds=_number(int, value, "--split", "kfold:K"), seed=seed)
+        folds = _number(int, value, "--split", "kfold:K")
+        return _spec("--split", SplitSpec, kind="kfold", folds=folds, seed=seed)
     raise ValueError(f"--split: expected holdout:RATIO or kfold:K, got {text!r}")
 
 
@@ -143,7 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     metric = args.knn_metric or ("poincare" if args.flavor == "poincare" else "euclidean")
-    knn = None if args.knn == "off" else KnnSpec(ks=_parse_knn(args.knn), metric=metric)
+    knn = None
+    if args.knn != "off":
+        knn = _spec("--knn", KnnSpec, ks=_parse_knn(args.knn), metric=metric)
     config = ExperimentConfig(
         corpus_path=args.corpus,
         embeddings_path=args.embeddings,

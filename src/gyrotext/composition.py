@@ -98,12 +98,77 @@ def _by_length(lengths: np.ndarray):
 
 
 def _emean(batch: PointBatch) -> np.ndarray:
-    """Coordinate mean, every coordinate summed with ``math.fsum`` so that
-    it is exactly permutation-invariant."""
-    out = np.empty((batch.lengths.size, batch.points.shape[1]))
-    for i, (s, n) in enumerate(zip(batch.starts.tolist(), batch.lengths.tolist())):
-        out[i] = [math.fsum(col.tolist()) / n for col in batch.points[s : s + n].T]
-    return out
+    """Coordinate mean: ``math.fsum`` of each coordinate over the sequence,
+    divided by its length, bit for bit, so exactly permutation-invariant.
+
+    For a batch of two or more sequences the sums are first taken by Sum2
+    (Ogita, Rump & Oishi 2005, Algorithm 4.4) in lockstep over the
+    longest-first order of ``_by_length``: a running sum s and the running
+    sum e of TwoSum's rounding errors. Then r = fl(s + e) is fsum's
+    correctly rounded sum wherever an a-priori bound on its error
+    certifies it; every other entry is summed by ``math.fsum`` itself.
+    """
+    pts = batch.points
+    if batch.lengths.size == 1:
+        # the lockstep takes a numpy step per point, which costs as much as
+        # fsum over hundreds of coordinates
+        return np.array([[math.fsum(col) / pts.shape[0] for col in pts.T.tolist()]])
+    order, active = _by_length(batch.lengths)
+    starts = batch.starts[order]
+    lengths = batch.lengths[order]
+    n = lengths[:, None].astype(np.float64)
+    # the largest |x| of each coordinate over the batch
+    top = np.maximum(pts.max(axis=0), -pts.min(axis=0))
+    s = pts[starts]
+    e = np.zeros_like(s)
+    # an overflowing sum turns into inf or nan here, which the certificate
+    # below refuses; fsum then raises OverflowError on it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, m in enumerate(active, start=1):
+            # TwoSum (Knuth): t + err = head + x exactly
+            x = pts[starts[:m] + k]
+            head = s[:m]
+            t = head + x
+            x_part = t - head
+            head_part = t - x_part
+            np.subtract(head, head_part, out=head_part)
+            x -= x_part
+            head_part += x
+            e[:m] += head_part
+            s[:m] = t
+        r = s + e
+        z = r - s
+        delta = (s - (r - z)) + (e - z)
+        # s plus the exact TwoSum errors q is the exact sum, with sum |q| <=
+        # gamma_(n-1) sum |x|, and e misses sum q by at most gamma_(n-2)
+        # sum |q| (Higham 2002, sec. 4.3; Ogita, Rump & Oishi 2005,
+        # Prop. 4.5). So |sum - (s + e)| <= gamma_(n-1)^2 n max|x| <=
+        # n^3 u^2 max|x| / (1 - n u)^2, with gamma_k = k u / (1 - k u),
+        # u = 2^-53 and max|x| over the coordinate's column of the batch.
+        # The factor 2 covers 1 / (1 - n u)^2 for n < 10^13 and the
+        # rounding of the bound itself. Rounding is monotone, so where the
+        # bound underflows, the error, a difference of floats, is zero.
+        scale = n * top
+        bound = (2.0 * np.ldexp(1.0, -106) * n * n) * scale
+        # |sum - r| <= |delta| + bound; below half the gap from |r| to the
+        # next double towards zero (the smaller gap) r is the sum correctly
+        # rounded, never a tie. The test fails where r is zero (a gap of
+        # 0, so fsum picks the sign of zero) and where r or the bound is
+        # not finite (delta is then NaN or the bound inf). fsum also raises
+        # OverflowError when one of its partial sums overflows, which no
+        # sum of n terms of at most max|x| does while n max|x| < 2^1021.
+        size = np.abs(r)
+        half_gap = 0.5 * (size - np.nextafter(size, 0.0))
+        sure = (np.abs(delta) + bound < half_gap) & (scale < 2.0**1021)
+        out = r / n
+    rows, cols = np.nonzero(~sure)
+    out[rows, cols] = [
+        math.fsum(pts[start : start + length, j].tolist()) / length
+        for start, length, j in zip(starts[rows].tolist(), lengths[rows].tolist(), cols.tolist())
+    ]
+    mean = np.empty_like(out)
+    mean[order] = out
+    return mean
 
 
 def _sums(batch: PointBatch):

@@ -20,15 +20,18 @@ Python's float() also reads digit groups ("1_000") and non-ASCII digits;
 lines using them are malformed here. Malformed lines are skipped and
 counted; more than 1% of them aborts the load. Poincare-flavor vectors
 are clamped inside the unit ball at load time; Euclidean-flavor vectors
-are stored as-is.
+are stored as-is, except that a line whose squared norm overflows is
+malformed.
 """
 
 from __future__ import annotations
 
 import logging
+import operator
+import re
 import unicodedata
 from dataclasses import dataclass
-from itertools import chain, groupby, islice
+from itertools import chain, compress, groupby, islice, repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -98,10 +101,11 @@ def load_embeddings(path, flavor: str):
     by a line of d + 1 fields, is a word2vec count header: it is dropped
     and counted nowhere in the report. Skipped lines are those that fail
     to parse as token + d finite numbers (d fixed by the first parseable
-    line) or that repeat an already-seen token, so every other line adds
-    one token and the skip count is lines minus tokens; more than 1%
-    skipped aborts. For the poincare flavor, vectors with norm >= 1 are
-    pulled just inside the unit ball and counted in the report.
+    line), whose squared norm overflows (euclidean flavor only), or that
+    repeat an already-seen token, so every other line adds one token and
+    the skip count is lines minus tokens; more than 1% skipped aborts. For
+    the poincare flavor, vectors with norm >= 1 are pulled just inside the
+    unit ball and counted in the report.
 
     A line ends only at LF, CR LF or CR. The file is read PARSE_BLOCK_LINES
     lines at a time, so a load holds one block's text beside the table,
@@ -187,12 +191,18 @@ def _add_block(vectors, tokens, rests, dimension, flavor):
         dimension = block.shape[1]
     if block.shape[1] != dimension:
         return dimension, 0
-    # the first finite row of each token no earlier block had; the dict
+    if flavor == "euclidean":
+        # a row whose squared norm overflows would put every Euclidean
+        # distance from it at inf
+        with np.errstate(over="ignore"):
+            usable = np.isfinite(np.vecdot(block, block)).tolist()
+    else:
+        usable = np.isfinite(block).all(axis=1).tolist()
+    # the first usable row of each token no earlier block had; the dict
     # keeps the order of the lines
-    finite = np.isfinite(block).all(axis=1).tolist()
     first = {}
     for i, token in enumerate(tokens):
-        if finite[i] and token not in vectors:
+        if usable[i] and token not in vectors:
             first.setdefault(token, i)
     rows = block[list(first.values())]
     clamped = 0
@@ -236,6 +246,11 @@ def _is_count_header(lines) -> bool:
     )
 
 
+# maximal runs of str.isalnum characters: L*, Nd, and the Nl and No
+# numerals that end a token
+_ALNUM_RUN = re.compile(r"[^\W_]+")
+
+
 def _is_token_char(ch: str) -> bool:
     cat = unicodedata.category(ch)
     return cat.startswith("L") or cat == "Nd"
@@ -248,8 +263,22 @@ def tokenize(text: str):
     Runs are taken on the raw text and lowercased afterwards, so case
     mappings that change character category (e.g. dotted capital I
     lowercasing to "i" plus a combining dot) cannot split a token.
+
+    One regular expression finds the maximal runs of alphanumeric
+    (str.isalnum) characters, which contain every L* and Nd character. A
+    run that is ASCII or all letters is a token as it stands; a run that
+    also holds another numeral (Nl or No, such as "²" or "Ⅻ") is split a
+    character at a time by the rule above, so the tokens are exactly those
+    of a scan that classifies every character.
     """
-    return ["".join(run).lower() for is_word, run in groupby(text, key=_is_token_char) if is_word]
+    tokens = []
+    for run in _ALNUM_RUN.findall(text):
+        if run.isascii() or run.isalpha():
+            tokens.append(run.lower())
+        else:
+            parts = groupby(run, key=_is_token_char)
+            tokens.extend("".join(part).lower() for is_word, part in parts if is_word)
+    return tokens
 
 
 @dataclass(frozen=True)
@@ -309,13 +338,15 @@ def doc_to_points(tokens, table: EmbeddingTable) -> DocPoints:
     Returns the (m, d) point array and the out-of-vocabulary count; m = 0
     flags an empty or all-OOV document.
     """
-    rows = [table.vectors[t] for t in tokens if t in table.vectors]
-    oov = len(tokens) - len(rows)
-    if rows:
-        points = np.stack(rows)
-    else:
-        points = np.empty((0, table.dimension))
-    return DocPoints(points=points, oov=oov)
+    rows = [v for v in map(table.vectors.get, tokens) if v is not None]
+    return DocPoints(points=_stack(rows, table.dimension), oov=len(tokens) - len(rows))
+
+
+def _stack(rows, dimension: int) -> np.ndarray:
+    """The (m, d) array of m looked-up vectors, copied once."""
+    if not rows:
+        return np.empty((0, dimension))
+    return np.concatenate(rows).reshape(len(rows), dimension)
 
 
 @dataclass(frozen=True)
@@ -350,31 +381,25 @@ def corpus_points(corpus: LabeledCorpus, table: EmbeddingTable) -> CorpusPoints:
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
     tokenized = [tokenize(text) for _, text in corpus.records]
-    total_tokens = sum(len(tokens) for tokens in tokenized)
-    # every document's points are copied into one buffer as soon as they are
-    # looked up, so the corpus is never held twice
-    packed = np.empty((total_tokens, table.dimension))
-    n_points = 0
-    lengths = []
-    nonempty = []
-    empty_docs = []
-    for i, tokens in enumerate(tokenized):
-        doc = doc_to_points(tokens, table)
-        if doc.empty:
-            empty_docs.append(i)
-            continue
-        m = doc.points.shape[0]
-        packed[n_points : n_points + m] = doc.points
-        n_points += m
-        lengths.append(m)
-        nonempty.append(i)
+    # one dict probe per token over the whole corpus; the hits are copied
+    # once, into the packed buffer
+    found = list(map(table.vectors.get, chain.from_iterable(tokenized)))
+    hit = list(map(operator.is_not, found, repeat(None)))
+    rows = list(compress(found, hit))
+    # in-vocabulary points per document: differences of the running hit count
+    ends = np.cumsum([len(tokens) for tokens in tokenized])
+    running = np.concatenate([[0], np.cumsum(hit, dtype=np.int64)])
+    lengths = np.diff(running[ends], prepend=0)
+    nonempty = np.flatnonzero(lengths)
+    empty_docs = np.flatnonzero(lengths == 0).tolist()
     if empty_docs:
         logger.warning(
             "%d of %d documents had no in-vocabulary tokens; represented by the origin",
             len(empty_docs),
             len(corpus),
         )
-    oov_tokens = total_tokens - n_points
+    total_tokens = len(found)
+    oov_tokens = total_tokens - len(rows)
     diagnostics = CorpusDiagnostics(
         n_docs=len(corpus),
         empty_doc_indices=tuple(empty_docs),
@@ -383,8 +408,8 @@ def corpus_points(corpus: LabeledCorpus, table: EmbeddingTable) -> CorpusPoints:
         oov_rate=oov_tokens / total_tokens if total_tokens else 0.0,
     )
     return CorpusPoints(
-        batch=PointBatch(packed[:n_points], np.array(lengths)) if lengths else None,
-        nonempty=np.array(nonempty, dtype=np.int64),
+        batch=PointBatch(_stack(rows, table.dimension), lengths[nonempty]) if rows else None,
+        nonempty=nonempty,
         dimension=table.dimension,
         diagnostics=diagnostics,
     )

@@ -3,13 +3,15 @@
 The package parses an embedding file in blocks with numpy's C text reader
 and checks each block at once. This module keeps the loop that blocking
 replaced: each line split on whitespace, each field read by Python's
-``float()``, then the dimension, finiteness, duplicate and clamp checks a
-line at a time. Tests compare the two on files whose numbers both grammars
-read alike. The clamp is ``_compose_reference.clamp``, with the boundary
-margin written out there rather than read from the package.
+``float()``, then the dimension, finiteness, duplicate, squared-norm and
+clamp checks a line at a time. Tests compare the two on files whose
+numbers both grammars read alike. The clamp is ``_compose_reference.clamp``,
+with the boundary margin written out there rather than read from the
+package.
 """
 
 import logging
+import math
 
 import numpy as np
 
@@ -44,6 +46,9 @@ def load_embeddings(path, flavor: str):
         if dimension is None:
             dimension = vec.shape[0]
         if vec.shape[0] != dimension or not np.all(np.isfinite(vec)) or token in vectors:
+            skipped += 1
+            continue
+        if flavor == "euclidean" and not math.isfinite(sum(x * x for x in vec.tolist())):
             skipped += 1
             continue
         if flavor == "poincare" and float(np.linalg.norm(vec)) >= 1.0:

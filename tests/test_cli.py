@@ -98,6 +98,14 @@ def test_parse_split():
         ("--split", "kfold:x", "--split: kfold:K takes integers only, got 'x'"),
         ("--split", "kfold:2.5", "--split: kfold:K takes integers only, got '2.5'"),
         ("--knn", "k=3,2.5", "--knn: k takes integers only, got '2.5'"),
+        # range checks of the specs the values build
+        ("--knn", "k=3,0", "--knn: k must lie in [1, inf] and be a whole number, got 0"),
+        ("--svm", "lambda=-1", "--svm: lambda must be positive, got -1.0"),
+        ("--svm", "q=0", "--svm: q must be positive, got 0.0"),
+        ("--svm", "C=0", "--svm: C must be positive and finite, got 0.0"),
+        ("--linear-svm", "C=0", "--linear-svm: C must be positive and finite, got 0.0"),
+        ("--split", "holdout:1.5", "--split: holdout ratio must lie in (0, 1), got 1.5"),
+        ("--split", "kfold:1", "--split: k-fold needs at least 2 folds, got 1"),
     ],
 )
 def test_bad_numbers_name_their_flag_and_key(capsys, flag, value, message):

@@ -1,8 +1,11 @@
 import math
+import warnings
 
 import _compose_reference as reference
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gyrotext import composition
 from gyrotext.composition import (
@@ -39,6 +42,67 @@ def test_emean_exact_permutation_invariance():
     for _ in range(20):
         perm = rng.permutation(40)
         assert np.array_equal(compose("emean", pts[perm]), base)
+
+
+@st.composite
+def hard_sums(draw):
+    """Ragged batches of Euclidean vectors whose coordinate sums are hard to
+    round correctly: values of 6 decimals (exact ties), rows beside their
+    negations plus one small row (cancellation), magnitudes from 1e-300 to
+    1e300, and columns of -0.0 only."""
+    dim = draw(st.integers(1, 4))
+    lengths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    kind = draw(st.sampled_from(["decimals", "negated", "magnitudes", "negative zeros"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seqs = []
+    for n in lengths:
+        if kind == "negated":
+            half = rng.normal(size=(n // 2, dim))
+            small = rng.normal(size=(n % 2, dim)) * 10.0 ** rng.integers(-20, 1)
+            x = np.concatenate([half, -half, small])[rng.permutation(n)]
+        elif kind == "magnitudes":
+            signs = rng.choice([-1.0, 1.0], size=(n, dim))
+            x = signs * 10.0 ** rng.uniform(-300, 300, size=(n, dim))
+        else:
+            x = np.round(rng.uniform(-1.0, 1.0, size=(n, dim)), 6)
+            if kind == "negative zeros":
+                x[:, rng.random(dim) < 0.5] = -0.0
+        seqs.append(x)
+    return seqs
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(hard_sums())
+def test_emean_equals_fsum_bit_for_bit(seqs):
+    got = compose_batch("emean", PointBatch.pack(seqs))
+    for i, seq in enumerate(seqs):
+        # a one-point sequence composes to that point itself
+        fsum = [math.fsum(col.tolist()) / len(seq) for col in seq.T]
+        want = seq[0] if len(seq) == 1 else np.array(fsum)
+        assert got[i].tobytes() == want.tobytes(), i
+        # the batch of one
+        assert compose("emean", seq).tobytes() == want.tobytes(), i
+
+
+def test_emean_overflow_raises_as_fsum_does():
+    top = np.finfo(np.float64).max
+    # the last column has no partial sum that overflows, yet fsum raises
+    columns = ([1e308, 1e308], [1e308, 1e308, -1e308], [-1e308, -1e308, 0.5],
+               [top / 2, 2.0**1018, -top])
+    for col in columns:
+        with pytest.raises(OverflowError):
+            math.fsum(col)
+        seq = np.array(col)[:, None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                compose("emean", seq)
+            with pytest.raises(OverflowError):
+                compose_batch("emean", PointBatch.pack([np.array([[0.5], [0.25]]), seq]))
+    # near the overflow threshold without overflowing, the sums are fsum's
+    seq = np.array([[top, 1.0], [-top, 2.0**-1074], [2.0**970, -0.0]])
+    want = [math.fsum(col.tolist()) / 3 for col in seq.T]
+    assert compose("emean", seq).tobytes() == np.array(want).tobytes()
 
 
 def test_naive_examples():

@@ -1,8 +1,11 @@
 import tracemalloc
 
 import _load_reference as reference
+import _tokenize_reference
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gyrotext import corpus
 from gyrotext.composition import compose
@@ -53,6 +56,24 @@ def test_load_embeddings_euclidean_never_clamps(tmp_path):
     table, report = load_embeddings(path, flavor="euclidean")
     np.testing.assert_allclose(table.vectors["big"], [3.0, 4.0], atol=0)
     assert report.clamped == 0
+
+
+def test_load_embeddings_euclidean_skips_rows_whose_squared_norm_overflows(tmp_path):
+    # (1e200, 0) is finite, but its squared norm is not: every Euclidean
+    # distance from it would be inf. The line counts as malformed
+    good = ["w%d 0.%d -0.25" % (i, i % 10) for i in range(250)]
+    huge = ["huge 1e200 0", "big -1e300 1e300"]
+    path = write(tmp_path, "emb.txt", "\n".join(good[:70] + huge + good[70:]) + "\n")
+    got = load_embeddings(path, "euclidean")
+    assert got[1] == (252, 250, 2, 0)
+    assert "huge" not in got[0] and "big" not in got[0]
+    assert_same_load(got, reference.load_embeddings(path, "euclidean"))
+    # the 1% rule is unchanged: one such line in 100 loads, two abort
+    path = write(tmp_path, "emb.txt", "\n".join(good[:99] + huge[:1]) + "\n")
+    assert load_embeddings(path, "euclidean")[1] == (100, 99, 1, 0)
+    path = write(tmp_path, "emb.txt", "\n".join(good[:98] + huge) + "\n")
+    with pytest.raises(ValueError, match="2 of 100 lines malformed"):
+        load_embeddings(path, "euclidean")
 
 
 def test_load_embeddings_word2vec_count_header(tmp_path):
@@ -394,6 +415,32 @@ def test_tokenize_turkish_fixture():
 def test_tokenize_deterministic():
     text = "Çok güzel, 42 kere söyledim!"
     assert tokenize(text) == tokenize(text)
+
+
+@pytest.mark.parametrize(
+    "text, tokens",
+    [
+        ("x²y", ["x", "y"]),
+        ("a_b", ["a", "b"]),
+        ("١٢٣", ["١٢٣"]),
+        ("Ⅻ½abc١٢", ["abc١٢"]),
+        ("e\u0301t\u00e9", ["e", "té"]),
+        ("İ²İ", ["i̇", "i̇"]),
+    ],
+)
+def test_tokenize_splits_at_numerals_underscores_and_marks(text, tokens):
+    assert tokenize(text) == tokens == _tokenize_reference.tokenize(text)
+
+
+# ASCII, letters of other scripts, non-ASCII decimal digits (Nd), other
+# numerals (No, Nl), the underscore, a combining mark and dotted capital I
+TOKEN_ALPHABET = "aZ9 ,.-_\téßΩж中١٢٣²½Ⅻ\u0301İ"
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.text(alphabet=TOKEN_ALPHABET, max_size=40), st.text(max_size=40)))
+def test_tokenize_matches_per_character_reference(text):
+    assert tokenize(text) == _tokenize_reference.tokenize(text)
 
 
 # ------------------------------------------------------------------ corpus
