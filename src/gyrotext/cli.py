@@ -24,6 +24,7 @@ from .corpus import doc_to_points, load_corpus, load_embeddings, tokenize
 from .harness import (
     ExperimentConfig,
     KnnSpec,
+    SplitError,
     SplitSpec,
     _composable,
     emit_table,
@@ -63,6 +64,12 @@ def _spec(flag: str, build, **fields):
         return build(**fields)
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from None
+
+
+def _seed(seed: int) -> int:
+    if seed < 0:
+        raise ValueError(f"--seed: expected a non-negative integer, got {seed}")
+    return seed
 
 
 def _parse_methods(text: str) -> tuple:
@@ -164,9 +171,12 @@ def _cmd_run(args) -> int:
         knn=knn,
         svm=_parse_svm(args.svm) if args.svm else None,
         linear_svm=_parse_linear_svm(args.linear_svm) if args.linear_svm else None,
-        split=_parse_split(args.split, args.seed),
+        split=_parse_split(args.split, _seed(args.seed)),
     )
-    results = run_experiment(config)
+    try:
+        results = run_experiment(config)
+    except SplitError as exc:
+        raise ValueError(f"--split: {exc}") from None
     emit_table(results, args.format, args.out)
     print(f"{len(results.rows)} rows -> {args.out}")
     if results.errors:
@@ -178,14 +188,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check_kernel(args) -> int:
+    # KernelSpec checks lambda before q, so only --lam can fail the first spec
+    _spec("--lam", KernelSpec, lam=args.lam)
+    kernel = _spec("--q", KernelSpec, lam=args.lam, q=args.q)
+    rng = np.random.default_rng(_seed(args.seed))
     table, _ = load_embeddings(args.embeddings, "poincare")
     tokens = sorted(table.vectors)
     if args.n < 2 or args.n > len(tokens):
-        raise ValueError(f"--n must lie in [2, {len(tokens)}], got {args.n}")
-    rng = np.random.default_rng(args.seed)
+        raise ValueError(f"--n: must lie in [2, {len(tokens)}], got {args.n}")
     chosen = rng.choice(len(tokens), size=args.n, replace=False)
     points = np.stack([table.vectors[tokens[i]] for i in chosen])
-    report = psd_check(gram_matrix(points, KernelSpec(kind="geodesic", lam=args.lam, q=args.q)))
+    report = psd_check(gram_matrix(points, kernel))
     verdict = "pass" if report.passed else "FAIL"
     print(
         f"n={args.n} q={args.q:g} lambda={args.lam:g} "

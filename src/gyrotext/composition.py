@@ -15,10 +15,11 @@ so the weighted midpoints of the folds and trees step by fractions of
 point counts.
 
 Every scheme runs on a ``PointBatch``: many sequences packed back to back
-into one (total, d) array, composed in lockstep. The folds take one step
-per position over every sequence still long enough, the trees one step
-per tree level over every sequence, so a corpus costs about as many
-numpy calls as its longest document. ``compose`` is the batch of one.
+into one (total, d) array, composed in lockstep. naive and the folds take
+one step per position over every sequence still long enough, so a corpus
+costs them about as many numpy calls as its longest document. The trees
+take one step per tree level and emean a fixed number of calls, both over
+groups of consecutive sequences. ``compose`` is the batch of one.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ __all__ = [
 
 METHODS = ("emean", "naive", "lcf", "lcb", "lca", "fnw", "bnw")
 
-# the binary-tree schemes compose consecutive sequences with up to this many
-# bytes of points at a time, which bounds their working copy and temporaries
+# emean and the binary-tree schemes compose consecutive sequences with up to
+# this many bytes of points at a time, which bounds their temporaries
 STEP_BYTES = 256 * 1024
 
 # the naive scheme's running sum is multiplied by this whenever its norm
@@ -85,6 +86,84 @@ class PointBatch:
         return cls(points=np.concatenate(seqs), lengths=lengths)
 
 
+def _groups(batch: PointBatch):
+    """Groups of consecutive sequences with at most STEP_BYTES of points
+    each, a longer sequence being a group of its own, as (i, j, lo, hi):
+    sequences i..j-1, rows lo..hi-1. A scheme that works a group at a time
+    bounds its temporaries by the group."""
+    starts, lengths = batch.starts, batch.lengths
+    ends = starts + lengths
+    budget = max(1, STEP_BYTES // (8 * batch.points.shape[1]))
+    i = 0
+    while i < lengths.size:
+        j = max(i + 1, int(np.searchsorted(ends, starts[i] + budget, side="right")))
+        yield i, j, int(starts[i]), int(ends[j - 1])
+        i = j
+
+
+def _emean(batch: PointBatch) -> np.ndarray:
+    """Coordinate mean: ``math.fsum`` of each coordinate over the sequence,
+    divided by its length, bit for bit, so exactly permutation-invariant.
+
+    One pass per group of ``_groups``, column by column, by the extraction
+    of Rump, Ogita & Oishi 2008 (Accurate floating-point summation, part I,
+    Lemma 3.2). Let u = 2^-53, m the group's longest sequence, 2^e above
+    the column's largest |x|, and sigma = 2^(ceil(log2(m + 2)) + e).
+
+    - Heads. Each x splits exactly into a head q = (x + sigma) - sigma and
+      a tail x - q with |x - q| <= u sigma. Every head is a multiple of
+      u sigma (of 2^-1074 where that is larger), and n <= m heads add up
+      to at most m (2^e + u sigma) < sigma in magnitude. So every partial
+      head sum, in whatever order reduceat takes, is a multiple of u sigma
+      below sigma, a float: the head sums tau are exact.
+    - Tails. n tails of at most u sigma sum in floating point within
+      gamma_(n-1) n u sigma <= n^2 2^-105 sigma of their exact sum (Higham
+      2002, sec. 4.2; n < 2^26). The bound holds also where it underflows:
+      it is rounded once, and the error is a multiple of 2^-1074 no larger
+      than the bound's exact value, so no larger than its rounding.
+    - Certificate. With r = fl(tau + tail) and TwoSum's delta = tau + tail
+      - r, the exact sum lies within |delta| + bound of r. Below half the
+      gap from |r| to the next double towards zero (the smaller gap), r is
+      the exact sum correctly rounded, never a tie: fsum's result.
+    - Refusals. The test fails at ties, where r is zero (fsum then picks
+      the sign of zero), and where sigma overflows to inf, which makes r
+      NaN. Every refused entry is summed by ``math.fsum`` itself, which
+      raises OverflowError where its partial sums overflow; while sigma is
+      finite every sum of |x| stays below 2^1023, so fsum cannot overflow
+      on an entry the test keeps.
+    """
+    out = np.empty((batch.lengths.size, batch.points.shape[1]))
+    for i, j, lo, hi in _groups(batch):
+        x = batch.points[lo:hi]
+        lengths = batch.lengths[i:j]
+        cuts = batch.starts[i:j] - lo
+        n = lengths[:, None].astype(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # 2^e > max|x| by frexp, and ceil(log2(m + 2)) = (m + 1).bit_length()
+            top = np.maximum(x.max(axis=0), -x.min(axis=0))
+            sigma = np.ldexp(1.0, np.frexp(top)[1] + int(lengths.max() + 1).bit_length())
+            head = x + sigma
+            head -= sigma
+            tau = np.add.reduceat(head, cuts)
+            # the tails x - head, exact, take the heads' place
+            tail = np.add.reduceat(np.subtract(x, head, out=head), cuts)
+            # TwoSum (Knuth): r + delta = tau + tail exactly
+            r = tau + tail
+            z = r - tau
+            delta = (tau - (r - z)) + (tail - z)
+            size = np.abs(r)
+            half_gap = 0.5 * (size - np.nextafter(size, 0.0))
+            sure = np.abs(delta) + np.ldexp(n * n, -105) * sigma < half_gap
+            out[i:j] = r / n
+        rows, cols = np.nonzero(~sure)
+        refused = zip(cuts[rows].tolist(), lengths[rows].tolist(), cols.tolist())
+        out[i + rows, cols] = [
+            math.fsum(x[start : start + length, col].tolist()) / length
+            for start, length, col in refused
+        ]
+    return out
+
+
 # The folds below take a batch's raw arrays, so that reversed and doubled
 # batches need no second validation and no copy of the points.
 
@@ -95,80 +174,6 @@ def _by_length(lengths: np.ndarray):
     longest = int(lengths[order[0]])
     active = np.searchsorted(-lengths[order], -np.arange(1, longest), side="left")
     return order, active.tolist()
-
-
-def _emean(batch: PointBatch) -> np.ndarray:
-    """Coordinate mean: ``math.fsum`` of each coordinate over the sequence,
-    divided by its length, bit for bit, so exactly permutation-invariant.
-
-    For a batch of two or more sequences the sums are first taken by Sum2
-    (Ogita, Rump & Oishi 2005, Algorithm 4.4) in lockstep over the
-    longest-first order of ``_by_length``: a running sum s and the running
-    sum e of TwoSum's rounding errors. Then r = fl(s + e) is fsum's
-    correctly rounded sum wherever an a-priori bound on its error
-    certifies it; every other entry is summed by ``math.fsum`` itself.
-    """
-    pts = batch.points
-    if batch.lengths.size == 1:
-        # the lockstep takes a numpy step per point, which costs as much as
-        # fsum over hundreds of coordinates
-        return np.array([[math.fsum(col) / pts.shape[0] for col in pts.T.tolist()]])
-    order, active = _by_length(batch.lengths)
-    starts = batch.starts[order]
-    lengths = batch.lengths[order]
-    n = lengths[:, None].astype(np.float64)
-    # the largest |x| of each coordinate over the batch
-    top = np.maximum(pts.max(axis=0), -pts.min(axis=0))
-    s = pts[starts]
-    e = np.zeros_like(s)
-    # an overflowing sum turns into inf or nan here, which the certificate
-    # below refuses; fsum then raises OverflowError on it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, m in enumerate(active, start=1):
-            # TwoSum (Knuth): t + err = head + x exactly
-            x = pts[starts[:m] + k]
-            head = s[:m]
-            t = head + x
-            x_part = t - head
-            head_part = t - x_part
-            np.subtract(head, head_part, out=head_part)
-            x -= x_part
-            head_part += x
-            e[:m] += head_part
-            s[:m] = t
-        r = s + e
-        z = r - s
-        delta = (s - (r - z)) + (e - z)
-        # s plus the exact TwoSum errors q is the exact sum, with sum |q| <=
-        # gamma_(n-1) sum |x|, and e misses sum q by at most gamma_(n-2)
-        # sum |q| (Higham 2002, sec. 4.3; Ogita, Rump & Oishi 2005,
-        # Prop. 4.5). So |sum - (s + e)| <= gamma_(n-1)^2 n max|x| <=
-        # n^3 u^2 max|x| / (1 - n u)^2, with gamma_k = k u / (1 - k u),
-        # u = 2^-53 and max|x| over the coordinate's column of the batch.
-        # The factor 2 covers 1 / (1 - n u)^2 for n < 10^13 and the
-        # rounding of the bound itself. Rounding is monotone, so where the
-        # bound underflows, the error, a difference of floats, is zero.
-        scale = n * top
-        bound = (2.0 * np.ldexp(1.0, -106) * n * n) * scale
-        # |sum - r| <= |delta| + bound; below half the gap from |r| to the
-        # next double towards zero (the smaller gap) r is the sum correctly
-        # rounded, never a tie. The test fails where r is zero (a gap of
-        # 0, so fsum picks the sign of zero) and where r or the bound is
-        # not finite (delta is then NaN or the bound inf). fsum also raises
-        # OverflowError when one of its partial sums overflows, which no
-        # sum of n terms of at most max|x| does while n max|x| < 2^1021.
-        size = np.abs(r)
-        half_gap = 0.5 * (size - np.nextafter(size, 0.0))
-        sure = (np.abs(delta) + bound < half_gap) & (scale < 2.0**1021)
-        out = r / n
-    rows, cols = np.nonzero(~sure)
-    out[rows, cols] = [
-        math.fsum(pts[start : start + length, j].tolist()) / length
-        for start, length, j in zip(starts[rows].tolist(), lengths[rows].tolist(), cols.tolist())
-    ]
-    mean = np.empty_like(out)
-    mean[order] = out
-    return mean
 
 
 def _sums(batch: PointBatch):
@@ -263,22 +268,14 @@ def _tree(vals, starts, lengths) -> np.ndarray:
 
 
 def _trees(batch: PointBatch, first, stride) -> np.ndarray:
-    """fnw of every sequence read from row ``first`` by ``stride``, over groups
-    of consecutive sequences of at most STEP_BYTES of points each (a longer
-    sequence is a group of its own): a tree works on a copy of its points,
-    so the groups bound that copy and the temporaries of a step."""
+    """fnw of every sequence read from row ``first`` by ``stride``, a group of
+    ``_groups`` at a time: a tree works on a copy of its group's points."""
     starts, lengths = batch.starts, batch.lengths
-    ends = starts + lengths
-    budget = max(1, STEP_BYTES // (8 * batch.points.shape[1]))
     out = np.empty((lengths.size, batch.points.shape[1]))
-    i = 0
-    while i < lengths.size:
-        j = max(i + 1, int(np.searchsorted(ends, starts[i] + budget, side="right")))
+    for i, j, lo, hi in _groups(batch):
         seq = np.repeat(np.arange(i, j), lengths[i:j])
-        rows = first[seq] + stride[seq] * (np.arange(starts[i], ends[j - 1]) - starts[seq])
-        g_starts = starts[i:j] - starts[i]
-        out[i:j] = _tree(batch.points[rows], g_starts, lengths[i:j])
-        i = j
+        rows = first[seq] + stride[seq] * (np.arange(lo, hi) - starts[seq])
+        out[i:j] = _tree(batch.points[rows], starts[i:j] - lo, lengths[i:j])
     return out
 
 

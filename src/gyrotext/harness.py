@@ -37,6 +37,7 @@ from .corpus import represent_corpus  # noqa: F401
 
 __all__ = [
     "SplitSpec",
+    "SplitError",
     "KnnSpec",
     "ExperimentConfig",
     "EvalReport",
@@ -67,6 +68,10 @@ class SplitSpec:
             raise ValueError(f"holdout ratio must lie in (0, 1), got {self.ratio}")
         if self.kind == "kfold" and self.folds < 2:
             raise ValueError(f"k-fold needs at least 2 folds, got {self.folds}")
+
+
+class SplitError(ValueError):
+    """The labels cannot be split as the ``SplitSpec`` asks."""
 
 
 @dataclass(frozen=True)
@@ -117,13 +122,15 @@ def split(labels, spec: SplitSpec):
     class the indices are shuffled by a generator seeded from the spec, so
     identical inputs give identical partitions. Holdout draws
     floor(n_c * (1 - ratio) + 0.5) test members per class, keeping at
-    least one training member.
+    least one training member. k-fold raises ``SplitError`` when a class
+    has fewer members than folds.
     """
     y = np.asarray(labels)
     if y.shape[0] == 0:
         raise ValueError("no labels to split")
     rng = np.random.default_rng(spec.seed)
-    per_class = [np.flatnonzero(y == c) for c in np.unique(y)]
+    classes = np.unique(y)
+    per_class = [np.flatnonzero(y == c) for c in classes]
 
     if spec.kind == "holdout":
         train, test = [], []
@@ -135,11 +142,9 @@ def split(labels, spec: SplitSpec):
             train.append(perm[n_test:])
         return [(np.sort(np.concatenate(train)), np.sort(np.concatenate(test)))]
 
-    for idx in per_class:
+    for c, idx in zip(classes.tolist(), per_class):
         if idx.size < spec.folds:
-            raise ValueError(
-                f"class {y[idx[0]]!r} has {idx.size} members, fewer than {spec.folds} folds"
-            )
+            raise SplitError(f"class {c!r} has {idx.size} members, fewer than {spec.folds} folds")
     assignments = [rng.permutation(idx) for idx in per_class]
     pairs = []
     for f in range(spec.folds):
@@ -271,7 +276,9 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
     label_names = sorted(corpus.label_set)
     label_id = {name: i for i, name in enumerate(label_names)}
     y = np.array([label_id[label] for label, _ in corpus.records], dtype=np.int64)
-    pairs = split(y, config.split)
+    # split by name, in the order of the ids, so that an error names the
+    # class as the corpus writes it
+    pairs = split(np.array(label_names, dtype=object)[y], config.split)
     cells = _classifier_cells(config)
 
     rows = []

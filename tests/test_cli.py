@@ -106,6 +106,7 @@ def test_parse_split():
         ("--linear-svm", "C=0", "--linear-svm: C must be positive and finite, got 0.0"),
         ("--split", "holdout:1.5", "--split: holdout ratio must lie in (0, 1), got 1.5"),
         ("--split", "kfold:1", "--split: k-fold needs at least 2 folds, got 1"),
+        ("--seed", "-1", "--seed: expected a non-negative integer, got -1"),
     ],
 )
 def test_bad_numbers_name_their_flag_and_key(capsys, flag, value, message):
@@ -163,6 +164,16 @@ def test_run_rejects_bad_C(tmp_path, capsys, flag, value):
                "--methods", "emean", "--knn", "off", flag, value, "--out", str(out)])
     assert rc == 2
     assert "C must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_kfold_names_the_short_class_by_its_label(tmp_path, capsys):
+    emb, cor = tiny_files(tmp_path)
+    out = tmp_path / "results.csv"
+    rc = main(["run", "--corpus", cor, "--embeddings", emb, "--flavor", "poincare",
+               "--methods", "emean", "--split", "kfold:11", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --split: class 'blue' has 10 members, fewer than 11 folds\n"
     assert not out.exists()
 
 
@@ -292,7 +303,23 @@ def test_check_kernel_bad_n(tmp_path, capsys):
     emb, _ = tiny_files(tmp_path)
     rc = main(["check-kernel", "--embeddings", emb, "--n", "500"])
     assert rc == 2
-    assert "--n" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: --n: must lie in [2, 16], got 500")
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seed", "-1", "--seed: expected a non-negative integer, got -1"),
+        ("--q", "0", "--q: q must be positive, got 0.0"),
+        ("--lam", "-1", "--lam: lambda must be positive, got -1.0"),
+        ("--lam", "nan", "--lam: lambda must be positive, got nan"),
+    ],
+)
+def test_check_kernel_bad_numbers_name_their_flag(capsys, flag, value, message):
+    # the values are checked before the embedding file is read
+    rc = main(["check-kernel", "--embeddings", "e", flag, value])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # ----------------------------------------------------------------- compose

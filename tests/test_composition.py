@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import _compose_reference as reference
@@ -49,9 +50,11 @@ def hard_sums(draw):
     """Ragged batches of Euclidean vectors whose coordinate sums are hard to
     round correctly: values of 6 decimals (exact ties), rows beside their
     negations plus one small row (cancellation), magnitudes from 1e-300 to
-    1e300, and columns of -0.0 only."""
+    1e300, and columns of -0.0 only. Sequences reach 600 points, past the
+    512 tokens of the longest texts composed one at a time."""
     dim = draw(st.integers(1, 4))
-    lengths = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    length = st.one_of(st.integers(1, 40), st.integers(41, 600))
+    lengths = draw(st.lists(length, min_size=1, max_size=6))
     kind = draw(st.sampled_from(["decimals", "negated", "magnitudes", "negative zeros"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     seqs = []
@@ -82,6 +85,29 @@ def test_emean_equals_fsum_bit_for_bit(seqs):
         assert got[i].tobytes() == want.tobytes(), i
         # the batch of one
         assert compose("emean", seq).tobytes() == want.tobytes(), i
+    # groups of at most 50 points; longer sequences alone
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(composition, "STEP_BYTES", 50 * 8 * seqs[0].shape[1])
+        assert compose_batch("emean", PointBatch.pack(seqs)).tobytes() == got.tobytes()
+
+
+def test_emean_peak_memory_is_flat_in_batch_size():
+    # emean holds its temporaries for one group of at most STEP_BYTES of
+    # points at a time, so beyond its output its peak allocation does not
+    # grow with the batch: 2,000 short sequences already make two groups
+    rng = np.random.default_rng(24)
+    peaks = []
+    for count in (2000, 20000):
+        lengths = rng.integers(1, 8, size=count)
+        batch = PointBatch(rng.uniform(-1.0, 1.0, size=(int(lengths.sum()), 8)), lengths)
+        tracemalloc.start()
+        try:
+            out = compose_batch("emean", batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak - out.nbytes)
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 def test_emean_overflow_raises_as_fsum_does():
