@@ -27,6 +27,7 @@ from .harness import (
     SplitError,
     SplitSpec,
     _composable,
+    _repeated,
     emit_table,
     run_experiment,
 )
@@ -79,6 +80,8 @@ def _parse_methods(text: str) -> tuple:
         raise ValueError(f"--methods: unknown {unknown}; choose from {','.join(METHODS)}")
     if not methods:
         raise ValueError("--methods: empty list")
+    if repeated := _repeated(methods):
+        raise ValueError(f"--methods: repeated {repeated}")
     return methods
 
 

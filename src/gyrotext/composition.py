@@ -325,7 +325,10 @@ def mobius_sum(points):
     Whenever the running sum's norm reaches the clamp norm ``MAX_NORM``
     (1 - 1e-7), it is pulled back by the factor ``OVERFLOW_RESCALE``
     (1 - 1e-5). Returns ``(sum, overflow_count)`` where the count records
-    how many times the rescale fired.
+    how many times the rescale fired. The points must lie strictly inside
+    the unit ball.
     """
-    sums, counts = _sums(PointBatch.pack([points]))
+    batch = PointBatch.pack([points])
+    _inside(batch.points, "mobius_sum")
+    sums, counts = _sums(batch)
     return sums[0], int(counts[0])

@@ -180,12 +180,14 @@ def _geodesic(A: np.ndarray, B: np.ndarray, t) -> np.ndarray:
 def mobius_add(a, b) -> np.ndarray:
     """Mobius addition a (+) b.
 
-    Non-commutative and non-associative. The output is clamped back
-    inside the ball if rounding pushes its norm to 1 or beyond.
+    Non-commutative and non-associative. Both points must lie strictly
+    inside the unit ball. The output is clamped back inside the ball if
+    rounding pushes its norm to 1 or beyond.
     """
     A = _as_vector(a, "a")
     B = _as_vector(b, "b")
     _same_width(A, B)
+    _inside(np.concatenate([A, B]), "mobius_add")
     return _add(A, B)[0][0]
 
 
@@ -254,16 +256,25 @@ def pairwise_squared_distance(U, V) -> np.ndarray:
     Summed from actual row differences, never as |u|^2 + |v|^2 - 2 u.v,
     so equal rows give exactly 0 and S is exactly symmetric in U, V.
     The differences are broadcast a block of rows at a time, keeping the
-    temporary within CHUNK_BYTES. U and V are point rows of one width.
+    temporary within CHUNK_BYTES. When V is U (one array passed twice, as
+    for a Gram matrix) only one triangle is summed: the block of rows
+    s..e takes columns s.. and is mirrored into the lower triangle, which
+    is bitwise what the full sums give, since (u - v)^2 = (v - u)^2
+    coordinate by coordinate. U and V are point rows of one width.
     """
+    symmetric = V is U
     U = _rows(U, "U")
-    V = _rows(V, "V")
+    V = U if symmetric else _rows(V, "V")
     _same_width(U, V)
     out = np.empty((U.shape[0], V.shape[0]))
     rows = max(1, CHUNK_BYTES // max(1, V.size * 8))
     for start in range(0, U.shape[0], rows):
-        diff = U[start : start + rows, None, :] - V[None, :, :]
-        np.einsum("ijk,ijk->ij", diff, diff, out=out[start : start + rows])
+        stop = start + rows
+        first = start if symmetric else 0
+        diff = U[start:stop, None, :] - V[None, first:, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=out[start:stop, first:])
+        if symmetric:
+            out[stop:, start:stop] = out[start:stop, stop:].T
     return out
 
 
@@ -277,10 +288,11 @@ def pairwise_poincare_distance(U, V) -> np.ndarray:
     relative error of about (dim + 2) eps / (1 - |u|^2) for the u nearer the
     boundary. U and V are point rows of one width, strictly inside the ball.
     """
+    symmetric = V is U
     U = _rows(U, "U")
-    V = _rows(V, "V")
+    V = U if symmetric else _rows(V, "V")
     nu2 = _inside(U, "pairwise_poincare_distance")
-    nv2 = _inside(V, "pairwise_poincare_distance")
+    nv2 = nu2 if symmetric else _inside(V, "pairwise_poincare_distance")
     sq = pairwise_squared_distance(U, V)
     sq /= (1.0 - nu2)[:, None] * (1.0 - nv2)[None, :]
     np.sqrt(sq, out=sq)

@@ -52,6 +52,11 @@ __all__ = [
 CSV_HEADER = ("embedding", "composition", "classifier", "params", "accuracy", "micro_f1", "runtime_s")
 
 
+def _repeated(values) -> list:
+    """The values that occur more than once, sorted."""
+    return sorted({v for v in values if values.count(v) > 1})
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Stratified evaluation protocol: holdout (train ratio) or k-fold."""
@@ -86,6 +91,9 @@ class KnnSpec:
             raise ValueError("ks must be a non-empty list of positive ints")
         for k in self.ks:
             _check_k(k)
+        # a repeated k would write its cells twice, under one key
+        if repeated := _repeated(self.ks):
+            raise ValueError(f"k repeated: {repeated}")
 
 
 @dataclass(frozen=True)
@@ -105,6 +113,8 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ValueError(f"unknown composition methods {unknown}; expected from {METHODS}")
+        if repeated := _repeated(self.methods):
+            raise ValueError(f"composition methods repeated: {repeated}")
         if self.knn is None and self.svm is None and self.linear_svm is None:
             raise ValueError("at least one classifier is required")
 

@@ -3,6 +3,7 @@ from collections import defaultdict
 from dataclasses import replace
 from itertools import product
 
+import _smo_reference as smo_reference
 import numpy as np
 import pytest
 
@@ -326,6 +327,32 @@ def test_smo_flags_negative_curvature():
     gram = np.array([[1.0, 2.0], [2.0, 1.0]])
     model = svm_train_smo(gram, [1.0, -1.0])
     assert model.psd_warning
+
+
+def smo_reference_fixtures():
+    """Seeded PSD problems: linear-kernel and geodesic-Laplacian Grams of
+    two ball blobs, with C = 1 and C = 10."""
+    for seed in range(8):
+        rng = np.random.default_rng(300 + seed)
+        d = 2 + seed % 4
+        centers = [rng.uniform(-0.4, 0.4, size=d) for _ in range(2)]
+        X, y01 = ball_blobs(rng, centers, per_class=30 + 5 * seed, spread=0.15)
+        X *= (0.95 / np.maximum(0.95, np.linalg.norm(X, axis=1)))[:, None]
+        y = np.where(y01 == 0, 1.0, -1.0)
+        yield X @ X.T, y, 10.0 if seed % 2 else 1.0
+        yield gram_matrix(X, KernelSpec("geodesic", lam=1.0, q=1.0)).entries, y, 1.0
+
+
+def test_smo_second_order_selection_beats_maximal_violating_pair():
+    steps = reference_steps = 0
+    for K, y, C in smo_reference_fixtures():
+        model = svm_train_smo(K, y, C=C)
+        _, dual, ref_steps, ref_converged = smo_reference.smo(K, y, C=C)
+        assert model.converged and ref_converged
+        assert model.dual_objective == pytest.approx(dual, rel=1e-5)
+        steps += model.n_iter
+        reference_steps += ref_steps
+    assert steps < reference_steps
 
 
 def test_svm_decision_examples():

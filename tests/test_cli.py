@@ -107,6 +107,11 @@ def test_parse_split():
         ("--split", "holdout:1.5", "--split: holdout ratio must lie in (0, 1), got 1.5"),
         ("--split", "kfold:1", "--split: k-fold needs at least 2 folds, got 1"),
         ("--seed", "-1", "--seed: expected a non-negative integer, got -1"),
+        # a repeated entry would compose twice and write two rows under one key
+        ("--methods", "lcf,lcf", "--methods: repeated ['lcf']"),
+        ("--methods", "emean,lcf,emean,lcf", "--methods: repeated ['emean', 'lcf']"),
+        ("--knn", "k=3,3", "--knn: k repeated: [3]"),
+        ("--knn", "k=5,3,5", "--knn: k repeated: [5]"),
     ],
 )
 def test_bad_numbers_name_their_flag_and_key(capsys, flag, value, message):

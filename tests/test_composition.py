@@ -152,6 +152,13 @@ def test_mobius_sum_overflow_rescale():
     assert interior[0] == pytest.approx(0.3 / 1.02, abs=1e-15)
 
 
+def test_mobius_sum_rejects_points_outside_ball():
+    # a one-point "sum" of [1.5, 0] used to be [1.499985, 0], outside the ball
+    for pts in ([[1.5, 0.0]], [[0.1, 0.0], [0.6, 0.8]], [[0.2, 0.0], [0.0, -1.0], [0.1, 0.1]]):
+        with pytest.raises(ValueError, match="strictly inside the unit ball"):
+            mobius_sum(np.array(pts))
+
+
 def test_lcf_examples():
     rng = np.random.default_rng(2)
     a, b, c = random_points(rng, 3, 3)

@@ -332,6 +332,22 @@ def test_squared_distance_exact_zero_symmetry_and_chunking(monkeypatch):
     assert np.array_equal(pairwise_poincare_distance(U, U), D)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 13, 40])
+def test_squared_distance_one_triangle_is_the_full_matrix(monkeypatch, n):
+    # V is U sums one triangle and mirrors it; a copy of U takes every entry
+    rng = np.random.default_rng(15 + n)
+    U = np.array([random_ball(rng, 5, 0.999) for _ in range(n)])
+    # 3 rows of 40 columns per chunk: 40 rows end in a part-filled chunk
+    for budget in (gyroball.CHUNK_BYTES, 3 * 40 * 5 * 8, 8):
+        monkeypatch.setattr(gyroball, "CHUNK_BYTES", budget)
+        S = pairwise_squared_distance(U, U)
+        assert S.tobytes() == pairwise_squared_distance(U, U.copy()).tobytes()
+        assert np.array_equal(S, S.T)
+        assert np.all(np.diag(S) == 0.0)
+        D = pairwise_poincare_distance(U, U)
+        assert D.tobytes() == pairwise_poincare_distance(U, U.copy()).tobytes()
+
+
 def test_gyrotranslation_isometry():
     rng = np.random.default_rng(12)
     for _ in range(100):
@@ -389,6 +405,13 @@ def test_mobius_scale_rejects_points_outside_ball():
     for x in ([1.0, 0.0], [0.6, 0.8], [3.0, -4.0]):
         with pytest.raises(ValueError, match="strictly inside the unit ball"):
             mobius_scale(0.5, np.array(x))
+
+
+def test_mobius_add_rejects_points_outside_ball():
+    # [1.5, 0] (+) [0.1, 0] used to come back clamped to [1 - 1e-7, 0]
+    for a, b in (([1.5, 0.0], [0.1, 0.0]), ([0.1, 0.0], [0.6, 0.8]), ([0.0, 1.0], [0.0, 0.0])):
+        with pytest.raises(ValueError, match="strictly inside the unit ball"):
+            mobius_add(np.array(a), np.array(b))
 
 
 def mp_add(x, y):

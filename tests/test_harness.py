@@ -76,6 +76,10 @@ def test_knn_spec_validation():
     for ks in ((2.5, 3), (3, math.nan), (math.inf,)):
         with pytest.raises(ValueError, match="whole number"):
             KnnSpec(ks=ks)
+    # a repeated k would write two cells under one key
+    for ks in ((3, 3), (5, 3, 5.0, 3)):
+        with pytest.raises(ValueError, match="k repeated"):
+            KnnSpec(ks=ks)
 
 
 def test_experiment_config_validation():
@@ -93,6 +97,8 @@ def test_experiment_config_validation():
         ExperimentConfig("c", "e", "poincare", methods=("centroid",), knn=KnnSpec())
     with pytest.raises(ValueError):
         ExperimentConfig("c", "e", "poincare", methods=("emean",))
+    with pytest.raises(ValueError, match=r"composition methods repeated: \['lcf'\]"):
+        ExperimentConfig("c", "e", "poincare", methods=("lcf", "emean", "lcf"), knn=KnnSpec())
 
 
 # ------------------------------------------------------------------- split
