@@ -20,7 +20,7 @@ import numpy as np
 
 from .classify import LinearPrimalConfig, SmoConfig
 from .composition import METHODS, compose
-from .corpus import doc_to_points, load_corpus, load_embeddings, tokenize
+from .corpus import doc_to_points, load_embeddings, tokenize
 from .harness import (
     ExperimentConfig,
     KnnSpec,
@@ -33,6 +33,9 @@ from .harness import (
 )
 from .kernels import KernelSpec, gram_matrix, psd_check
 
+# Not called here: benchmarks/tracing.py looks this name up in this module.
+from .corpus import load_corpus  # noqa: F401
+
 KERNEL_NAMES = {
     "geodesic-laplacian": ("geodesic", 1.0),
     "geodesic-gaussian": ("geodesic", 2.0),
@@ -41,35 +44,35 @@ KERNEL_NAMES = {
 }
 
 
-def _parse_pairs(text: str, flag: str) -> dict:
-    pairs = {}
-    for part in text.split(","):
-        key, sep, value = part.partition("=")
-        if not sep or not key:
-            raise ValueError(f"{flag}: expected key=value items, got {part!r}")
-        pairs[key] = value
-    return pairs
-
-
-def _number(kind, text: str, flag: str, key: str):
+def _flag(flag: str, parse, *args, **kwargs):
+    """parse(*args, **kwargs) for one flag's value, naming the flag in its errors."""
     try:
-        return kind(text)
-    except ValueError:
-        noun = "integers" if kind is int else "numbers"
-        raise ValueError(f"{flag}: {key} takes {noun} only, got {text!r}") from None
-
-
-def _spec(flag: str, build, **fields):
-    """Build a spec from parsed flag values, naming the flag in its range errors."""
-    try:
-        return build(**fields)
+        return parse(*args, **kwargs)
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from None
 
 
+def _parse_pairs(text: str) -> dict:
+    pairs = {}
+    for part in text.split(","):
+        key, sep, value = part.partition("=")
+        if not sep or not key:
+            raise ValueError(f"expected key=value items, got {part!r}")
+        pairs[key] = value
+    return pairs
+
+
+def _number(kind, text: str, key: str):
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "integers" if kind is int else "numbers"
+        raise ValueError(f"{key} takes {noun} only, got {text!r}") from None
+
+
 def _seed(seed: int) -> int:
     if seed < 0:
-        raise ValueError(f"--seed: expected a non-negative integer, got {seed}")
+        raise ValueError(f"expected a non-negative integer, got {seed}")
     return seed
 
 
@@ -77,54 +80,55 @@ def _parse_methods(text: str) -> tuple:
     methods = tuple(m.strip() for m in text.split(",") if m.strip())
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
-        raise ValueError(f"--methods: unknown {unknown}; choose from {','.join(METHODS)}")
+        raise ValueError(f"unknown {unknown}; choose from {','.join(METHODS)}")
     if not methods:
-        raise ValueError("--methods: empty list")
+        raise ValueError("empty list")
     if repeated := _repeated(methods):
-        raise ValueError(f"--methods: repeated {repeated}")
+        raise ValueError(f"repeated {repeated}")
     return methods
 
 
 def _parse_knn(text: str) -> tuple:
     # the k list shares one key: k=3,5,7,9,11
     if not text.startswith("k="):
-        raise ValueError(f"--knn: expected k=K1,K2,..., got {text!r}")
-    return tuple(_number(int, v, "--knn", "k") for v in text[2:].split(","))
+        raise ValueError(f"expected k=K1,K2,..., got {text!r}")
+    return tuple(_number(int, v, "k") for v in text[2:].split(","))
+
 
 def _parse_svm(text: str) -> SmoConfig:
-    pairs = _parse_pairs(text, "--svm")
+    pairs = _parse_pairs(text)
     name = pairs.pop("kernel", "geodesic-laplacian")
     if name not in KERNEL_NAMES:
-        raise ValueError(f"--svm: unknown kernel {name!r}; choose from {','.join(KERNEL_NAMES)}")
+        raise ValueError(f"unknown kernel {name!r}; choose from {','.join(KERNEL_NAMES)}")
     kind, q = KERNEL_NAMES[name]
-    lam = _number(float, pairs.pop("lambda", 1.0), "--svm", "lambda")
-    q = _number(float, pairs.pop("q", q if q is not None else 1.0), "--svm", "q")
-    C = _number(float, pairs.pop("C", 1.0), "--svm", "C")
+    lam = _number(float, pairs.pop("lambda", 1.0), "lambda")
+    q = _number(float, pairs.pop("q", q if q is not None else 1.0), "q")
+    C = _number(float, pairs.pop("C", 1.0), "C")
     if pairs:
-        raise ValueError(f"--svm: unknown keys {sorted(pairs)}")
-    kernel = _spec("--svm", KernelSpec, kind=kind, lam=lam, q=q)
-    return _spec("--svm", SmoConfig, kernel=kernel, C=C)
+        raise ValueError(f"unknown keys {sorted(pairs)}")
+    kernel = KernelSpec(kind=kind, lam=lam, q=q)
+    return SmoConfig(kernel=kernel, C=C)
 
 
 def _parse_linear_svm(text: str) -> LinearPrimalConfig:
-    pairs = _parse_pairs(text, "--linear-svm")
-    C = _number(float, pairs.pop("C", 1.0), "--linear-svm", "C")
+    pairs = _parse_pairs(text)
+    C = _number(float, pairs.pop("C", 1.0), "C")
     if pairs:
-        raise ValueError(f"--linear-svm: unknown keys {sorted(pairs)}")
-    return _spec("--linear-svm", LinearPrimalConfig, C=C)
+        raise ValueError(f"unknown keys {sorted(pairs)}")
+    return LinearPrimalConfig(C=C)
 
 
 def _parse_split(text: str, seed: int) -> SplitSpec:
     kind, sep, value = text.partition(":")
     if kind == "holdout":
-        ratio = _number(float, value, "--split", "holdout:RATIO") if sep else 0.8
-        return _spec("--split", SplitSpec, kind="holdout", ratio=ratio, seed=seed)
+        ratio = _number(float, value, "holdout:RATIO") if sep else 0.8
+        return SplitSpec(kind="holdout", ratio=ratio, seed=seed)
     if kind == "kfold":
         if not sep:
-            raise ValueError("--split: kfold needs a fold count, e.g. kfold:5")
-        folds = _number(int, value, "--split", "kfold:K")
-        return _spec("--split", SplitSpec, kind="kfold", folds=folds, seed=seed)
-    raise ValueError(f"--split: expected holdout:RATIO or kfold:K, got {text!r}")
+            raise ValueError("kfold needs a fold count, e.g. kfold:5")
+        folds = _number(int, value, "kfold:K")
+        return SplitSpec(kind="kfold", folds=folds, seed=seed)
+    raise ValueError(f"expected holdout:RATIO or kfold:K, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -165,16 +169,16 @@ def _cmd_run(args) -> int:
     metric = args.knn_metric or ("poincare" if args.flavor == "poincare" else "euclidean")
     knn = None
     if args.knn != "off":
-        knn = _spec("--knn", KnnSpec, ks=_parse_knn(args.knn), metric=metric)
+        knn = _flag("--knn", KnnSpec, ks=_flag("--knn", _parse_knn, args.knn), metric=metric)
     config = ExperimentConfig(
         corpus_path=args.corpus,
         embeddings_path=args.embeddings,
         flavor=args.flavor,
-        methods=_parse_methods(args.methods),
+        methods=_flag("--methods", _parse_methods, args.methods),
         knn=knn,
-        svm=_parse_svm(args.svm) if args.svm else None,
-        linear_svm=_parse_linear_svm(args.linear_svm) if args.linear_svm else None,
-        split=_parse_split(args.split, _seed(args.seed)),
+        svm=_flag("--svm", _parse_svm, args.svm) if args.svm else None,
+        linear_svm=_flag("--linear-svm", _parse_linear_svm, args.linear_svm) if args.linear_svm else None,
+        split=_flag("--split", _parse_split, args.split, _flag("--seed", _seed, args.seed)),
     )
     try:
         results = run_experiment(config)
@@ -192,9 +196,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_check_kernel(args) -> int:
     # KernelSpec checks lambda before q, so only --lam can fail the first spec
-    _spec("--lam", KernelSpec, lam=args.lam)
-    kernel = _spec("--q", KernelSpec, lam=args.lam, q=args.q)
-    rng = np.random.default_rng(_seed(args.seed))
+    _flag("--lam", KernelSpec, lam=args.lam)
+    kernel = _flag("--q", KernelSpec, lam=args.lam, q=args.q)
+    rng = np.random.default_rng(_flag("--seed", _seed, args.seed))
     table, _ = load_embeddings(args.embeddings, "poincare")
     tokens = sorted(table.vectors)
     if args.n < 2 or args.n > len(tokens):

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gyroball import MAX_NORM, _add, _clamp, _geodesic, _inside, _rows, _same_width, _scale
+from .gyroball import MAX_NORM, _add, _geodesic, _inside, _rows, _same_width, _scale
 
 # Not called here: benchmarks/tracing.py looks these names up in this module.
 from .gyroball import mobius_add, mobius_scale, weighted_midpoint  # noqa: F401
@@ -294,7 +294,10 @@ def compose_batch(method: str, batch: PointBatch) -> np.ndarray:
     """Compose every sequence of the batch; row i of the result is sequence i's point.
 
     Every method but emean needs points strictly inside the unit ball;
-    emean also takes unconstrained Euclidean vectors.
+    emean also takes unconstrained Euclidean vectors, and its rows are
+    never clamped. The rows of the six ball schemes need no clamp here:
+    each scheme's last step (naive's Mobius scale, the others' geodesic
+    step) clamps, and a one-point sequence is its own input point.
     """
     scheme = _SCHEMES.get(method)
     if scheme is None:
@@ -307,11 +310,7 @@ def compose_batch(method: str, batch: PointBatch) -> np.ndarray:
     single = batch.lengths == 1
     if np.count_nonzero(single):
         out[single] = batch.points[batch.starts[single]]
-    if method == "emean":
-        # convex combination: stays inside any ball containing the inputs,
-        # and must pass through unclamped for unconstrained Euclidean vectors
-        return out
-    return _clamp(out)
+    return out
 
 
 def compose(method: str, points) -> np.ndarray:

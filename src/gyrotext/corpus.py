@@ -32,7 +32,7 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from itertools import chain, compress, groupby, islice, repeat
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -359,15 +359,14 @@ class CorpusDiagnostics:
 
 
 class CorpusPoints(NamedTuple):
-    """Every document's in-vocabulary points, tokenized and looked up once.
+    """Every document's points, tokenized and looked up once.
 
-    ``batch`` packs the non-empty documents in corpus order (None when
-    every document is empty); ``nonempty`` holds their corpus indices.
+    ``batch`` packs one sequence per document, in corpus order: its
+    in-vocabulary points, or one point at the origin for a document with
+    none.
     """
 
-    batch: Optional[PointBatch]
-    nonempty: np.ndarray
-    dimension: int
+    batch: PointBatch
     diagnostics: CorpusDiagnostics
 
 
@@ -375,8 +374,9 @@ def corpus_points(corpus: LabeledCorpus, table: EmbeddingTable) -> CorpusPoints:
     """Tokenize every document and map it to its points, once per corpus.
 
     Documents with no in-vocabulary tokens are listed in the diagnostics
-    and warned about here, once; ``compose_corpus`` represents them by the
-    origin.
+    and warned about here, once. Each is packed as one point at the origin
+    (+0.0), at the row where its points would have started; every scheme
+    composes that one-point sequence to the origin.
     """
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
@@ -390,14 +390,18 @@ def corpus_points(corpus: LabeledCorpus, table: EmbeddingTable) -> CorpusPoints:
     ends = np.cumsum([len(tokens) for tokens in tokenized])
     running = np.concatenate([[0], np.cumsum(hit, dtype=np.int64)])
     lengths = np.diff(running[ends], prepend=0)
-    nonempty = np.flatnonzero(lengths)
-    empty_docs = np.flatnonzero(lengths == 0).tolist()
+    empty = lengths == 0
+    empty_docs = np.flatnonzero(empty).tolist()
+    points = _stack(rows, table.dimension)
     if empty_docs:
         logger.warning(
             "%d of %d documents had no in-vocabulary tokens; represented by the origin",
             len(empty_docs),
             len(corpus),
         )
+        # a second copy; the hits up to an empty document's end are its start row
+        points = np.insert(points, running[ends[empty]], 0.0, axis=0)
+        lengths[empty] = 1
     total_tokens = len(found)
     oov_tokens = total_tokens - len(rows)
     diagnostics = CorpusDiagnostics(
@@ -407,20 +411,12 @@ def corpus_points(corpus: LabeledCorpus, table: EmbeddingTable) -> CorpusPoints:
         oov_tokens=oov_tokens,
         oov_rate=oov_tokens / total_tokens if total_tokens else 0.0,
     )
-    return CorpusPoints(
-        batch=PointBatch(_stack(rows, table.dimension), lengths[nonempty]) if rows else None,
-        nonempty=nonempty,
-        dimension=table.dimension,
-        diagnostics=diagnostics,
-    )
+    return CorpusPoints(batch=PointBatch(points, lengths), diagnostics=diagnostics)
 
 
 def compose_corpus(points: CorpusPoints, method: str) -> np.ndarray:
     """One composed row per document, in corpus order; empty documents are the origin."""
-    reps = np.zeros((points.diagnostics.n_docs, points.dimension))
-    if points.batch is not None:
-        reps[points.nonempty] = compose_batch(method, points.batch)
-    return reps
+    return compose_batch(method, points.batch)
 
 
 def represent_corpus(corpus: LabeledCorpus, table: EmbeddingTable, method: str):

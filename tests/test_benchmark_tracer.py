@@ -4,12 +4,14 @@ The tracer looks each traced function up by name in every module that
 calls it, and its hooks read positional arguments such as
 ``compose(method, points)`` and ``doc_to_points(tokens, table)``. A
 renamed function or a changed call shape breaks the traced benchmark run;
-this test catches it without running the benchmark.
+these tests catch it without running the benchmark.
 """
 
+import ast
 import time
 from pathlib import Path
 
+import gyrotext
 from gyrotext import cli
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
@@ -36,3 +38,53 @@ def test_tracer_reports_a_traced_run_and_compose(synth_files, tmp_path, monkeypa
     metrics = tracing.layer_metrics(tracer.spans, tracer.counts, wall)
     for name in ("harness.cells", "composition.compose_calls", "classify.smo_models"):
         assert metrics[name] > 0, name
+
+
+def _imports(tree):
+    """(bound name, line) of every top-level import of a module."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name).partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, node.lineno
+
+
+def _all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return set()
+
+
+def test_every_import_is_used_exported_or_a_tracer_seam(monkeypatch):
+    # an import that nothing in its module uses is either dead or a seam
+    # that benchmarks/tracing.py patches by name; a seam says so with
+    # "# noqa: F401", and every name so marked must be one the tracer
+    # looks up in that module, so a cleanup neither breaks the traced run
+    # nor keeps a seam the tracer no longer patches
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import tracing
+
+    looked_up = {
+        (module.__name__, attr) for modules, attr, _ in tracing._plan(tracing.Tracer()) for module in modules
+    }
+    problems = []
+    for path in sorted(Path(gyrotext.__file__).parent.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = _all(tree)
+        module = f"gyrotext.{path.stem}"
+        for name, line in _imports(tree):
+            seam = lines[line - 1].endswith("# noqa: F401")
+            if seam and path.name != "__init__.py" and (module, name) not in looked_up:
+                problems.append(f"{module}.{name}: marked as a seam, but the tracer does not patch it")
+            if not (seam or name in used or name in exported):
+                problems.append(f"{module}.{name}: imported but unused")
+    assert not problems, "\n".join(problems)

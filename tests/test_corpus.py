@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gyrotext import corpus
-from gyrotext.composition import compose
+from gyrotext.composition import METHODS, compose
 from gyrotext.corpus import (
     FLAVORS,
     DocPoints,
@@ -633,11 +633,17 @@ def test_represent_corpus_empty_corpus_raises():
         )
 
 
+def _text_row(table, method, text):
+    doc = doc_to_points(tokenize(text), table)
+    return np.zeros(table.dimension) if doc.empty else compose(method, doc.points)
+
+
 def test_corpus_rows_equal_per_text_compose_bitwise(tmp_path):
     # represent_corpus composes the corpus as one batch; each of its rows
-    # must equal the per-text path (tokenize, look up, compose one) bit for
-    # bit, also for single-token texts, all-OOV texts (the origin), vectors
-    # at norm 1 - 1e-6 and vectors clamped on load from norm 1 + 1e-6
+    # must equal the per-text path (tokenize, look up, compose one) byte
+    # for byte, also for single-token texts (one with a -0.0 coordinate,
+    # which a sum would turn into 0.0), all-OOV texts (the origin, +0.0),
+    # vectors at norm 1 - 1e-6 and vectors clamped on load from norm 1 + 1e-6
     rng = np.random.default_rng(51)
     lines = []
     for i in range(40):
@@ -645,9 +651,10 @@ def test_corpus_rows_equal_per_text_compose_bitwise(tmp_path):
         norm = (1.0 - 1e-6, 1.0 + 1e-6)[i % 2] if i < 8 else rng.uniform(0.1, 0.9)
         v *= norm / np.linalg.norm(v)
         lines.append(f"w{i} " + " ".join(repr(float(x)) for x in v))
+    lines.append("wz -0.0 0.5 -0.25 -0.0")
     table, report = load_embeddings(write(tmp_path, "e.txt", "\n".join(lines) + "\n"), "poincare")
     assert report.clamped == 4
-    texts = ["w0", "oov only here", "w1 w2 w3", "", "w7"]
+    texts = ["w0", "oov only here", "w1 w2 w3", "", "w7", "wz"]
     texts += [" ".join(f"w{j}" for j in rng.integers(0, 40, size=n)) for n in (2, 5, 17, 60)]
     texts += ["w0 w1 w2 w3 w4 w5 w6 w7 zzz"]
     corpus = corpus_of(*(("x", t) for t in texts))
@@ -655,12 +662,51 @@ def test_corpus_rows_equal_per_text_compose_bitwise(tmp_path):
     assert points.diagnostics.empty_doc_indices == (1, 3)
     for method in ("emean", "naive", "lcf", "lcb", "lca", "fnw", "bnw"):
         reps = compose_corpus(points, method)
-        assert np.array_equal(reps, represent_corpus(corpus, table, method)[0])
+        assert reps.tobytes() == represent_corpus(corpus, table, method)[0].tobytes()
         for i, text in enumerate(texts):
-            doc = doc_to_points(tokenize(text), table)
-            one = np.zeros(4) if doc.empty else compose(method, doc.points)
-            assert np.array_equal(reps[i], one), (method, i)
+            assert reps[i].tobytes() == _text_row(table, method, text).tobytes(), (method, i)
             assert np.linalg.norm(reps[i]) < 1.0
+        assert reps[5].tobytes() == table.vectors["wz"].tobytes(), method
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ("", "nope", "zz qq"),
+        ("nope", "a b", "c"),
+        ("a b c", "z", "b", ""),
+        ("", "a", "nope nope", "c b a c", "zz"),
+    ],
+    ids=["all-empty", "empty-first", "empty-last", "empty-between"],
+)
+def test_empty_documents_pack_as_the_origin(texts):
+    # an all-OOV document is packed as one point at the origin (+0.0) where
+    # its points would have started, and every method composes it to the
+    # origin; the other rows are each text's own composition
+    ball = {"a": [-0.0, 0.4, 0.1], "b": [0.3, -0.0, -0.2], "c": [0.0, -0.5, -0.0]}
+    free = {"a": [-0.0, 4.0, 1.0], "b": [3.0, -0.0, -20.0], "c": [0.0, -5.0, -0.0]}
+    cases = [
+        (EmbeddingTable(3, {k: np.array(v) for k, v in ball.items()}, "poincare"), METHODS),
+        (EmbeddingTable(3, {k: np.array(v) for k, v in free.items()}, "euclidean"), ("emean",)),
+    ]
+    corpus = corpus_of(*(("x", t) for t in texts))
+    empty = [i for i, t in enumerate(texts) if not set(tokenize(t)) & {"a", "b", "c"}]
+    for table, methods in cases:
+        points = corpus_points(corpus, table)
+        assert points._fields == ("batch", "diagnostics")
+        assert points.diagnostics.empty_doc_indices == tuple(empty)
+        batch = points.batch
+        assert batch.lengths.size == len(texts)
+        for i in empty:
+            assert batch.lengths[i] == 1
+            assert batch.points[batch.starts[i]].tobytes() == np.zeros(3).tobytes()
+        for method in methods:
+            reps = compose_corpus(points, method)
+            assert reps.shape == (len(texts), 3)
+            assert reps.tobytes() == represent_corpus(corpus, table, method)[0].tobytes()
+            for i, text in enumerate(texts):
+                want = np.zeros(3) if i in empty else _text_row(table, method, text)
+                assert reps[i].tobytes() == want.tobytes(), (table.flavor, method, i)
 
 
 def test_corpus_points_warns_about_empty_documents_once(caplog):
@@ -672,5 +718,6 @@ def test_corpus_points_warns_about_empty_documents_once(caplog):
             compose_corpus(points, method)
     assert len(caplog.records) == 1
     assert "2 of 3 documents" in caplog.records[0].getMessage()
-    assert points.nonempty.tolist() == [0]
-    assert points.batch.lengths.tolist() == [2]
+    # the two empty documents are one point each, at the origin
+    assert points.batch.lengths.tolist() == [2, 1, 1]
+    assert points.batch.points[2:].tobytes() == np.zeros((2, 2)).tobytes()
