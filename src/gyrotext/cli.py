@@ -166,10 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    metric = args.knn_metric or ("poincare" if args.flavor == "poincare" else "euclidean")
     knn = None
     if args.knn != "off":
-        knn = _flag("--knn", KnnSpec, ks=_flag("--knn", _parse_knn, args.knn), metric=metric)
+        knn = _flag("--knn", KnnSpec, ks=_flag("--knn", _parse_knn, args.knn), metric=args.knn_metric)
     config = ExperimentConfig(
         corpus_path=args.corpus,
         embeddings_path=args.embeddings,

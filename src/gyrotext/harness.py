@@ -14,12 +14,13 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .classify import (
+    METRIC_KINDS,
     LinearPrimalConfig,
     SmoConfig,
     _check_k,
@@ -30,7 +31,7 @@ from .classify import (
     ovr_train,
 )
 from .composition import METHODS
-from .corpus import compose_corpus, corpus_points, load_corpus, load_embeddings
+from .corpus import FLAVORS, compose_corpus, corpus_points, load_corpus, load_embeddings
 
 # Not called here: benchmarks/tracing.py looks this name up in this module.
 from .corpus import represent_corpus  # noqa: F401
@@ -40,7 +41,6 @@ __all__ = [
     "SplitError",
     "KnnSpec",
     "ExperimentConfig",
-    "EvalReport",
     "ResultRow",
     "ResultsTable",
     "split",
@@ -81,10 +81,14 @@ class SplitError(ValueError):
 
 @dataclass(frozen=True)
 class KnnSpec:
-    """k-NN grid cell family: one cell per k, all sharing the metric."""
+    """k-NN grid cell family: one cell per k, all sharing the metric.
+
+    The default metric, None, is the embedding flavor's: ``ExperimentConfig``
+    puts the flavor's name in its place, as ``--knn-metric`` does.
+    """
 
     ks: tuple = (3, 5, 7, 9, 11)
-    metric: str = "poincare"
+    metric: Optional[str] = None
 
     def __post_init__(self):
         if len(self.ks) == 0:
@@ -94,6 +98,8 @@ class KnnSpec:
         # a repeated k would write its cells twice, under one key
         if repeated := _repeated(self.ks):
             raise ValueError(f"k repeated: {repeated}")
+        if self.metric is not None and self.metric not in METRIC_KINDS:
+            raise ValueError(f"unknown metric {self.metric!r}; expected one of {METRIC_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -108,6 +114,11 @@ class ExperimentConfig:
     split: SplitSpec = SplitSpec()
 
     def __post_init__(self):
+        if self.flavor not in FLAVORS:
+            raise ValueError(f"unknown flavor {self.flavor!r}; expected one of {FLAVORS}")
+        if self.knn is not None and self.knn.metric is None:
+            # the flavor names are the metric names
+            object.__setattr__(self, "knn", replace(self.knn, metric=self.flavor))
         if len(self.methods) == 0:
             raise ValueError("at least one composition method is required")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -165,22 +176,13 @@ def split(labels, spec: SplitSpec):
     return pairs
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Accuracy and micro-F1 with the confusion matrix they came from.
+def evaluate(predictions, gold) -> float:
+    """Accuracy: the fraction of predictions equal to their gold label.
 
-    micro-F1 is computed independently through global precision/recall
-    and asserted equal to accuracy, the single-label multiclass identity.
+    In single-label classification it is also the micro-F1: every miss is
+    one false positive and one false negative, so TP + FP = TP + FN = n
+    and precision = recall = accuracy.
     """
-
-    accuracy: float
-    micro_f1: float
-    confusion: np.ndarray
-    classes: np.ndarray
-    n_test: int
-
-
-def evaluate(predictions, gold) -> EvalReport:
     pred = np.asarray(predictions)
     true = np.asarray(gold)
     if pred.shape != true.shape or pred.ndim != 1:
@@ -188,27 +190,7 @@ def evaluate(predictions, gold) -> EvalReport:
     n = pred.shape[0]
     if n == 0:
         raise ValueError("nothing to evaluate")
-    classes, codes = np.unique(np.concatenate([true, pred]), return_inverse=True)
-    confusion = np.zeros((classes.size, classes.size), dtype=np.int64)
-    np.add.at(confusion, (codes[:n], codes[n:]), 1)
-    accuracy = float(np.trace(confusion)) / n
-
-    # micro-F1 from global confusion counts: tp over the diagonal, every
-    # miss is simultaneously a false positive and a false negative
-    tp = float(np.trace(confusion))
-    fp = n - tp
-    fn = n - tp
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    micro_f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
-    assert abs(micro_f1 - accuracy) < 1e-12
-    return EvalReport(
-        accuracy=accuracy,
-        micro_f1=micro_f1,
-        confusion=confusion,
-        classes=classes,
-        n_test=n,
-    )
+    return float(np.count_nonzero(pred == true)) / n
 
 
 @dataclass(frozen=True)
@@ -266,7 +248,7 @@ def _run_cell(spec, config, X, y, pairs, rankings):
             if fold not in rankings:
                 rankings[fold] = knn_rank(model, X[test])
             preds = knn_predict_batch(model, X[test], rankings[fold])
-        accs.append(evaluate(preds, y[test]).accuracy)
+        accs.append(evaluate(preds, y[test]))
     return float(np.mean(accs))
 
 

@@ -8,6 +8,7 @@ these tests catch it without running the benchmark.
 """
 
 import ast
+import csv
 import time
 from pathlib import Path
 
@@ -38,6 +39,12 @@ def test_tracer_reports_a_traced_run_and_compose(synth_files, tmp_path, monkeypa
     metrics = tracing.layer_metrics(tracer.spans, tracer.counts, wall)
     for name in ("harness.cells", "composition.compose_calls", "classify.smo_models"):
         assert metrics[name] > 0, name
+    # one evaluate span per fold of every completed cell: 7 methods x 3
+    # cells x 1 holdout fold
+    with open(tmp_path / "results.csv", encoding="utf-8", newline="") as fh:
+        completed = sum(row["accuracy"] != "NA" for row in csv.DictReader(fh))
+    assert completed == 7 * 3
+    assert [s.name for s in tracer.spans].count("harness.evaluate") == completed
 
 
 def _imports(tree):

@@ -462,6 +462,35 @@ def test_linear_primal_objective_descends_with_jitter():
         assert np.linalg.norm(g) <= 1e-9 * (1.0 + np.linalg.norm(g0))
 
 
+def test_linear_primal_halves_a_step_that_raises_the_objective():
+    # the first step, on every point, minimises a quadratic that bounds the
+    # objective from above, so it never rises; the second, on the points
+    # still inside the margin, has no such bound, and here its full step
+    # raises the objective, so the trainer must halve it
+    X = np.array([[-0.43, -1.27], [-1.89, -0.06], [-0.17, 0.01], [0.04, 1.19]])
+    y = np.array([1.0, -1.0, 1.0, -1.0])
+    C = 100.0
+    Xt = np.hstack([X, np.ones((4, 1))])
+
+    def objective(z):
+        slack = np.maximum(1.0 - y * (Xt @ z), 0.0)
+        return 0.5 * z[:2] @ z[:2] + C * slack @ slack
+
+    def newton(active):
+        XA = Xt[active]
+        return np.linalg.solve(np.diag([1.0, 1.0, 0.0]) + 2.0 * C * XA.T @ XA, 2.0 * C * XA.T @ y[active])
+
+    first = newton(np.ones(4, dtype=bool))
+    assert objective(newton(y * (Xt @ first) < 1.0)) > objective(first)
+    model = linear_svm_primal_train(X, y, C)
+    h = model.objective_history
+    assert h[0] == pytest.approx(objective(first), rel=1e-12)
+    assert h.size >= 2 and np.all(np.diff(h) <= 0)
+    g = squared_hinge_gradient(X, y, model.weights, model.bias, C)
+    g0 = squared_hinge_gradient(X, y, np.zeros(2), 0.0, C)
+    assert np.linalg.norm(g) <= 1e-9 * (1.0 + np.linalg.norm(g0))
+
+
 def test_linear_primal_edge_fixtures():
     # one step lands on the exact minimiser w = 40C / (1 + 400C), b = 0,
     # with both margins 400/401, just short of 1; the active set is kept

@@ -67,6 +67,8 @@ def test_mobius_add_rejects_mismatch():
         mobius_add(np.zeros(2), np.zeros(3))
     with pytest.raises(ValueError):
         mobius_add(np.array([np.inf, 0.0]), np.zeros(2))
+    with pytest.raises(ValueError, match="a must be a 1-D vector, got shape"):
+        mobius_add(np.zeros((1, 2)), np.zeros(2))
 
 
 def test_mobius_neg():

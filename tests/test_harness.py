@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from gyrotext import corpus as corpus_module
-from gyrotext import harness
+from gyrotext import cli, harness
 from gyrotext.classify import LinearPrimalConfig, SmoConfig, knn_fit, knn_predict_batch
 from gyrotext.corpus import load_corpus, load_embeddings, represent_corpus
 from gyrotext.harness import (
     CSV_HEADER,
-    EvalReport,
     ExperimentConfig,
     KnnSpec,
     ResultRow,
@@ -68,6 +67,10 @@ def test_split_spec_validation():
 def test_knn_spec_validation():
     KnnSpec(ks=(1,))
     KnnSpec(ks=(3.0, 5))
+    assert KnnSpec(metric="euclidean").metric == "euclidean"
+    # knn_fit's rule, at construction rather than as an error row per cell
+    with pytest.raises(ValueError, match="unknown metric 'manhattan'"):
+        KnnSpec(metric="manhattan")
     with pytest.raises(ValueError):
         KnnSpec(ks=())
     with pytest.raises(ValueError):
@@ -99,6 +102,32 @@ def test_experiment_config_validation():
         ExperimentConfig("c", "e", "poincare", methods=("emean",))
     with pytest.raises(ValueError, match=r"composition methods repeated: \['lcf'\]"):
         ExperimentConfig("c", "e", "poincare", methods=("lcf", "emean", "lcf"), knn=KnnSpec())
+    with pytest.raises(ValueError, match="unknown flavor 'spherical'"):
+        ExperimentConfig("c", "e", "spherical", methods=("emean",), knn=KnnSpec())
+
+
+def test_default_knn_metric_is_the_flavor(synth_files, tmp_path, capsys):
+    # KnnSpec() ranks by the flavor's distance, as --knn-metric's default
+    # does; an explicit metric is kept
+    for flavor in ("euclidean", "poincare"):
+        config = ExperimentConfig("c", "e", flavor, methods=("emean",), knn=KnnSpec())
+        assert config.knn == KnnSpec(metric=flavor)
+        chosen = ExperimentConfig("c", "e", flavor, methods=("emean",), knn=KnnSpec(metric="poincare"))
+        assert chosen.knn.metric == "poincare"
+    # the library and the CLI write the same table on euclidean flavor
+    emb, cor = synth_files
+    config = ExperimentConfig(cor, emb, "euclidean", methods=("emean",), knn=KnnSpec(ks=(3, 5)))
+    emit_table(run_experiment(config), "csv", tmp_path / "library.csv")
+    argv = ["run", "--corpus", cor, "--embeddings", emb, "--flavor", "euclidean", "--methods", "emean",
+            "--knn", "k=3,5", "--out", str(tmp_path / "cli.csv")]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    tables = []
+    for name in ("library.csv", "cli.csv"):
+        with open(tmp_path / name, encoding="utf-8", newline="") as fh:
+            tables.append([row[:-1] for row in csv.reader(fh)])
+    assert [row[3] for row in tables[0][1:]] == ["k=3,metric=euclidean", "k=5,metric=euclidean"]
+    assert tables[0] == tables[1]
 
 
 # ------------------------------------------------------------------- split
@@ -158,35 +187,31 @@ def test_split_empty_raises():
 
 
 def test_evaluate_examples():
-    assert evaluate([1, 2, 3], [1, 2, 3]).accuracy == 1.0
-    assert evaluate([1, 1, 1], [2, 2, 2]).accuracy == 0.0
-    report = evaluate([0, 1, 1, 2], [0, 0, 1, 2])
-    assert report.accuracy == 0.75
-    assert report.micro_f1 == 0.75
-    assert report.n_test == 4
+    assert evaluate([1, 2, 3], [1, 2, 3]) == 1.0
+    assert evaluate([1, 1, 1], [2, 2, 2]) == 0.0
+    accuracy = evaluate([0, 1, 1, 2], [0, 0, 1, 2])
+    assert type(accuracy) is float and accuracy == 0.75
 
 
 def test_evaluate_micro_f1_identity_holds():
+    # micro-F1 from global confusion counts, summed over the classes: in
+    # single-label classification it is the accuracy evaluate returns
     rng = np.random.default_rng(60)
     for _ in range(25):
         gold = rng.integers(0, 5, size=40)
         pred = rng.integers(0, 5, size=40)
-        report = evaluate(pred, gold)
-        assert report.micro_f1 == pytest.approx(report.accuracy, abs=1e-12)
-
-
-def test_evaluate_confusion_matrix():
-    report = evaluate([0, 1, 1, 2], [0, 0, 1, 2])
-    assert report.classes.tolist() == [0, 1, 2]
-    expect = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
-    assert np.array_equal(report.confusion, expect)
-    assert report.confusion.sum() == report.n_test
+        tp = fp = fn = 0
+        for c in range(5):
+            tp += np.count_nonzero((pred == c) & (gold == c))
+            fp += np.count_nonzero((pred == c) & (gold != c))
+            fn += np.count_nonzero((pred != c) & (gold == c))
+        precision, recall = tp / (tp + fp), tp / (tp + fn)
+        micro_f1 = 2.0 * precision * recall / (precision + recall)
+        assert evaluate(pred, gold) == pytest.approx(micro_f1, abs=1e-12)
 
 
 def test_evaluate_handles_unseen_predicted_class():
-    report = evaluate([0, 9], [0, 1])
-    assert report.classes.tolist() == [0, 1, 9]
-    assert report.accuracy == 0.5
+    assert evaluate([0, 9], [0, 1]) == 0.5
 
 
 def test_evaluate_errors():
@@ -436,5 +461,5 @@ def test_run_experiment_knn_cells_match_direct_prediction(tmp_path):
         accs = []
         for train, test in split(y, config.split):
             model = knn_fit(X[train], y[train], k, "poincare")
-            accs.append(evaluate(knn_predict_batch(model, X[test]), y[test]).accuracy)
+            accs.append(evaluate(knn_predict_batch(model, X[test]), y[test]))
         assert row.accuracy == float(np.mean(accs))
