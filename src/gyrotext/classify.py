@@ -176,14 +176,14 @@ class SvmModel:
     the residual is reported either way. psd_warning records whether any
     working pair exhibited negative curvature, a witness that the Gram
     is not positive semidefinite. objective_history holds the dual
-    objective after each pair step, one entry per iteration.
+    objective after each pair step, one entry per iteration. The kernel
+    it decides with is not stored here: ``OvrModel.kernel`` holds it.
     """
 
     alphas: np.ndarray
     bias: float
     support_indices: np.ndarray
     labels: np.ndarray
-    kernel: Optional[KernelSpec]
     C: float
     converged: bool
     kkt_residual: float
@@ -214,20 +214,16 @@ def svm_train_smo(gram: Union[GramMatrix, np.ndarray], labels, C: float = 1.0) -
     the 1e-12 being the floor the pair step puts on its curvature eta, so
     an indefinite Gram still gets finite gains. It stops when
     max_low F - F_j <= ``KKT_TOL``, the maximal violation (Keerthi et al.
-    2001). One iteration costs O(n), and so does the dual objective
-    recorded after each step. The up and low sets are built once and
-    updated at the two indices each step changes (LIBSVM's per-index bound
-    status). The budget is ``MAX_PASSES * n`` iterations; running out is
-    reported through converged/kkt_residual, not raised. A raw Gram array
-    gets the same checks as ``GramMatrix``; the labels are -1 or +1, both
-    present.
+    2001). One iteration costs O(n); the dual objective recorded after
+    each step is updated in O(1) from the pair's scalars. The up and low
+    sets are built once and updated at the two indices each step changes
+    (LIBSVM's per-index bound status). The budget is ``MAX_PASSES * n``
+    iterations; running out is reported through converged/kkt_residual,
+    not raised. A ``GramMatrix`` was checked when built; a raw Gram array
+    gets the same checks here. The labels are -1 or +1, both present. The
+    model keeps no kernel: the caller that built the Gram knows it.
     """
-    if isinstance(gram, GramMatrix):
-        K = gram.entries
-        spec = gram.spec
-    else:
-        K = check_gram(gram)
-        spec = None
+    K = gram.entries if isinstance(gram, GramMatrix) else check_gram(gram)
     n = K.shape[0]
     y = _signs(labels, n)
     _check_C(C)
@@ -320,7 +316,6 @@ def svm_train_smo(gram: Union[GramMatrix, np.ndarray], labels, C: float = 1.0) -
         bias=bias,
         support_indices=np.flatnonzero(alpha > SUPPORT_EPS),
         labels=y,
-        kernel=spec,
         C=float(C),
         converged=converged,
         kkt_residual=residual,
@@ -413,14 +408,15 @@ class LinearPrimalConfig:
 class OvrModel:
     """One binary model per class id, over a shared training representation.
 
-    train_points is retained only for the kernel route, where decisions
-    need kernel rows against the training set; its presence marks that
-    route.
+    kernel, set only on the kernel route, is the one kernel every binary
+    model was trained and decides with; decisions take its rows against
+    train_points, the training set kept for that route.
     """
 
     classes: np.ndarray
     models: tuple
     train_points: Optional[np.ndarray] = None
+    kernel: Optional[KernelSpec] = None
 
 
 def ovr_train(points, labels, config: Union[SmoConfig, LinearPrimalConfig]) -> OvrModel:
@@ -436,7 +432,7 @@ def ovr_train(points, labels, config: Union[SmoConfig, LinearPrimalConfig]) -> O
         models = tuple(
             svm_train_smo(gram, np.where(y == c, 1.0, -1.0), C=config.C) for c in classes
         )
-        return OvrModel(classes=classes, models=models, train_points=P)
+        return OvrModel(classes=classes, models=models, train_points=P, kernel=config.kernel)
     if isinstance(config, LinearPrimalConfig):
         models = tuple(
             linear_svm_primal_train(P, np.where(y == c, 1.0, -1.0), C=config.C)
@@ -449,8 +445,8 @@ def ovr_train(points, labels, config: Union[SmoConfig, LinearPrimalConfig]) -> O
 def ovr_decision(model: OvrModel, queries) -> np.ndarray:
     """Decision-value matrix, one row per query row and one column per class."""
     Q = _rows(queries, "queries")
-    if model.train_points is not None:
-        rows = cross_kernel(Q, model.train_points, model.models[0].kernel)
+    if model.kernel is not None:
+        rows = cross_kernel(Q, model.train_points, model.kernel)
         cols = [rows @ (m.alphas * m.labels) + m.bias for m in model.models]
     else:
         _same_width(Q, model.models[0].weights)

@@ -18,9 +18,9 @@ import sys
 
 import numpy as np
 
-from .classify import LinearPrimalConfig, SmoConfig
+from .classify import METRIC_KINDS, LinearPrimalConfig, SmoConfig
 from .composition import METHODS, compose
-from .corpus import doc_to_points, load_embeddings, tokenize
+from .corpus import FLAVORS, doc_to_points, load_embeddings, tokenize
 from .harness import (
     ExperimentConfig,
     KnnSpec,
@@ -138,10 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the experiment grid and write a results table")
     run.add_argument("--corpus", required=True, help="label-TAB-text corpus file")
     run.add_argument("--embeddings", required=True, help="word-vector text file")
-    run.add_argument("--flavor", required=True, choices=["euclidean", "poincare"])
+    run.add_argument("--flavor", required=True, choices=FLAVORS)
     run.add_argument("--methods", default=",".join(METHODS), help="comma list of composition methods")
     run.add_argument("--knn", default="k=3,5,7,9,11", help="k list, e.g. k=3,5,7,9,11; 'off' disables")
-    run.add_argument("--knn-metric", choices=["poincare", "euclidean"], default=None,
+    run.add_argument("--knn-metric", choices=METRIC_KINDS, default=None,
                      help="k-NN metric (default: match the embedding flavor)")
     run.add_argument("--svm", default=None, help="e.g. kernel=geodesic-laplacian,lambda=1.0,C=1.0")
     run.add_argument("--linear-svm", default=None, help="e.g. C=1.0")
@@ -159,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     comp = sub.add_parser("compose", help="compose one text into a single point")
     comp.add_argument("--embeddings", required=True)
-    comp.add_argument("--flavor", choices=["euclidean", "poincare"], default="poincare")
+    comp.add_argument("--flavor", choices=FLAVORS, default="poincare")
     comp.add_argument("--method", required=True, choices=list(METHODS))
     comp.add_argument("--text", required=True)
     return parser
@@ -221,10 +221,7 @@ def _cmd_compose(args) -> int:
     table, _ = load_embeddings(args.embeddings, args.flavor)
     tokens = tokenize(args.text)
     doc = doc_to_points(tokens, table)
-    if doc.empty:
-        point = np.zeros(table.dimension)
-    else:
-        point = compose(args.method, doc.points)
+    point = compose(args.method, doc.points)
     json.dump(
         {
             "method": args.method,

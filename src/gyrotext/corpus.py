@@ -323,23 +323,24 @@ def load_corpus(path):
 
 
 class DocPoints(NamedTuple):
+    """A text's point sequence, its OOV count, and whether it has no in-vocabulary token."""
+
     points: np.ndarray
     oov: int
-
-    @property
-    def empty(self) -> bool:
-        return self.points.shape[0] == 0
+    empty: bool
 
 
 def doc_to_points(tokens, table: EmbeddingTable) -> DocPoints:
     """Map tokens to their embedding points in order, skipping OOV tokens.
 
     Every in-vocabulary token contributes one point with implicit weight 1.
-    Returns the (m, d) point array and the out-of-vocabulary count; m = 0
-    flags an empty or all-OOV document.
+    A text with none, empty or all-OOV, is flagged ``empty`` and packed as
+    one point at the origin (+0.0), exactly as ``corpus_points`` packs it;
+    every scheme composes that one-point sequence to the origin.
     """
     rows = [v for v in map(table.vectors.get, tokens) if v is not None]
-    return DocPoints(points=_stack(rows, table.dimension), oov=len(tokens) - len(rows))
+    points = _stack(rows or [np.zeros(table.dimension)], table.dimension)
+    return DocPoints(points=points, oov=len(tokens) - len(rows), empty=not rows)
 
 
 def _stack(rows, dimension: int) -> np.ndarray:

@@ -71,8 +71,13 @@ class SplitSpec:
             raise ValueError(f"unknown split kind {self.kind!r}")
         if self.kind == "holdout" and not (0.0 < self.ratio < 1.0):
             raise ValueError(f"holdout ratio must lie in (0, 1), got {self.ratio}")
-        if self.kind == "kfold" and self.folds < 2:
-            raise ValueError(f"k-fold needs at least 2 folds, got {self.folds}")
+        if self.kind == "kfold":
+            # k's whole-number rule: 2.5 is refused, 3.0 is stored as 3
+            if self.folds % 1 != 0:
+                raise ValueError(f"k-fold needs a whole number of folds, got {self.folds!r}")
+            if self.folds < 2:
+                raise ValueError(f"k-fold needs at least 2 folds, got {self.folds}")
+            object.__setattr__(self, "folds", int(self.folds))
 
 
 class SplitError(ValueError):

@@ -69,10 +69,9 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric kernel matrix over one point set, tagged with its spec."""
+    """Symmetric kernel matrix over one point set; its kernel is the caller's."""
 
     entries: np.ndarray
-    spec: KernelSpec
 
     def __post_init__(self):
         check_gram(self.entries)
@@ -114,7 +113,7 @@ def gram_matrix(points, spec: KernelSpec) -> GramMatrix:
     exactly 1 (d(u, u) = 0); linear ones are the one matrix product P P^T.
     """
     P = _rows(points, "points")
-    return GramMatrix(entries=cross_kernel(P, P, spec), spec=spec)
+    return GramMatrix(entries=cross_kernel(P, P, spec))
 
 
 def jacobi_eigenvalues(matrix) -> np.ndarray:

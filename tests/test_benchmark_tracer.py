@@ -33,12 +33,15 @@ def test_tracer_reports_a_traced_run_and_compose(synth_files, tmp_path, monkeypa
             "--out", str(tmp_path / "results.csv"),
         ])
         compose_rc = cli.main(["compose", "--embeddings", emb, "--method", "lcf", "--text", f"{token} {token}"])
+        # an all-OOV text: the one empty document the tracer's on_doc sees
+        oov_rc = cli.main(["compose", "--embeddings", emb, "--method", "lcf", "--text", "zzzz qqqq zzzz"])
     wall = time.perf_counter() - start
     capsys.readouterr()
-    assert (run_rc, compose_rc) == (0, 0)
+    assert (run_rc, compose_rc, oov_rc) == (0, 0, 0)
     metrics = tracing.layer_metrics(tracer.spans, tracer.counts, wall)
     for name in ("harness.cells", "composition.compose_calls", "classify.smo_models"):
         assert metrics[name] > 0, name
+    assert (metrics["corpus.empty_docs"], metrics["corpus.oov_tokens"]) == (1, 3)
     # one evaluate span per fold of every completed cell: 7 methods x 3
     # cells x 1 holdout fold
     with open(tmp_path / "results.csv", encoding="utf-8", newline="") as fh:

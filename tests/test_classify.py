@@ -1,6 +1,5 @@
 import math
 from collections import defaultdict
-from dataclasses import replace
 from itertools import product
 
 import _smo_reference as smo_reference
@@ -64,8 +63,9 @@ def linear_decision(model, train_points, queries):
     Gram of ``train_points``, evaluated through ovr_decision."""
     ovr = OvrModel(
         classes=np.array([1]),
-        models=(replace(model, kernel=KernelSpec("linear")),),
+        models=(model,),
         train_points=np.atleast_2d(np.asarray(train_points, dtype=np.float64)),
+        kernel=KernelSpec("linear"),
     )
     return ovr_decision(ovr, queries)[:, 0]
 
@@ -361,7 +361,6 @@ def test_svm_decision_examples():
         bias=0.5,
         support_indices=np.array([], dtype=np.int64),
         labels=np.array([1.0, -1.0]),
-        kernel=None,
         C=1.0,
         converged=True,
         kkt_residual=0.0,
@@ -377,7 +376,6 @@ def test_svm_decision_examples():
         bias=0.0,
         support_indices=np.array([0]),
         labels=np.array([1.0]),
-        kernel=None,
         C=1.0,
         converged=True,
         kkt_residual=0.0,
@@ -392,7 +390,6 @@ def test_svm_decision_examples():
         bias=0.0,
         support_indices=np.array([0, 1]),
         labels=np.array([1.0, -1.0]),
-        kernel=None,
         C=1.0,
         converged=True,
         kkt_residual=0.0,
@@ -532,6 +529,14 @@ def test_ovr_train_one_model_per_class():
         ovr_train(pts, np.zeros(len(labels), dtype=int), SmoConfig(KernelSpec("geodesic")))
     with pytest.raises(TypeError):
         ovr_train(pts, labels, config="linear")
+
+
+def test_ovr_model_holds_the_kernel_it_was_trained_with():
+    rng = np.random.default_rng(46)
+    pts, labels = ball_blobs(rng, [(0.4, 0.0), (-0.4, 0.0)], per_class=5)
+    config = SmoConfig(kernel=KernelSpec("geodesic", lam=0.6, q=2.0))
+    assert ovr_train(pts, labels, config).kernel is config.kernel
+    assert ovr_train(pts, labels, LinearPrimalConfig()).kernel is None
 
 
 def test_ovr_two_class_decisions_anticorrelated(monkeypatch):

@@ -545,11 +545,13 @@ def test_doc_to_points_examples():
     assert got.points.shape == (2, 2) and got.oov == 0 and not got.empty
     np.testing.assert_allclose(got.points, [[0.1, 0.0], [0.3, 0.0]], atol=0)
     partial = doc_to_points(["a", "zzz"], table)
-    assert partial.points.shape == (1, 2) and partial.oov == 1
-    empty = doc_to_points([], table)
-    assert empty.empty and empty.oov == 0 and empty.points.shape == (0, 2)
-    all_oov = doc_to_points(["x", "y"], table)
-    assert all_oov.empty and all_oov.oov == 2
+    assert partial.points.shape == (1, 2) and partial.oov == 1 and not partial.empty
+    # an empty or all-OOV text is one point at the origin, +0.0
+    for tokens in ([], ["x", "y"]):
+        none = doc_to_points(tokens, table)
+        assert none.empty and none.oov == len(tokens)
+        assert none.points.shape == (1, 2)
+        assert none.points.tobytes() == np.zeros((1, 2)).tobytes()
 
 
 def test_doc_to_points_preserves_order_and_repeats():
@@ -634,8 +636,7 @@ def test_represent_corpus_empty_corpus_raises():
 
 
 def _text_row(table, method, text):
-    doc = doc_to_points(tokenize(text), table)
-    return np.zeros(table.dimension) if doc.empty else compose(method, doc.points)
+    return compose(method, doc_to_points(tokenize(text), table).points)
 
 
 def test_corpus_rows_equal_per_text_compose_bitwise(tmp_path):
@@ -707,6 +708,25 @@ def test_empty_documents_pack_as_the_origin(texts):
             for i, text in enumerate(texts):
                 want = np.zeros(3) if i in empty else _text_row(table, method, text)
                 assert reps[i].tobytes() == want.tobytes(), (table.flavor, method, i)
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_doc_to_points_packs_a_text_as_corpus_points_does(flavor):
+    # one text's points are its row block of the corpus batch, byte for
+    # byte, for full, partial-OOV, all-OOV and empty texts alike
+    vectors = {"a": [-0.0, 0.4, 0.1], "b": [0.3, -0.0, -0.2], "c": [0.0, -0.5, -0.0]}
+    table = EmbeddingTable(3, {k: np.array(v) for k, v in vectors.items()}, flavor)
+    texts = ("a b c", "b zz a", "zz qq", "", "c", "!!!", "a a nope b")
+    points = corpus_points(corpus_of(*(("x", t) for t in texts)), table)
+    batch = points.batch
+    docs = [doc_to_points(tokenize(t), table) for t in texts]
+    for i, (text, doc) in enumerate(zip(texts, docs)):
+        block = batch.points[batch.starts[i] : batch.starts[i] + batch.lengths[i]]
+        assert doc.points.shape == block.shape and doc.points.tobytes() == block.tobytes(), i
+        assert doc.oov == sum(token not in vectors for token in tokenize(text)), i
+    assert sum(doc.oov for doc in docs) == points.diagnostics.oov_tokens
+    empty = tuple(i for i, doc in enumerate(docs) if doc.empty)
+    assert empty == points.diagnostics.empty_doc_indices == (2, 3, 5)
 
 
 def test_corpus_points_warns_about_empty_documents_once(caplog):

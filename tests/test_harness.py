@@ -64,6 +64,22 @@ def test_split_spec_validation():
         SplitSpec(kind="kfold", folds=1)
 
 
+def test_split_spec_folds_follow_the_whole_number_rule_of_k():
+    # a fold count that is not whole is refused when the spec is built, as
+    # a k is, so split never sees it; a whole float is that many folds
+    for bad in (2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="whole number of folds"):
+            SplitSpec(kind="kfold", folds=bad)
+    whole = SplitSpec(kind="kfold", folds=3.0, seed=4)
+    assert whole == SplitSpec(kind="kfold", folds=3, seed=4) and type(whole.folds) is int
+    labels = np.repeat([0, 1], 6)
+    got = split(labels, whole)
+    want = split(labels, SplitSpec(kind="kfold", folds=3, seed=4))
+    assert len(got) == 3
+    for (train, test), (want_train, want_test) in zip(got, want):
+        assert np.array_equal(train, want_train) and np.array_equal(test, want_test)
+
+
 def test_knn_spec_validation():
     KnnSpec(ks=(1,))
     KnnSpec(ks=(3.0, 5))
