@@ -59,9 +59,11 @@ NEWTON_MAX_STEPS = 50
 MIN_STEP = 2.0**-40
 
 
-def _check_C(C: float) -> None:
+def _check_C(C: float) -> float:
+    """C as a float if it is positive and finite."""
     if not (math.isfinite(C) and C > 0):
         raise ValueError(f"C must be positive and finite, got {C}")
+    return float(C)
 
 
 def _class_ids(labels, n: int) -> np.ndarray:
@@ -391,7 +393,7 @@ class SmoConfig:
     C: float = 1.0
 
     def __post_init__(self):
-        _check_C(self.C)
+        object.__setattr__(self, "C", _check_C(self.C))
 
 
 @dataclass(frozen=True)
@@ -401,7 +403,7 @@ class LinearPrimalConfig:
     C: float = 1.0
 
     def __post_init__(self):
-        _check_C(self.C)
+        object.__setattr__(self, "C", _check_C(self.C))
 
 
 @dataclass(frozen=True)

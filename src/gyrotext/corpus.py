@@ -27,11 +27,10 @@ malformed.
 from __future__ import annotations
 
 import logging
-import operator
 import re
 import unicodedata
 from dataclasses import dataclass
-from itertools import chain, compress, groupby, islice, repeat
+from itertools import chain, groupby, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +55,6 @@ __all__ = [
     "load_corpus",
     "doc_to_points",
     "corpus_points",
-    "compose_corpus",
     "represent_corpus",
 ]
 
@@ -333,21 +331,15 @@ class DocPoints(NamedTuple):
 def doc_to_points(tokens, table: EmbeddingTable) -> DocPoints:
     """Map tokens to their embedding points in order, skipping OOV tokens.
 
-    Every in-vocabulary token contributes one point with implicit weight 1.
-    A text with none, empty or all-OOV, is flagged ``empty`` and packed as
-    one point at the origin (+0.0), exactly as ``corpus_points`` packs it;
-    every scheme composes that one-point sequence to the origin.
+    One dict probe per token; every in-vocabulary token contributes one
+    point with implicit weight 1, and the points are copied once. A text
+    with none, empty or all-OOV, is flagged ``empty`` and packed as one
+    point at the origin (+0.0); every scheme composes that one-point
+    sequence to the origin. ``corpus_points`` packs each document with it.
     """
     rows = [v for v in map(table.vectors.get, tokens) if v is not None]
-    points = _stack(rows or [np.zeros(table.dimension)], table.dimension)
+    points = np.concatenate(rows or [np.zeros(table.dimension)]).reshape(-1, table.dimension)
     return DocPoints(points=points, oov=len(tokens) - len(rows), empty=not rows)
-
-
-def _stack(rows, dimension: int) -> np.ndarray:
-    """The (m, d) array of m looked-up vectors, copied once."""
-    if not rows:
-        return np.empty((0, dimension))
-    return np.concatenate(rows).reshape(len(rows), dimension)
 
 
 @dataclass(frozen=True)
@@ -374,37 +366,28 @@ class CorpusPoints(NamedTuple):
 def corpus_points(corpus: LabeledCorpus, table: EmbeddingTable) -> CorpusPoints:
     """Tokenize every document and map it to its points, once per corpus.
 
-    Documents with no in-vocabulary tokens are listed in the diagnostics
-    and warned about here, once. Each is packed as one point at the origin
-    (+0.0), at the row where its points would have started; every scheme
-    composes that one-point sequence to the origin.
+    Each document goes through ``doc_to_points``, so an empty or all-OOV
+    one is packed as one point at the origin (+0.0); such documents are
+    listed in the diagnostics and warned about here, once. The batch
+    concatenates the documents' arrays in corpus order.
     """
     if len(corpus) == 0:
         raise ValueError("corpus is empty")
     tokenized = [tokenize(text) for _, text in corpus.records]
-    # one dict probe per token over the whole corpus; the hits are copied
-    # once, into the packed buffer
-    found = list(map(table.vectors.get, chain.from_iterable(tokenized)))
-    hit = list(map(operator.is_not, found, repeat(None)))
-    rows = list(compress(found, hit))
-    # in-vocabulary points per document: differences of the running hit count
-    ends = np.cumsum([len(tokens) for tokens in tokenized])
-    running = np.concatenate([[0], np.cumsum(hit, dtype=np.int64)])
-    lengths = np.diff(running[ends], prepend=0)
-    empty = lengths == 0
-    empty_docs = np.flatnonzero(empty).tolist()
-    points = _stack(rows, table.dimension)
+    # doc_to_points is looked up in this module at each call, so that
+    # benchmarks/tracing.py's patch of it sees every document
+    docs = [doc_to_points(tokens, table) for tokens in tokenized]
+    empty_docs = [i for i, doc in enumerate(docs) if doc.empty]
     if empty_docs:
         logger.warning(
             "%d of %d documents had no in-vocabulary tokens; represented by the origin",
             len(empty_docs),
             len(corpus),
         )
-        # a second copy; the hits up to an empty document's end are its start row
-        points = np.insert(points, running[ends[empty]], 0.0, axis=0)
-        lengths[empty] = 1
-    total_tokens = len(found)
-    oov_tokens = total_tokens - len(rows)
+    points = np.concatenate([doc.points for doc in docs])
+    lengths = np.array([len(doc.points) for doc in docs], dtype=np.int64)
+    total_tokens = sum(map(len, tokenized))
+    oov_tokens = sum(doc.oov for doc in docs)
     diagnostics = CorpusDiagnostics(
         n_docs=len(corpus),
         empty_doc_indices=tuple(empty_docs),
@@ -415,19 +398,15 @@ def corpus_points(corpus: LabeledCorpus, table: EmbeddingTable) -> CorpusPoints:
     return CorpusPoints(batch=PointBatch(points, lengths), diagnostics=diagnostics)
 
 
-def compose_corpus(points: CorpusPoints, method: str) -> np.ndarray:
-    """One composed row per document, in corpus order; empty documents are the origin."""
-    return compose_batch(method, points.batch)
-
-
 def represent_corpus(corpus: LabeledCorpus, table: EmbeddingTable, method: str):
     """Compose every document into one point; returns (matrix, labels, diagnostics).
 
     Documents with no in-vocabulary tokens are represented by the origin
     and listed in the diagnostics rather than dropped, so the output row
     count always equals the corpus record count. To compose several
-    methods, call ``corpus_points`` once and ``compose_corpus`` per method.
+    methods, call ``corpus_points`` once and ``compose_batch`` on its batch
+    per method.
     """
     points = corpus_points(corpus, table)
     labels = [label for label, _ in corpus.records]
-    return compose_corpus(points, method), labels, points.diagnostics
+    return compose_batch(method, points.batch), labels, points.diagnostics

@@ -30,8 +30,8 @@ from .classify import (
     ovr_predict,
     ovr_train,
 )
-from .composition import METHODS
-from .corpus import FLAVORS, compose_corpus, corpus_points, load_corpus, load_embeddings
+from .composition import METHODS, compose_batch
+from .corpus import FLAVORS, corpus_points, load_corpus, load_embeddings
 
 # Not called here: benchmarks/tracing.py looks this name up in this module.
 from .corpus import represent_corpus  # noqa: F401
@@ -98,11 +98,12 @@ class KnnSpec:
     def __post_init__(self):
         if len(self.ks) == 0:
             raise ValueError("ks must be a non-empty list of positive ints")
-        for k in self.ks:
-            _check_k(k)
+        ks = tuple(_check_k(k) for k in self.ks)
         # a repeated k would write its cells twice, under one key
         if repeated := _repeated(self.ks):
             raise ValueError(f"k repeated: {repeated}")
+        # stored as ints, so that 3.0 and 3 write one row key
+        object.__setattr__(self, "ks", ks)
         if self.metric is not None and self.metric not in METRIC_KINDS:
             raise ValueError(f"unknown metric {self.metric!r}; expected one of {METRIC_KINDS}")
 
@@ -154,31 +155,22 @@ def split(labels, spec: SplitSpec):
     y = np.asarray(labels)
     if y.shape[0] == 0:
         raise ValueError("no labels to split")
-    rng = np.random.default_rng(spec.seed)
     classes = np.unique(y)
     per_class = [np.flatnonzero(y == c) for c in classes]
-
+    if spec.kind == "kfold":
+        for c, idx in zip(classes.tolist(), per_class):
+            if idx.size < spec.folds:
+                raise SplitError(f"class {c!r} has {idx.size} members, fewer than {spec.folds} folds")
+    rng = np.random.default_rng(spec.seed)
+    perms = [rng.permutation(idx) for idx in per_class]
     if spec.kind == "holdout":
-        train, test = [], []
-        for idx in per_class:
-            perm = rng.permutation(idx)
-            n_test = int(np.floor(idx.size * (1.0 - spec.ratio) + 0.5))
-            n_test = min(max(n_test, 0), idx.size - 1)
-            test.append(perm[:n_test])
-            train.append(perm[n_test:])
-        return [(np.sort(np.concatenate(train)), np.sort(np.concatenate(test)))]
-
-    for c, idx in zip(classes.tolist(), per_class):
-        if idx.size < spec.folds:
-            raise SplitError(f"class {c!r} has {idx.size} members, fewer than {spec.folds} folds")
-    assignments = [rng.permutation(idx) for idx in per_class]
-    pairs = []
-    for f in range(spec.folds):
-        test = np.sort(np.concatenate([perm[f :: spec.folds] for perm in assignments]))
-        mask = np.ones(y.shape[0], dtype=bool)
-        mask[test] = False
-        pairs.append((np.flatnonzero(mask), test))
-    return pairs
+        sizes = [min(int(np.floor(perm.size * (1.0 - spec.ratio) + 0.5)), perm.size - 1) for perm in perms]
+        folds = [[perm[:n] for perm, n in zip(perms, sizes)]]
+    else:
+        folds = [[perm[f :: spec.folds] for perm in perms] for f in range(spec.folds)]
+    everything = np.arange(y.shape[0])
+    tests = [np.sort(np.concatenate(parts)) for parts in folds]
+    return [(np.setdiff1d(everything, test, assume_unique=True), test) for test in tests]
 
 
 def evaluate(predictions, gold) -> float:
@@ -290,7 +282,7 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
             rows.extend(empty_row(method, c, p) for c, p, _ in cells)
             continue
         try:
-            X = compose_corpus(points, method)
+            X = compose_batch(method, points.batch)
         except Exception as exc:
             rows.extend(empty_row(method, c, p, exc) for c, p, _ in cells)
             continue

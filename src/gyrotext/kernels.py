@@ -65,6 +65,9 @@ class KernelSpec:
             raise ValueError(f"lambda must be positive, got {self.lam}")
         if not (math.isfinite(self.q) and self.q > 0):
             raise ValueError(f"q must be positive, got {self.q}")
+        # stored as floats, so that a cell's row key is one spelling
+        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "q", float(self.q))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import gyrotext
 from gyrotext import cli
+from gyrotext.corpus import load_corpus, tokenize
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -42,6 +43,10 @@ def test_tracer_reports_a_traced_run_and_compose(synth_files, tmp_path, monkeypa
     for name in ("harness.cells", "composition.compose_calls", "classify.smo_models"):
         assert metrics[name] > 0, name
     assert (metrics["corpus.empty_docs"], metrics["corpus.oov_tokens"]) == (1, 3)
+    # corpus_points maps every document of the run through doc_to_points,
+    # so the run's tokens (3,585) are counted beside the compose texts' 5
+    corpus, _ = load_corpus(cor)
+    assert metrics["corpus.tokens"] == sum(len(tokenize(text)) for _, text in corpus.records) + 5
     # one evaluate span per fold of every completed cell: 7 methods x 3
     # cells x 1 holdout fold
     with open(tmp_path / "results.csv", encoding="utf-8", newline="") as fh:

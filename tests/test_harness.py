@@ -194,6 +194,18 @@ def test_kfold_small_class_raises():
         split(labels, SplitSpec(kind="kfold", folds=5))
 
 
+def test_split_partitions_are_frozen():
+    # holdout and k-fold shuffle each class once, in class order, and take
+    # their test members from those permutations; these literals pin both
+    labels = ["b", "a", "c", "a", "b", "a", "c", "b", "a", "c", "a", "b", "a"]
+    [(train, test)] = split(labels, SplitSpec(ratio=0.7, seed=3))
+    assert (train.tolist(), test.tolist()) == ([0, 1, 2, 3, 4, 8, 9, 10, 11], [5, 6, 7, 12])
+    pairs = split(labels, SplitSpec(kind="kfold", folds=3, seed=3))
+    assert [test.tolist() for _, test in pairs] == [[3, 5, 6, 7, 11], [2, 4, 8, 12], [0, 1, 9, 10]]
+    for train, test in pairs:
+        assert train.tolist() == sorted(set(range(len(labels))) - set(test.tolist()))
+
+
 def test_split_empty_raises():
     with pytest.raises(ValueError):
         split([], SplitSpec())
@@ -266,6 +278,28 @@ def test_run_experiment_grid_completeness(tmp_path):
     assert all(row.accuracy == 1.0 for row in results.rows)
 
 
+def test_a_cell_row_key_does_not_depend_on_number_types(tmp_path):
+    # a spec stores its checked values as the CLI writes them (int k,
+    # float lambda, q and C), so both spellings of one cell write one key
+    emb, cor = tiny_files(tmp_path)
+    spellings = [
+        (KnnSpec(ks=(3.0, np.int64(5))), SmoConfig(KernelSpec(lam=np.float64(0.5), q=2), C=np.float64(1)),
+         LinearPrimalConfig(C=2)),
+        (KnnSpec(ks=(3, 5)), SmoConfig(KernelSpec(lam=0.5, q=2.0), C=1.0), LinearPrimalConfig(C=2.0)),
+    ]
+    tables = []
+    for knn, svm, linear_svm in spellings:
+        config = ExperimentConfig(cor, emb, "poincare", ("emean",), knn=knn, svm=svm, linear_svm=linear_svm)
+        tables.append([replace(row, runtime_s=None) for row in run_experiment(config).rows])
+    assert [row.params for row in tables[0]] == [
+        "k=3,metric=poincare",
+        "k=5,metric=poincare",
+        "kernel=geodesic,lambda=0.5,q=2.0,C=1.0",
+        "C=2.0",
+    ]
+    assert tables[0] == tables[1]
+
+
 def test_run_experiment_euclidean_na_rows(tmp_path):
     emb, cor = tiny_files(tmp_path)
     results = run_experiment(full_config(emb, cor, flavor="euclidean"))
@@ -297,14 +331,14 @@ def test_run_experiment_isolates_a_failing_composition(tmp_path, monkeypatch):
     emb, cor = tiny_files(tmp_path)
     config = full_config(emb, cor)
     clean = run_experiment(config)
-    real = harness.compose_corpus
+    real = harness.compose_batch
 
-    def compose_corpus(points, method):
+    def compose_batch(method, batch):
         if method == "lcf":
             raise RuntimeError("composition broke")
-        return real(points, method)
+        return real(method, batch)
 
-    monkeypatch.setattr(harness, "compose_corpus", compose_corpus)
+    monkeypatch.setattr(harness, "compose_batch", compose_batch)
     broken = run_experiment(config)
     assert len(broken.rows) == len(clean.rows) == 3 * 4
     assert len(broken.errors) == 4
