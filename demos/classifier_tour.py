@@ -54,13 +54,14 @@ def main():
     print("A peek inside one binary SMO problem (class 0 vs rest):")
     gram = gram_matrix(train_x, spec)
     y = np.where(train_y == 0, 1.0, -1.0)
-    model = svm_train_smo(gram, y)
+    C = 1.0
+    model = svm_train_smo(gram, y, C)
     h = model.objective_history
     print(f"  dual objective climbs {h[0]:.3f} -> {h[-1]:.3f} "
           f"over {h.size} updates, never decreasing: "
           f"{bool(np.all(np.diff(h) >= -1e-9))}")
     print(f"  sum(alpha * y) = {float(model.alphas @ y):+.2e} (should be ~0)")
-    print(f"  alphas in [0, C]: {bool(np.all((model.alphas >= 0) & (model.alphas <= model.C)))}")
+    print(f"  alphas in [0, C]: {bool(np.all((model.alphas >= 0) & (model.alphas <= C)))}")
     print()
 
     print("Primal linear SVM on the raw coordinates:")

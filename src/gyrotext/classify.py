@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .gyroball import _rows, _same_width, pairwise_poincare_distance, pairwise_squared_distance
-from .kernels import GramMatrix, KernelSpec, check_gram, cross_kernel, gram_matrix
+from .kernels import KernelSpec, check_gram, cross_kernel, gram_matrix
 
 __all__ = [
     "KnnModel",
@@ -178,15 +178,14 @@ class SvmModel:
     the residual is reported either way. psd_warning records whether any
     working pair exhibited negative curvature, a witness that the Gram
     is not positive semidefinite. objective_history holds the dual
-    objective after each pair step, one entry per iteration. The kernel
-    it decides with is not stored here: ``OvrModel.kernel`` holds it.
+    objective after each pair step, one entry per iteration. Its kernel
+    and C are the caller's: ``OvrModel.kernel`` and ``SmoConfig.C``.
     """
 
     alphas: np.ndarray
     bias: float
     support_indices: np.ndarray
     labels: np.ndarray
-    C: float
     converged: bool
     kkt_residual: float
     dual_objective: float
@@ -201,7 +200,7 @@ def _dual_objective(alpha: np.ndarray, y: np.ndarray, F: np.ndarray) -> float:
     return float(np.sum(alpha) - 0.5 * np.sum(alpha * y * (F + y)))
 
 
-def svm_train_smo(gram: Union[GramMatrix, np.ndarray], labels, C: float = 1.0) -> SvmModel:
+def svm_train_smo(gram, labels, C: float = 1.0) -> SvmModel:
     """Train a binary soft-margin SVM on a precomputed Gram matrix by SMO.
 
     F_k = sum_m alpha_m y_m K[m,k] - y_k is maintained incrementally. Each
@@ -221,11 +220,11 @@ def svm_train_smo(gram: Union[GramMatrix, np.ndarray], labels, C: float = 1.0) -
     sets are built once and updated at the two indices each step changes
     (LIBSVM's per-index bound status). The budget is ``MAX_PASSES * n``
     iterations; running out is reported through converged/kkt_residual,
-    not raised. A ``GramMatrix`` was checked when built; a raw Gram array
-    gets the same checks here. The labels are -1 or +1, both present. The
-    model keeps no kernel: the caller that built the Gram knows it.
+    not raised. The Gram, a ``GramMatrix`` or an array, goes through
+    ``check_gram``. The labels are -1 or +1, both present. The model
+    keeps no kernel and no C: the caller that built the Gram knows them.
     """
-    K = gram.entries if isinstance(gram, GramMatrix) else check_gram(gram)
+    K = check_gram(gram)
     n = K.shape[0]
     y = _signs(labels, n)
     _check_C(C)
@@ -318,7 +317,6 @@ def svm_train_smo(gram: Union[GramMatrix, np.ndarray], labels, C: float = 1.0) -
         bias=bias,
         support_indices=np.flatnonzero(alpha > SUPPORT_EPS),
         labels=y,
-        C=float(C),
         converged=converged,
         kkt_residual=residual,
         dual_objective=_dual_objective(alpha, y, F),
@@ -421,7 +419,7 @@ class OvrModel:
     kernel: Optional[KernelSpec] = None
 
 
-def ovr_train(points, labels, config: Union[SmoConfig, LinearPrimalConfig]) -> OvrModel:
+def ovr_train(points, labels, config: SmoConfig | LinearPrimalConfig) -> OvrModel:
     """Train one binary classifier per class (that class vs. the rest)."""
     P = _rows(points, "points")
     y = _class_ids(labels, P.shape[0])

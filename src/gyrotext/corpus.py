@@ -71,17 +71,10 @@ PARSE_BLOCK_LINES = 4096
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    """Token -> vector map of uniform dimension, tagged by geometry flavor."""
+    """Token -> vector map of uniform dimension; the flavor it was loaded as is the caller's."""
 
     dimension: int
     vectors: dict
-    flavor: str
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.vectors
-
-    def __len__(self) -> int:
-        return len(self.vectors)
 
 
 class LoadReport(NamedTuple):
@@ -146,7 +139,7 @@ def load_embeddings(path, flavor: str):
         raise ValueError(f"{path}: {skipped} of {total} lines malformed (> 1%)")
     if clamped:
         logger.warning("%s: %d vectors clamped inside the unit ball", path, clamped)
-    table = EmbeddingTable(dimension=dimension, vectors=vectors, flavor=flavor)
+    table = EmbeddingTable(dimension=dimension, vectors=vectors)
     return table, LoadReport(total=total, parsed=total - skipped, skipped=skipped, clamped=clamped)
 
 
@@ -281,10 +274,9 @@ def tokenize(text: str):
 
 @dataclass(frozen=True)
 class LabeledCorpus:
-    """Ordered (label, text) records plus the set of labels seen."""
+    """Ordered (label, text) records; the labels seen are read from them."""
 
     records: tuple
-    label_set: frozenset
 
     def __len__(self) -> int:
         return len(self.records)
@@ -313,10 +305,7 @@ def load_corpus(path):
         raise ValueError(f"{path}: {rejected} of {total} lines lack a TAB (> 1%)")
     if not records:
         raise ValueError(f"{path}: no records")
-    corpus = LabeledCorpus(
-        records=tuple(records),
-        label_set=frozenset(label for label, _ in records),
-    )
+    corpus = LabeledCorpus(records=tuple(records))
     return corpus, CorpusLoadReport(total=total, parsed=total - rejected, rejected=rejected)
 
 

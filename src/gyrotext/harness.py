@@ -149,8 +149,8 @@ def split(labels, spec: SplitSpec):
     class the indices are shuffled by a generator seeded from the spec, so
     identical inputs give identical partitions. Holdout draws
     floor(n_c * (1 - ratio) + 0.5) test members per class, keeping at
-    least one training member. k-fold raises ``SplitError`` when a class
-    has fewer members than folds.
+    least one training member, and raises ``SplitError`` when that draws
+    none at all; k-fold raises it when a class has fewer members than folds.
     """
     y = np.asarray(labels)
     if y.shape[0] == 0:
@@ -165,6 +165,8 @@ def split(labels, spec: SplitSpec):
     perms = [rng.permutation(idx) for idx in per_class]
     if spec.kind == "holdout":
         sizes = [min(int(np.floor(perm.size * (1.0 - spec.ratio) + 0.5)), perm.size - 1) for perm in perms]
+        if not any(sizes):
+            raise SplitError(f"holdout ratio {spec.ratio} leaves no test documents")
         folds = [[perm[:n] for perm, n in zip(perms, sizes)]]
     else:
         folds = [[perm[f :: spec.folds] for perm in perms] for f in range(spec.folds)]
@@ -262,7 +264,7 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
     table, _ = load_embeddings(config.embeddings_path, config.flavor)
     corpus, _ = load_corpus(config.corpus_path)
     points = corpus_points(corpus, table)
-    label_names = sorted(corpus.label_set)
+    label_names = sorted({label for label, _ in corpus.records})
     label_id = {name: i for i, name in enumerate(label_names)}
     y = np.array([label_id[label] for label, _ in corpus.records], dtype=np.int64)
     # split by name, in the order of the ids, so that an error names the

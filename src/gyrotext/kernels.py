@@ -15,7 +15,7 @@ Jacobi iteration in the round-robin (parallel) ordering of Brent & Luk
 
 Every square matrix this module or the kernel SVM takes - a
 ``GramMatrix``, a raw Gram array, the eigensolver's input - passes the
-one check ``check_gram``.
+one check ``check_gram``; a ``GramMatrix`` holds the array it returned.
 """
 
 from __future__ import annotations
@@ -44,14 +44,16 @@ KERNEL_KINDS = ("geodesic", "euclidean_rbf", "linear")
 
 # Jacobi sweeps before jacobi_eigenvalues returns whatever diagonal it has
 MAX_SWEEPS = 100
+# psd_check passes a smallest eigenvalue down to -PSD_TOL * max(1, trace / n)
+PSD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     """Kernel family selector: kind plus rate lambda and geodesic exponent q.
 
-    q is only meaningful for the geodesic kind (1 = Laplacian, 2 = Gaussian)
-    and is ignored otherwise.
+    q is read only by the geodesic kind (1 = Laplacian, 2 = Gaussian), and
+    lambda by all but linear; a setting the kind ignores must stay 1.0.
     """
 
     kind: str = "geodesic"
@@ -68,25 +70,32 @@ class KernelSpec:
         # stored as floats, so that a cell's row key is one spelling
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "q", float(self.q))
+        if self.q != 1.0 and self.kind != "geodesic":
+            raise ValueError(f"q applies only to the geodesic kernel, got q={self.q} for {self.kind!r}")
+        if self.lam != 1.0 and self.kind == "linear":
+            raise ValueError(f"lambda does not apply to the linear kernel, got lambda={self.lam}")
 
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric kernel matrix over one point set; its kernel is the caller's."""
+    """Symmetric kernel matrix, as ``check_gram`` returned it; its kernel is the caller's."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        check_gram(self.entries)
+        object.__setattr__(self, "entries", check_gram(self.entries))
 
 
 def check_gram(matrix) -> np.ndarray:
     """The one rule for a square matrix, from a ``GramMatrix`` or an array.
 
     Rejects a matrix that is empty, not square, not finite, or asymmetric
-    beyond 1e-12 * max(1, max |entry|), and returns its float64 entries.
+    beyond 1e-12 * max(1, max |entry|), and returns its float64 entries; a
+    ``GramMatrix``'s, checked when it was built, are returned as they are.
     """
-    a = np.asarray(matrix.entries if isinstance(matrix, GramMatrix) else matrix, dtype=np.float64)
+    if isinstance(matrix, GramMatrix):
+        return matrix.entries
+    a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError(f"Gram matrix must be square and non-empty, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -199,17 +208,16 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...
 class PsdReport(NamedTuple):
     passed: bool
     min_eigenvalue: float
-    tol: float
 
 
-def psd_check(gram, tol: float = 1e-8) -> PsdReport:
+def psd_check(gram) -> PsdReport:
     """Positive-semidefiniteness test with a trace-scaled tolerance.
 
-    Passes iff the smallest eigenvalue is >= -tol * max(1, trace / n),
+    Passes iff the smallest eigenvalue is >= -PSD_TOL * max(1, trace / n),
     which keeps the threshold dimensionless across kernel rates.
     """
-    # jacobi_eigenvalues validates the matrix and works on its own copy
-    lo = float(jacobi_eigenvalues(gram)[0])
-    a = gram.entries if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=np.float64)
+    a = check_gram(gram)
+    # jacobi_eigenvalues works on its own copy
+    lo = float(jacobi_eigenvalues(a)[0])
     scale = max(1.0, float(np.trace(a)) / a.shape[0])
-    return PsdReport(passed=lo >= -tol * scale, min_eigenvalue=lo, tol=tol)
+    return PsdReport(passed=lo >= -PSD_TOL * scale, min_eigenvalue=lo)

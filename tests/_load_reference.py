@@ -62,5 +62,5 @@ def load_embeddings(path, flavor: str):
         raise ValueError(f"{path}: {skipped} of {total} lines malformed (> 1%)")
     if clamped:
         logger.warning("%s: %d vectors clamped inside the unit ball", path, clamped)
-    table = EmbeddingTable(dimension=dimension, vectors=vectors, flavor=flavor)
+    table = EmbeddingTable(dimension=dimension, vectors=vectors)
     return table, LoadReport(total=total, parsed=total - skipped, skipped=skipped, clamped=clamped)

@@ -249,16 +249,17 @@ def test_smo_separable_blobs_sign_match():
     X, y01 = ball_blobs(rng, [(2.0, 2.0), (-2.0, -2.0)], per_class=20, spread=0.5)
     y = np.where(y01 == 0, 1.0, -1.0)
     gram = X @ X.T
-    model = svm_train_smo(gram, y)
+    C = 1.0
+    model = svm_train_smo(gram, y, C)
     assert model.converged
     scores = linear_decision(model, X, X)
     assert np.all(np.sign(scores) == y)
     # dual feasibility
-    assert np.all(model.alphas >= 0) and np.all(model.alphas <= model.C)
+    assert np.all(model.alphas >= 0) and np.all(model.alphas <= C)
     assert abs(model.alphas @ y) <= 1e-8
     assert model.dual_objective > 0
     # every free support vector sits on the margin
-    free = (model.alphas > 1e-10) & (model.alphas < model.C - 1e-10)
+    free = (model.alphas > 1e-10) & (model.alphas < C - 1e-10)
     if free.any():
         margins = y[free] * scores[free]
         np.testing.assert_allclose(margins, 1.0, atol=2e-3)
@@ -323,6 +324,16 @@ def test_smo_budget_exhaustion_reports_residual(monkeypatch):
     assert np.all(model.alphas == 0.0)
 
 
+def test_smo_stall_exit():
+    # the first pair step would move alpha by 2 / 1e15 = 2e-15, under the
+    # 1e-14 stall threshold: SMO stops before taking any step
+    model = svm_train_smo(1e15 * np.array([[1.0, 0.5], [0.5, 1.0]]), [1, -1])
+    assert not model.converged and model.n_iter == 0
+    assert model.kkt_residual == 2.0
+    assert model.alphas.tobytes() == np.zeros(2).tobytes()
+    assert not model.psd_warning
+
+
 def test_smo_flags_negative_curvature():
     gram = np.array([[1.0, 2.0], [2.0, 1.0]])
     model = svm_train_smo(gram, [1.0, -1.0])
@@ -361,7 +372,6 @@ def test_svm_decision_examples():
         bias=0.5,
         support_indices=np.array([], dtype=np.int64),
         labels=np.array([1.0, -1.0]),
-        C=1.0,
         converged=True,
         kkt_residual=0.0,
         dual_objective=0.0,
@@ -376,7 +386,6 @@ def test_svm_decision_examples():
         bias=0.0,
         support_indices=np.array([0]),
         labels=np.array([1.0]),
-        C=1.0,
         converged=True,
         kkt_residual=0.0,
         dual_objective=0.0,
@@ -390,7 +399,6 @@ def test_svm_decision_examples():
         bias=0.0,
         support_indices=np.array([0, 1]),
         labels=np.array([1.0, -1.0]),
-        C=1.0,
         converged=True,
         kkt_residual=0.0,
         dual_objective=0.0,

@@ -182,6 +182,32 @@ def test_run_kfold_names_the_short_class_by_its_label(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_holdout_without_test_documents_is_exit_2(tmp_path, capsys):
+    # ten documents a class at ratio 0.96 round each test share to 0
+    emb, cor = tiny_files(tmp_path)
+    out = tmp_path / "results.csv"
+    rc = main(["run", "--corpus", cor, "--embeddings", emb, "--flavor", "poincare",
+               "--methods", "emean", "--split", "holdout:0.96", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --split: holdout ratio 0.96 leaves no test documents\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value,message", [
+    ("kernel=linear,q=3", "q applies only to the geodesic kernel, got q=3.0 for 'linear'"),
+    ("kernel=euclidean-rbf,q=2", "q applies only to the geodesic kernel, got q=2.0 for 'euclidean_rbf'"),
+    ("kernel=linear,lambda=0.5", "lambda does not apply to the linear kernel, got lambda=0.5"),
+])
+def test_run_refuses_a_kernel_setting_its_kind_ignores(tmp_path, capsys, value, message):
+    emb, cor = tiny_files(tmp_path)
+    out = tmp_path / "results.csv"
+    rc = main(["run", "--corpus", cor, "--embeddings", emb, "--flavor", "poincare",
+               "--methods", "emean", "--knn", "off", "--svm", value, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --svm: {message}\n"
+    assert not out.exists()
+
+
 def test_run_euclidean_flavor_emits_na(tmp_path, capsys):
     emb, cor = tiny_files(tmp_path)
     out = tmp_path / "results.csv"

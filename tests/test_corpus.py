@@ -34,7 +34,7 @@ def write(tmp_path, name, text):
 def test_load_embeddings_basic(tmp_path):
     path = write(tmp_path, "emb.txt", "a 0.1 0.2\nb 0.3 0.4\n")
     table, report = load_embeddings(path, flavor="poincare")
-    assert table.dimension == 2 and len(table) == 2
+    assert table.dimension == 2 and len(table.vectors) == 2
     np.testing.assert_allclose(table.vectors["a"], [0.1, 0.2])
     assert report == (2, 2, 0, 0)
 
@@ -65,7 +65,7 @@ def test_load_embeddings_euclidean_skips_rows_whose_squared_norm_overflows(tmp_p
     path = write(tmp_path, "emb.txt", "\n".join(good[:70] + huge + good[70:]) + "\n")
     got = load_embeddings(path, "euclidean")
     assert got[1] == (252, 250, 2, 0)
-    assert "huge" not in got[0] and "big" not in got[0]
+    assert "huge" not in got[0].vectors and "big" not in got[0].vectors
     assert_same_load(got, reference.load_embeddings(path, "euclidean"))
     # the 1% rule is unchanged: one such line in 100 loads, two abort
     path = write(tmp_path, "emb.txt", "\n".join(good[:99] + huge[:1]) + "\n")
@@ -80,8 +80,8 @@ def test_load_embeddings_word2vec_count_header(tmp_path):
     vecs = rng.uniform(-0.5, 0.5, size=(200, 3))
     body = "".join(f"w{i} " + " ".join(repr(float(x)) for x in v) + "\n" for i, v in enumerate(vecs))
     table, report = load_embeddings(write(tmp_path, "w2v.txt", "200 3\n" + body), "poincare")
-    assert table.dimension == 3 and len(table) == 200
-    assert "200" not in table
+    assert table.dimension == 3 and len(table.vectors) == 200
+    assert "200" not in table.vectors
     np.testing.assert_array_equal(table.vectors["w0"], vecs[0])
     # the header is neither a parsed nor a skipped line
     assert report == (200, 200, 0, 0)
@@ -89,7 +89,7 @@ def test_load_embeddings_word2vec_count_header(tmp_path):
     assert headless.vectors.keys() == table.vectors.keys()
     # "7 2" is a 1-d vector when the next line has 2 fields, not d + 1 = 3
     table, report = load_embeddings(write(tmp_path, "1d.txt", "7 2\na 0.5\n"), "euclidean")
-    assert table.dimension == 1 and len(table) == 2
+    assert table.dimension == 1 and len(table.vectors) == 2
     np.testing.assert_array_equal(table.vectors["7"], [2.0])
     assert report == (2, 2, 0, 0)
 
@@ -110,11 +110,11 @@ def test_load_embeddings_ignores_whitespace_only_lines(tmp_path):
     body = "".join(lines)
     for text in (body + "\n", "\n \t\n" + "".join(lines[:7]) + "  \n" + "".join(lines[7:]) + "\n\n"):
         table, report = load_embeddings(write(tmp_path, "emb.txt", text), "poincare")
-        assert len(table) == 40
+        assert len(table.vectors) == 40
         assert report == (40, 40, 0, 0)
     # a count header is still the first line that is not blank
     table, report = load_embeddings(write(tmp_path, "w2v.txt", "\n40 2\n\n" + body), "poincare")
-    assert "40" not in table and report == (40, 40, 0, 0)
+    assert "40" not in table.vectors and report == (40, 40, 0, 0)
 
 
 def test_load_embeddings_skips_malformed_lines(tmp_path):
@@ -126,8 +126,8 @@ def test_load_embeddings_skips_malformed_lines(tmp_path):
     table, report = load_embeddings(path, flavor="poincare")
     assert report.skipped == 3
     assert report.parsed + report.skipped == report.total == 303
-    assert len(table) == 300
-    assert "bad" not in table and "alone" not in table
+    assert len(table.vectors) == 300
+    assert "bad" not in table.vectors and "alone" not in table.vectors
 
 
 def test_load_embeddings_duplicate_tokens_skipped(tmp_path):
@@ -150,7 +150,7 @@ def test_load_embeddings_exactly_at_threshold_loads(tmp_path):
     lines = ["w%d 0.1 0.2" % i for i in range(99)] + ["junk"]
     path = write(tmp_path, "emb.txt", "\n".join(lines) + "\n")
     table, report = load_embeddings(path, flavor="poincare")
-    assert report.skipped == 1 and len(table) == 99
+    assert report.skipped == 1 and len(table.vectors) == 99
 
 
 def test_load_embeddings_errors(tmp_path):
@@ -192,7 +192,7 @@ def test_load_embeddings_number_grammar(tmp_path):
     lines = ["w%d 0.%d 0.5" % (i, i % 10) for i in range(200)] + ["w 1_000 2", "v ١ ٢"]
     table, report = load_embeddings(write(tmp_path, "emb.txt", "\n".join(lines)), "euclidean")
     assert report == (202, 200, 2, 0)
-    assert "w" not in table and "v" not in table
+    assert "w" not in table.vectors and "v" not in table.vectors
 
 
 # spellings that float() and numpy's text reader read alike
@@ -378,7 +378,7 @@ def test_load_embeddings_holds_one_block_of_text_at_a_time(tmp_path, monkeypatch
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report == (2000, 2000, 0, 0) and len(table) == 2000
+    assert report == (2000, 2000, 0, 0) and len(table.vectors) == 2000
     # Beyond the table it returns, a load holds one block's tokens and
     # number strings, which is the block's text once (ASCII, a byte a
     # character). Their str headers, two of about 50 bytes a line, and the
@@ -449,7 +449,7 @@ def test_load_corpus_basic(tmp_path):
     path = write(tmp_path, "c.tsv", "sport\tmatch report\n")
     corpus, report = load_corpus(path)
     assert corpus.records == (("sport", "match report"),)
-    assert corpus.label_set == frozenset({"sport"})
+    assert {label for label, _ in corpus.records} == {"sport"}
     assert report == (1, 1, 0)
 
 
@@ -457,7 +457,7 @@ def test_load_corpus_label_set(tmp_path):
     path = write(tmp_path, "c.tsv", "a\tone\nb\ttwo\na\tthree\n")
     corpus, _ = load_corpus(path)
     assert len(corpus) == 3
-    assert corpus.label_set == frozenset({"a", "b"})
+    assert {label for label, _ in corpus.records} == {"a", "b"}
 
 
 def test_load_corpus_rejects_tabless_lines(tmp_path):
@@ -505,7 +505,7 @@ def test_load_corpus_ignores_a_byte_order_mark(tmp_path):
     path = write(tmp_path, "c.tsv", "\ufeffpos\tgood film\nneg\tdull\npos\tfine\n")
     corpus, report = load_corpus(path)
     assert corpus.records[0] == ("pos", "good film")
-    assert corpus.label_set == frozenset({"neg", "pos"})
+    assert {label for label, _ in corpus.records} == {"neg", "pos"}
     assert report == (3, 3, 0)
 
 
@@ -534,7 +534,6 @@ def make_table():
             "b": np.array([0.3, 0.0]),
             "c": np.array([0.0, 0.2]),
         },
-        flavor="poincare",
     )
 
 
@@ -565,9 +564,7 @@ def test_doc_to_points_preserves_order_and_repeats():
 def corpus_of(*records):
     from gyrotext.corpus import LabeledCorpus
 
-    return LabeledCorpus(
-        records=tuple(records), label_set=frozenset(l for l, _ in records)
-    )
+    return LabeledCorpus(records=tuple(records))
 
 
 def test_represent_corpus_single_doc_mean():
@@ -609,7 +606,7 @@ def test_represent_corpus_lcf_vs_lcb_differ():
 def test_represent_corpus_outputs_stay_in_ball():
     rng = np.random.default_rng(50)
     toks = {f"t{i}": rng.uniform(-0.5, 0.5, 2) * 0.9 for i in range(30)}
-    table = EmbeddingTable(dimension=2, vectors=toks, flavor="poincare")
+    table = EmbeddingTable(dimension=2, vectors=toks)
     text = " ".join(rng.choice(sorted(toks), size=12))
     corpus = corpus_of(("x", text), ("y", text))
     for method in ("emean", "naive", "lcf", "lcb", "lca", "fnw", "bnw"):
@@ -630,7 +627,7 @@ def test_represent_corpus_empty_corpus_raises():
 
     with pytest.raises(ValueError):
         represent_corpus(
-            LabeledCorpus(records=(), label_set=frozenset()), make_table(), "emean"
+            LabeledCorpus(records=()), make_table(), "emean"
         )
 
 
@@ -686,12 +683,12 @@ def test_empty_documents_pack_as_the_origin(texts):
     ball = {"a": [-0.0, 0.4, 0.1], "b": [0.3, -0.0, -0.2], "c": [0.0, -0.5, -0.0]}
     free = {"a": [-0.0, 4.0, 1.0], "b": [3.0, -0.0, -20.0], "c": [0.0, -5.0, -0.0]}
     cases = [
-        (EmbeddingTable(3, {k: np.array(v) for k, v in ball.items()}, "poincare"), METHODS),
-        (EmbeddingTable(3, {k: np.array(v) for k, v in free.items()}, "euclidean"), ("emean",)),
+        ("poincare", EmbeddingTable(3, {k: np.array(v) for k, v in ball.items()}), METHODS),
+        ("euclidean", EmbeddingTable(3, {k: np.array(v) for k, v in free.items()}), ("emean",)),
     ]
     corpus = corpus_of(*(("x", t) for t in texts))
     empty = [i for i, t in enumerate(texts) if not set(tokenize(t)) & {"a", "b", "c"}]
-    for table, methods in cases:
+    for flavor, table, methods in cases:
         points = corpus_points(corpus, table)
         assert points._fields == ("batch", "diagnostics")
         assert points.diagnostics.empty_doc_indices == tuple(empty)
@@ -706,7 +703,7 @@ def test_empty_documents_pack_as_the_origin(texts):
             assert reps.tobytes() == represent_corpus(corpus, table, method)[0].tobytes()
             for i, text in enumerate(texts):
                 want = np.zeros(3) if i in empty else _text_row(table, method, text)
-                assert reps[i].tobytes() == want.tobytes(), (table.flavor, method, i)
+                assert reps[i].tobytes() == want.tobytes(), (flavor, method, i)
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
@@ -714,7 +711,7 @@ def test_doc_to_points_packs_a_text_as_corpus_points_does(flavor):
     # one text's points are its row block of the corpus batch, byte for
     # byte, for full, partial-OOV, all-OOV and empty texts alike
     vectors = {"a": [-0.0, 0.4, 0.1], "b": [0.3, -0.0, -0.2], "c": [0.0, -0.5, -0.0]}
-    table = EmbeddingTable(3, {k: np.array(v) for k, v in vectors.items()}, flavor)
+    table = EmbeddingTable(3, {k: np.array(v) for k, v in vectors.items()})
     texts = ("a b c", "b zz a", "zz qq", "", "c", "!!!", "a a nope b")
     points = corpus_points(corpus_of(*(("x", t) for t in texts)), table)
     batch = points.batch

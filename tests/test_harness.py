@@ -16,6 +16,7 @@ from gyrotext.harness import (
     KnnSpec,
     ResultRow,
     ResultsTable,
+    SplitError,
     SplitSpec,
     emit_table,
     evaluate,
@@ -175,6 +176,16 @@ def test_holdout_always_keeps_a_training_member():
     y = np.asarray(labels)
     assert sorted(set(y[train])) == ["a", "b"]
     assert train.size == 2 and test.size == 4
+
+
+def test_holdout_that_draws_no_test_member_raises():
+    # three members a class at ratio 0.9: each test share rounds to 0
+    labels = ["a", "a", "a", "b", "b", "b"]
+    with pytest.raises(SplitError, match=r"^holdout ratio 0\.9 leaves no test documents$"):
+        split(labels, SplitSpec(ratio=0.9))
+    # one class that draws a member is enough
+    [(train, test)] = split(labels + ["b"] * 3, SplitSpec(ratio=0.9))
+    assert test.size == 1 and train.size == 8
 
 
 def test_kfold_split_partitions():

@@ -8,8 +8,10 @@ from gyrotext import kernels
 from gyrotext.classify import svm_train_smo
 from gyrotext.gyroball import pairwise_poincare_distance, poincare_distance
 from gyrotext.kernels import (
+    PSD_TOL,
     GramMatrix,
     KernelSpec,
+    check_gram,
     cross_kernel,
     gram_matrix,
     jacobi_eigenvalues,
@@ -53,6 +55,20 @@ def test_kernel_spec_validation():
         KernelSpec("geodesic", q=0.0)
     with pytest.raises(ValueError):
         KernelSpec("geodesic", lam=math.nan)
+
+
+def test_kernel_spec_refuses_a_setting_its_kind_ignores():
+    # q is read only by the geodesic kernel and lambda by all but linear;
+    # a setting with no effect would still be written into the row key
+    with pytest.raises(ValueError, match=r"q applies only to the geodesic kernel, got q=3\.0 for 'linear'"):
+        KernelSpec("linear", q=3)
+    with pytest.raises(ValueError, match="q applies only to the geodesic kernel"):
+        KernelSpec("euclidean_rbf", lam=2.0, q=2.0)
+    with pytest.raises(ValueError, match=r"lambda does not apply to the linear kernel, got lambda=2\.0"):
+        KernelSpec("linear", lam=2.0)
+    # the defaults stay accepted, whatever their number type
+    assert KernelSpec("linear", lam=1, q=1) == KernelSpec("linear")
+    assert KernelSpec("euclidean_rbf", lam=2.0, q=1).q == 1.0
 
 
 def test_geodesic_kernel_self_similarity():
@@ -260,6 +276,34 @@ def test_square_matrix_rule_is_one_for_every_entry_point():
                 assert reason in str(exc)
                 verdicts.append(False)
         assert verdicts == [ok] * 4, (m.shape, reason, verdicts)
+
+
+def test_gram_matrix_holds_the_float64_array_it_checked():
+    # built from nested lists or an int array, a GramMatrix trains, checks
+    # and gives eigenvalues bitwise as the float64 array does
+    ints = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+    for source, labels in [
+        ([[1.0, 0.2], [0.2, 1.0]], [1, -1]),
+        (ints, [1, -1, 1]),
+        (np.array(ints), [1, -1, 1]),
+    ]:
+        plain = np.array(source, dtype=np.float64)
+        gram = GramMatrix(source)
+        assert gram.entries.dtype == np.float64
+        assert gram.entries.tobytes() == plain.tobytes()
+        # checked once, when it was built: the rule returns the same array
+        assert check_gram(gram) is gram.entries
+        assert jacobi_eigenvalues(gram).tobytes() == jacobi_eigenvalues(plain).tobytes()
+        assert psd_check(gram) == psd_check(plain)
+        got, want = svm_train_smo(gram, labels), svm_train_smo(plain, labels)
+        assert got.alphas.tobytes() == want.alphas.tobytes() and got.bias == want.bias
+
+
+def test_psd_tolerance_is_the_module_constant():
+    # with trace / n <= 1 the threshold is -PSD_TOL itself
+    assert PSD_TOL == 1e-8
+    assert psd_check(np.diag([1.0, -0.5 * PSD_TOL])).passed
+    assert not psd_check(np.diag([1.0, -2.0 * PSD_TOL])).passed
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
