@@ -244,6 +244,8 @@ def svm_train_smo(gram, labels, C: float = 1.0) -> SvmModel:
     # it in the working set and jam the pair update against the box; snap
     # near-bound values to the exact bound instead
     snap = 1e-12 * C
+    # a shorter pair step has stalled; relative to C, so a tiny box still steps
+    stall = 1e-14 * C
 
     def _snap(a: float) -> float:
         if a < snap:
@@ -283,7 +285,7 @@ def svm_train_smo(gram, labels, C: float = 1.0) -> SvmModel:
         else:
             lo, hi = max(0.0, a_i + a_j - C), min(C, a_i + a_j)
         a_j_new = _snap(min(max(a_j_new, lo), hi))
-        if abs(a_j_new - a_j) < 1e-14:
+        if abs(a_j_new - a_j) < stall:
             # clip box blocks the chosen pair: no further progress possible
             stalled = True
             break

@@ -26,6 +26,7 @@ from .harness import (
     KnnSpec,
     SplitError,
     SplitSpec,
+    _check_methods,
     _composable,
     _repeated,
     emit_table,
@@ -54,11 +55,16 @@ def _flag(flag: str, parse, *args, **kwargs):
 
 def _parse_pairs(text: str) -> dict:
     pairs = {}
+    keys = []
     for part in text.split(","):
         key, sep, value = part.partition("=")
         if not sep or not key:
             raise ValueError(f"expected key=value items, got {part!r}")
+        keys.append(key)
         pairs[key] = value
+    # a later value would silently replace an earlier one
+    if repeated := _repeated(keys):
+        raise ValueError(f"repeated keys {repeated}")
     return pairs
 
 
@@ -78,13 +84,7 @@ def _seed(seed: int) -> int:
 
 def _parse_methods(text: str) -> tuple:
     methods = tuple(m.strip() for m in text.split(",") if m.strip())
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        raise ValueError(f"unknown {unknown}; choose from {','.join(METHODS)}")
-    if not methods:
-        raise ValueError("empty list")
-    if repeated := _repeated(methods):
-        raise ValueError(f"repeated {repeated}")
+    _check_methods(methods)
     return methods
 
 

@@ -42,8 +42,6 @@ __all__ = [
     "mobius_sum",
 ]
 
-METHODS = ("emean", "naive", "lcf", "lcb", "lca", "fnw", "bnw")
-
 # emean and the binary-tree schemes compose consecutive sequences with up to
 # this many bytes of points at a time, which bounds their temporaries
 STEP_BYTES = 256 * 1024
@@ -288,6 +286,8 @@ _SCHEMES = {
     "fnw": lambda batch: _trees(batch, *_reading(batch, False)),
     "bnw": lambda batch: _trees(batch, *_reading(batch, True)),
 }
+
+METHODS = tuple(_SCHEMES)
 
 
 def compose_batch(method: str, batch: PointBatch) -> np.ndarray:

@@ -19,9 +19,9 @@ ASCII decimal or scientific notation with an optional sign ("-0.25",
 Python's float() also reads digit groups ("1_000") and non-ASCII digits;
 lines using them are malformed here. Malformed lines are skipped and
 counted; more than 1% of them aborts the load. Poincare-flavor vectors
-are clamped inside the unit ball at load time; Euclidean-flavor vectors
-are stored as-is, except that a line whose squared norm overflows is
-malformed.
+are pulled inside the unit ball by gyroball's clamp; Euclidean-flavor
+vectors are stored as-is, except that a line whose squared norm
+overflows is malformed.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .composition import PointBatch, compose_batch
-from .gyroball import _clamp
+from .gyroball import _clamp_norms
 
 # Not called here: benchmarks/tracing.py looks this name up in this module.
 from .composition import compose  # noqa: F401
@@ -163,7 +163,7 @@ def _add_block(vectors, tokens, rests, dimension, flavor):
     """Parse and check one block's lines, adding its new tokens to vectors.
 
     Returns the dimension, fixed by the first parseable line, and how many
-    of the block's vectors were clamped.
+    of the block's vectors gyroball's clamp pulled back into the ball.
     """
     block = _parse_numbers(rests)
     if block is None:
@@ -196,20 +196,12 @@ def _add_block(vectors, tokens, rests, dimension, flavor):
         if usable[i] and token not in vectors:
             first.setdefault(token, i)
     rows = block[list(first.values())]
+    del block  # freed before the clamp's copy, which sets a load's peak memory
     clamped = 0
     if flavor == "poincare":
-        # _clamp takes the same sqrt(vecdot) norm of each row it is given,
-        # so it clamps exactly the rows counted here
         with np.errstate(over="ignore"):
-            norms = np.sqrt(np.vecdot(rows, rows))
-        # only the direction survives the clamp: a row whose norm
-        # overflows is first divided by its largest |coordinate|
-        inf = np.isinf(norms)
-        rows[inf] /= np.abs(rows[inf]).max(axis=1, keepdims=True)
-        over = norms >= 1.0
+            rows, _, over = _clamp_norms(rows)
         clamped = int(np.count_nonzero(over))
-        if clamped:
-            rows[over] = _clamp(rows[over])
     vectors.update(zip(first, rows))
     return dimension, clamped
 

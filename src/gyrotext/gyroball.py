@@ -85,8 +85,8 @@ def _as_vector(x, name: str = "point") -> np.ndarray:
 def _inside(X: np.ndarray, name: str) -> np.ndarray:
     """Squared norms of the rows of X, which must lie strictly inside the unit ball.
 
-    They are the np.vecdot squared norms that _clamp and the loader take,
-    so every row they keep is accepted.
+    They are the np.vecdot squared norms that _clamp_norms takes, so every
+    row it keeps is accepted.
     """
     n2 = np.vecdot(X, X)
     if np.any(n2 >= 1.0):
@@ -103,16 +103,22 @@ def _inside(X: np.ndarray, name: str) -> np.ndarray:
 
 
 def _clamp_norms(X: np.ndarray):
-    """X with every row of norm >= 1 pulled back to norm MAX_NORM, and the
-    sqrt(vecdot) norms of its returned rows."""
+    """X with every row of norm >= 1 pulled back to norm MAX_NORM (a row whose
+    squared norm overflowed keeps its direction), the sqrt(vecdot) norms of
+    its returned rows, and the mask of the rows it pulled back."""
     n = np.sqrt(np.vecdot(X, X))
     over = n >= 1.0
     # count_nonzero: ndarray.any costs several times more on small arrays
     if np.count_nonzero(over):
-        X = np.where(over[:, None], X * (MAX_NORM / np.where(over, n, 1.0))[:, None], X)
+        if np.count_nonzero(inf := np.isinf(n)):
+            # by its largest |coordinate|, on a copy; an all-zero row would give 0/0
+            X = np.divide(X, np.abs(X).max(axis=1, keepdims=True), out=X.copy(), where=inf[:, None])
+            n = np.sqrt(np.vecdot(X, X))
+        # x * 1.0 is x, so the rows kept keep their bits
+        X = X * (MAX_NORM / np.where(over, n, MAX_NORM))[:, None]
         # a pulled-back row's norm is MAX_NORM only to rounding
         n = np.where(over, np.sqrt(np.vecdot(X, X)), n)
-    return X, n
+    return X, n, over
 
 
 def _clamp(X: np.ndarray) -> np.ndarray:
@@ -127,7 +133,7 @@ def _add(A: np.ndarray, B: np.ndarray):
     # 1 + (2<a,b> + |b|^2) in this order: (1 + 2<a,b>) + |b|^2 rounds differently
     num = (1.0 + (dot2 + nb2)) * A + (1.0 - na2) * B
     den = 1.0 + dot2 + na2 * nb2
-    return _clamp_norms(num / den)
+    return _clamp_norms(num / den)[:2]
 
 
 def _scale(r, X: np.ndarray) -> np.ndarray:
@@ -237,11 +243,15 @@ def midpoint(a, b) -> np.ndarray:
 def weighted_midpoint(a, b, m_a: float, m_b: float) -> np.ndarray:
     """Weighted midpoint M_{ab|m_a m_b}: the geodesic point at t = m_b / (m_a + m_b).
 
-    Splits the geodesic so that d(a, .) / d(., b) = m_b / m_a.
+    Splits the geodesic so that d(a, .) / d(., b) = m_b / m_a. Where
+    m_a + m_b overflows, t is taken from the halved masses, which gives
+    the same fraction since halving is exact.
     """
     for name, m in (("m_a", m_a), ("m_b", m_b)):
         if not (math.isfinite(m) and m > 0):
             raise ValueError(f"weight {name} must be positive and finite, got {m}")
+    if math.isinf(m_a + m_b):
+        m_a, m_b = m_a / 2.0, m_b / 2.0
     return geodesic_point(a, b, m_b / (m_a + m_b))
 
 

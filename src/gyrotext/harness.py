@@ -57,6 +57,16 @@ def _repeated(values) -> list:
     return sorted({v for v in values if values.count(v) > 1})
 
 
+def _check_methods(methods) -> None:
+    """The method-list rule: one or more known composition methods, none repeated."""
+    if len(methods) == 0:
+        raise ValueError("at least one composition method is required")
+    if unknown := [m for m in methods if m not in METHODS]:
+        raise ValueError(f"unknown composition methods {unknown}; expected from {METHODS}")
+    if repeated := _repeated(methods):
+        raise ValueError(f"composition methods repeated: {repeated}")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Stratified evaluation protocol: holdout (train ratio) or k-fold."""
@@ -125,13 +135,7 @@ class ExperimentConfig:
         if self.knn is not None and self.knn.metric is None:
             # the flavor names are the metric names
             object.__setattr__(self, "knn", replace(self.knn, metric=self.flavor))
-        if len(self.methods) == 0:
-            raise ValueError("at least one composition method is required")
-        unknown = [m for m in self.methods if m not in METHODS]
-        if unknown:
-            raise ValueError(f"unknown composition methods {unknown}; expected from {METHODS}")
-        if repeated := _repeated(self.methods):
-            raise ValueError(f"composition methods repeated: {repeated}")
+        _check_methods(self.methods)
         if self.knn is None and self.svm is None and self.linear_svm is None:
             raise ValueError("at least one classifier is required")
 

@@ -40,7 +40,7 @@ def smo(K, y, C=1.0):
         else:
             lo, hi = max(0.0, a_i + a_j - C), min(C, a_i + a_j)
         a_j_new = _snap(min(max(a_j + y[j] * (F[i] - F[j]) / eta, lo), hi))
-        if abs(a_j_new - a_j) < 1e-14:
+        if abs(a_j_new - a_j) < 1e-14 * C:
             stalled = True
             break
         a_i_new = _snap(min(max(a_i - y[i] * y[j] * (a_j_new - a_j), 0.0), C))

@@ -326,12 +326,28 @@ def test_smo_budget_exhaustion_reports_residual(monkeypatch):
 
 def test_smo_stall_exit():
     # the first pair step would move alpha by 2 / 1e15 = 2e-15, under the
-    # 1e-14 stall threshold: SMO stops before taking any step
+    # stall threshold of 1e-14 C at C = 1: SMO stops before taking any step
     model = svm_train_smo(1e15 * np.array([[1.0, 0.5], [0.5, 1.0]]), [1, -1])
     assert not model.converged and model.n_iter == 0
     assert model.kkt_residual == 2.0
     assert model.alphas.tobytes() == np.zeros(2).tobytes()
     assert not model.psd_warning
+
+
+def test_smo_takes_steps_in_a_tiny_box():
+    # the stall threshold is 1e-14 C: an absolute 1e-14 stopped every box
+    # narrower than that before its first pair step
+    rng = np.random.default_rng(0)
+    X = rng.uniform(-0.3, 0.3, size=(40, 5))
+    y = np.where(X[:, 0] > 0, 1, -1)
+    gram = gram_matrix(X, KernelSpec("geodesic")).entries
+    wide = svm_train_smo(gram, y, C=1e-13)
+    for C in (1e-15, 1e-300):
+        model = svm_train_smo(gram, y, C=C)
+        assert model.converged and model.n_iter == wide.n_iter == 17
+        # the same optimum, scaled to the box
+        assert model.dual_objective / C == pytest.approx(wide.dual_objective / 1e-13, rel=1e-12)
+        assert set(model.alphas.tolist()) == {0.0, C}
 
 
 def test_smo_flags_negative_curvature():

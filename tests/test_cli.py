@@ -41,7 +41,7 @@ def test_parse_methods():
     assert _parse_methods(" lca , bnw ") == ("lca", "bnw")
     with pytest.raises(ValueError, match="unknown"):
         _parse_methods("emean,frechet")
-    with pytest.raises(ValueError, match="empty"):
+    with pytest.raises(ValueError, match="at least one composition method"):
         _parse_methods(" , ")
 
 
@@ -73,6 +73,8 @@ def test_parse_svm(capsys):
     assert "unknown keys ['epochs']" in capsys.readouterr().err
     with pytest.raises(ValueError, match="key=value"):
         _parse_svm("just-words")
+    with pytest.raises(ValueError, match=r"repeated keys \['lambda'\]"):
+        _parse_svm("lambda=1,C=2,lambda=0.5")
 
 
 def test_parse_split():
@@ -108,10 +110,13 @@ def test_parse_split():
         ("--split", "kfold:1", "--split: k-fold needs at least 2 folds, got 1"),
         ("--seed", "-1", "--seed: expected a non-negative integer, got -1"),
         # a repeated entry would compose twice and write two rows under one key
-        ("--methods", "lcf,lcf", "--methods: repeated ['lcf']"),
-        ("--methods", "emean,lcf,emean,lcf", "--methods: repeated ['emean', 'lcf']"),
+        ("--methods", "lcf,lcf", "--methods: composition methods repeated: ['lcf']"),
+        ("--methods", "emean,lcf,emean,lcf", "--methods: composition methods repeated: ['emean', 'lcf']"),
         ("--knn", "k=3,3", "--knn: k repeated: [3]"),
         ("--knn", "k=5,3,5", "--knn: k repeated: [5]"),
+        # a repeated key would silently take its last value
+        ("--svm", "C=1,C=2,kernel=linear,kernel=geodesic-gaussian", "--svm: repeated keys ['C', 'kernel']"),
+        ("--linear-svm", "C=1,C=2", "--linear-svm: repeated keys ['C']"),
     ],
 )
 def test_bad_numbers_name_their_flag_and_key(capsys, flag, value, message):

@@ -283,6 +283,11 @@ def test_outputs_inside_ball():
         assert np.linalg.norm(compose(method, seq)) < 1.0, method
 
 
+def test_methods_are_the_scheme_table_in_order():
+    assert composition.METHODS == tuple(composition._SCHEMES)
+    assert METHODS == ("emean", "naive", "lcf", "lcb", "lca", "fnw", "bnw")
+
+
 def test_dispatch_and_validation():
     rng = np.random.default_rng(15)
     seq = random_points(rng, 4, 3)

@@ -328,6 +328,20 @@ def test_load_embeddings_keeps_direction_of_overflowing_vector(tmp_path):
     assert table.vectors["c"].tolist() == [0.1, 0.2]
 
 
+def test_load_embeddings_clamps_a_block_with_zero_and_overflowing_rows(tmp_path):
+    # only the row whose squared norm overflows is divided by its largest
+    # |coordinate|: dividing the all-zero rows too would warn of 0/0
+    text = "zero 0 0 0\nneg -0.0 0 -0.0\nfive 3 4 0\nhuge 1e200 1e200 -1e200\nin 0.1 -0.2 0.3\n"
+    table, report = load_embeddings(write(tmp_path, "emb.txt", text), "poincare")
+    assert report == (5, 5, 0, 2)
+    assert table.vectors["zero"].tobytes() == np.zeros(3).tobytes()
+    assert table.vectors["neg"].tobytes() == np.array([-0.0, 0.0, -0.0]).tobytes()
+    assert table.vectors["five"].tolist() == [0.59999994, 0.7999999200000001, 0.0]
+    h = 0.5773502114545989
+    assert table.vectors["huge"].tolist() == [h, h, -h]
+    assert table.vectors["in"].tolist() == [0.1, -0.2, 0.3]
+
+
 def test_load_embeddings_ends_lines_only_at_line_breaks(tmp_path):
     # as in a corpus, vertical tab, form feed, the file/group/record
     # separators, NEL and the Unicode line and paragraph separators stay

@@ -11,6 +11,7 @@ from gyrotext.composition import compose
 from gyrotext.gyroball import (
     MAX_NORM,
     _clamp,
+    _clamp_norms,
     geodesic_point,
     midpoint,
     mobius_add,
@@ -173,6 +174,16 @@ def test_weighted_midpoint_reduces_to_midpoint():
     )
 
 
+def test_weighted_midpoint_of_masses_whose_sum_overflows():
+    # m_a + m_b is inf, which would put t at 0 and return a
+    rng = np.random.default_rng(8)
+    a, b = random_ball(rng, 3), random_ball(rng, 3)
+    assert weighted_midpoint(a, b, 1e308, 1e308).tobytes() == midpoint(a, b).tobytes()
+    big = 2.0**1023
+    got = weighted_midpoint(a, b, big, 1.5 * big)
+    assert got.tobytes() == weighted_midpoint(a, b, 1.0, 1.5).tobytes()
+
+
 def test_weighted_midpoint_small_weight_limit():
     rng = np.random.default_rng(8)
     a, b = random_ball(rng, 3), random_ball(rng, 3)
@@ -234,6 +245,25 @@ def test_distance_rejects_points_outside_unit_ball():
         poincare_distance(np.array([1.0, 0.0]), np.zeros(2))
     with pytest.raises(ValueError):
         poincare_distance(np.zeros(2), np.array([0.8, 0.8]))
+
+
+def test_clamp_norms_reports_exactly_the_rows_it_pulled_back():
+    rng = np.random.default_rng(62)
+    X = rng.normal(size=(400, 3))
+    X *= (rng.uniform(1.0 - 1e-15, 1.0 + 1e-15, size=400) / np.linalg.norm(X, axis=1))[:, None]
+    # a zero row, norm 1, norm 1 - 2^-53, and a row whose squared norm overflows
+    X[:4] = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0 - 2.0**-53, 0.0], [1e200, -1e200, 0.0]]
+    before = X.copy()
+    with np.errstate(over="ignore"):
+        out, norms, over = _clamp_norms(X)
+        assert np.array_equal(over, np.sqrt(np.vecdot(X, X)) >= 1.0)
+    assert X.tobytes() == before.tobytes()
+    assert over.tolist()[:4] == [False, True, False, True] and 0 < over.sum() < 400
+    # the rows it reports, and only those, changed; the others keep their bits
+    assert np.array_equal(over, np.any(out != X, axis=1))
+    assert out[~over].tobytes() == X[~over].tobytes()
+    assert np.array_equal(norms, np.sqrt(np.vecdot(out, out)))
+    assert np.all(norms < 1.0) and out[3, 0] == -out[3, 1] > 0.7
 
 
 def test_distance_accepts_every_row_the_clamp_keeps():
