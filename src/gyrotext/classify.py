@@ -93,6 +93,12 @@ def _check_k(k, n=math.inf) -> int:
     return int(k)
 
 
+def _check_metric(metric: str) -> None:
+    """The k-NN metric rule: one of METRIC_KINDS."""
+    if metric not in METRIC_KINDS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_KINDS}")
+
+
 def _pairwise_distance(queries, points, metric: str) -> np.ndarray:
     if metric == "poincare":
         return pairwise_poincare_distance(queries, points)
@@ -116,8 +122,7 @@ def knn_fit(points, labels, k: int, metric: str = "poincare") -> KnnModel:
     if P.shape[0] == 0:
         raise ValueError("training set is empty")
     k = _check_k(k, P.shape[0])
-    if metric not in METRIC_KINDS:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_KINDS}")
+    _check_metric(metric)
     return KnnModel(points=P, labels=y, k=k, metric=metric)
 
 
@@ -174,11 +179,11 @@ class SvmModel:
     """Fitted binary kernel SVM (dual form).
 
     converged is False when the KKT residual still exceeded ``KKT_TOL`` at
-    the iteration budget (or the pair step stalled on an indefinite Gram);
-    the residual is reported either way. psd_warning records whether any
-    working pair exhibited negative curvature, a witness that the Gram
-    is not positive semidefinite. objective_history holds the dual
-    objective after each pair step, one entry per iteration. Its kernel
+    the iteration budget, or at a stall (a pair step under 1e-14 C once
+    clipped, on any Gram); the residual is reported either way. psd_warning
+    records whether any working pair exhibited negative curvature, a witness
+    that the Gram is not positive semidefinite. objective_history holds the
+    dual objective after each pair step, one entry per iteration. Its kernel
     and C are the caller's: ``OvrModel.kernel`` and ``SmoConfig.C``.
     """
 
@@ -286,7 +291,7 @@ def svm_train_smo(gram, labels, C: float = 1.0) -> SvmModel:
             lo, hi = max(0.0, a_i + a_j - C), min(C, a_i + a_j)
         a_j_new = _snap(min(max(a_j_new, lo), hi))
         if abs(a_j_new - a_j) < stall:
-            # clip box blocks the chosen pair: no further progress possible
+            # the clipped step is under 1e-14 C, whether the box blocks it or it is that short
             stalled = True
             break
         a_i_new = _snap(min(max(a_i - y_i * y_j * (a_j_new - a_j), 0.0), C))
@@ -429,17 +434,14 @@ def ovr_train(points, labels, config: SmoConfig | LinearPrimalConfig) -> OvrMode
     if classes.size < 2:
         raise ValueError("one-vs-rest needs at least 2 classes")
 
+    # one binary problem per class: that class +1, the rest -1
+    signs = [np.where(y == c, 1.0, -1.0) for c in classes]
     if isinstance(config, SmoConfig):
         gram = gram_matrix(P, config.kernel)
-        models = tuple(
-            svm_train_smo(gram, np.where(y == c, 1.0, -1.0), C=config.C) for c in classes
-        )
+        models = tuple(svm_train_smo(gram, s, C=config.C) for s in signs)
         return OvrModel(classes=classes, models=models, train_points=P, kernel=config.kernel)
     if isinstance(config, LinearPrimalConfig):
-        models = tuple(
-            linear_svm_primal_train(P, np.where(y == c, 1.0, -1.0), C=config.C)
-            for c in classes
-        )
+        models = tuple(linear_svm_primal_train(P, s, C=config.C) for s in signs)
         return OvrModel(classes=classes, models=models)
     raise TypeError(f"unsupported trainer config {type(config).__name__}")
 

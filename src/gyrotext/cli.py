@@ -27,6 +27,7 @@ from .harness import (
     SplitError,
     SplitSpec,
     _check_methods,
+    _check_seed,
     _composable,
     _repeated,
     emit_table,
@@ -76,16 +77,8 @@ def _number(kind, text: str, key: str):
         raise ValueError(f"{key} takes {noun} only, got {text!r}") from None
 
 
-def _seed(seed: int) -> int:
-    if seed < 0:
-        raise ValueError(f"expected a non-negative integer, got {seed}")
-    return seed
-
-
 def _parse_methods(text: str) -> tuple:
-    methods = tuple(m.strip() for m in text.split(",") if m.strip())
-    _check_methods(methods)
-    return methods
+    return _check_methods([m.strip() for m in text.split(",") if m.strip()])
 
 
 def _parse_knn(text: str) -> tuple:
@@ -177,7 +170,7 @@ def _cmd_run(args) -> int:
         knn=knn,
         svm=_flag("--svm", _parse_svm, args.svm) if args.svm else None,
         linear_svm=_flag("--linear-svm", _parse_linear_svm, args.linear_svm) if args.linear_svm else None,
-        split=_flag("--split", _parse_split, args.split, _flag("--seed", _seed, args.seed)),
+        split=_flag("--split", _parse_split, args.split, _flag("--seed", _check_seed, args.seed)),
     )
     try:
         results = run_experiment(config)
@@ -197,7 +190,7 @@ def _cmd_check_kernel(args) -> int:
     # KernelSpec checks lambda before q, so only --lam can fail the first spec
     _flag("--lam", KernelSpec, lam=args.lam)
     kernel = _flag("--q", KernelSpec, lam=args.lam, q=args.q)
-    rng = np.random.default_rng(_flag("--seed", _seed, args.seed))
+    rng = np.random.default_rng(_flag("--seed", _check_seed, args.seed))
     table, _ = load_embeddings(args.embeddings, "poincare")
     tokens = sorted(table.vectors)
     if args.n < 2 or args.n > len(tokens):

@@ -64,8 +64,9 @@ class PointBatch:
     starts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        pts, lengths = _rows(self.points, "point sequence"), self.lengths
+        pts, lengths = _rows(self.points, "point sequence"), np.asarray(self.lengths)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "lengths", lengths)
         if lengths.ndim != 1 or lengths.dtype.kind not in "iu" or lengths.size == 0 or lengths.min() < 1:
             raise ValueError("a batch needs one or more sequences, each of positive length")
         if lengths.sum() != pts.shape[0]:

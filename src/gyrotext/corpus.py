@@ -47,7 +47,6 @@ __all__ = [
     "CorpusLoadReport",
     "LabeledCorpus",
     "DocPoints",
-    "CorpusDiagnostics",
     "CorpusPoints",
     "FLAVORS",
     "load_embeddings",
@@ -79,15 +78,21 @@ class EmbeddingTable:
 
 class LoadReport(NamedTuple):
     total: int
-    parsed: int
     skipped: int
     clamped: int
+
+
+def _check_flavor(flavor: str) -> None:
+    """The flavor rule: one of FLAVORS."""
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
 
 
 def load_embeddings(path, flavor: str):
     """Read a word-vector text file into an EmbeddingTable.
 
-    Returns (table, report). Lines of whitespace only are ignored, and
+    Returns (table, report); the report counts lines read (total), lines
+    skipped and vectors clamped. Lines of whitespace only are ignored, and
     counted nowhere in the report. A first line "V d" of two integers, followed
     by a line of d + 1 fields, is a word2vec count header: it is dropped
     and counted nowhere in the report. Skipped lines are those that fail
@@ -105,8 +110,7 @@ def load_embeddings(path, flavor: str):
     fails is parsed again a line per call. The table's vectors are 1-D
     float64 rows, which may be views into their block's array.
     """
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
+    _check_flavor(flavor)
     vectors = {}
     dimension = None
     clamped = 0
@@ -140,7 +144,7 @@ def load_embeddings(path, flavor: str):
     if clamped:
         logger.warning("%s: %d vectors clamped inside the unit ball", path, clamped)
     table = EmbeddingTable(dimension=dimension, vectors=vectors)
-    return table, LoadReport(total=total, parsed=total - skipped, skipped=skipped, clamped=clamped)
+    return table, LoadReport(total=total, skipped=skipped, clamped=clamped)
 
 
 def _after_count_header(fh):
@@ -276,13 +280,13 @@ class LabeledCorpus:
 
 class CorpusLoadReport(NamedTuple):
     total: int
-    parsed: int
     rejected: int
 
 
 def load_corpus(path):
     """Read a label-TAB-text file; returns (corpus, report).
 
+    The report counts lines read (total) and lines rejected.
     A line ends only at LF, CR LF or CR, as a text-mode file reads it.
     Lines of whitespace only are ignored, and counted nowhere in the
     report. Other lines without a TAB are rejected and counted; more than
@@ -298,7 +302,7 @@ def load_corpus(path):
     if not records:
         raise ValueError(f"{path}: no records")
     corpus = LabeledCorpus(records=tuple(records))
-    return corpus, CorpusLoadReport(total=total, parsed=total - rejected, rejected=rejected)
+    return corpus, CorpusLoadReport(total=total, rejected=rejected)
 
 
 class DocPoints(NamedTuple):
@@ -323,25 +327,19 @@ def doc_to_points(tokens, table: EmbeddingTable) -> DocPoints:
     return DocPoints(points=points, oov=len(tokens) - len(rows), empty=not rows)
 
 
-@dataclass(frozen=True)
-class CorpusDiagnostics:
-    n_docs: int
-    empty_doc_indices: tuple
-    total_tokens: int
-    oov_tokens: int
-    oov_rate: float
-
-
 class CorpusPoints(NamedTuple):
-    """Every document's points, tokenized and looked up once.
+    """Every document's points, tokenized and looked up once, and the counts.
 
     ``batch`` packs one sequence per document, in corpus order: its
     in-vocabulary points, or one point at the origin for a document with
-    none.
+    none (listed in ``empty_doc_indices``); ``oov_tokens`` of the corpus's
+    ``total_tokens`` tokens are out of vocabulary.
     """
 
     batch: PointBatch
-    diagnostics: CorpusDiagnostics
+    empty_doc_indices: tuple
+    total_tokens: int
+    oov_tokens: int
 
 
 def corpus_points(corpus: LabeledCorpus, table: EmbeddingTable) -> CorpusPoints:
@@ -349,7 +347,7 @@ def corpus_points(corpus: LabeledCorpus, table: EmbeddingTable) -> CorpusPoints:
 
     Each document goes through ``doc_to_points``, so an empty or all-OOV
     one is packed as one point at the origin (+0.0); such documents are
-    listed in the diagnostics and warned about here, once. The batch
+    listed in ``empty_doc_indices`` and warned about here, once. The batch
     concatenates the documents' arrays in corpus order.
     """
     if len(corpus) == 0:
@@ -366,28 +364,23 @@ def corpus_points(corpus: LabeledCorpus, table: EmbeddingTable) -> CorpusPoints:
             len(corpus),
         )
     points = np.concatenate([doc.points for doc in docs])
-    lengths = np.array([len(doc.points) for doc in docs], dtype=np.int64)
-    total_tokens = sum(map(len, tokenized))
-    oov_tokens = sum(doc.oov for doc in docs)
-    diagnostics = CorpusDiagnostics(
-        n_docs=len(corpus),
+    return CorpusPoints(
+        batch=PointBatch(points, [len(doc.points) for doc in docs]),
         empty_doc_indices=tuple(empty_docs),
-        total_tokens=total_tokens,
-        oov_tokens=oov_tokens,
-        oov_rate=oov_tokens / total_tokens if total_tokens else 0.0,
+        total_tokens=sum(map(len, tokenized)),
+        oov_tokens=sum(doc.oov for doc in docs),
     )
-    return CorpusPoints(batch=PointBatch(points, lengths), diagnostics=diagnostics)
 
 
 def represent_corpus(corpus: LabeledCorpus, table: EmbeddingTable, method: str):
-    """Compose every document into one point; returns (matrix, labels, diagnostics).
+    """Compose every document into one point; returns (matrix, labels, points).
 
-    Documents with no in-vocabulary tokens are represented by the origin
-    and listed in the diagnostics rather than dropped, so the output row
-    count always equals the corpus record count. To compose several
-    methods, call ``corpus_points`` once and ``compose_batch`` on its batch
-    per method.
+    ``points`` is the corpus's ``CorpusPoints``: documents with no
+    in-vocabulary tokens are represented by the origin and listed in its
+    ``empty_doc_indices`` rather than dropped, so the output row count
+    always equals the corpus record count. To compose several methods,
+    call ``corpus_points`` once and ``compose_batch`` on its batch each.
     """
     points = corpus_points(corpus, table)
     labels = [label for label, _ in corpus.records]
-    return compose_batch(method, points.batch), labels, points.diagnostics
+    return compose_batch(method, points.batch), labels, points

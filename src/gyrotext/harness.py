@@ -20,10 +20,10 @@ from typing import Optional
 import numpy as np
 
 from .classify import (
-    METRIC_KINDS,
     LinearPrimalConfig,
     SmoConfig,
     _check_k,
+    _check_metric,
     knn_fit,
     knn_predict_batch,
     knn_rank,
@@ -31,7 +31,7 @@ from .classify import (
     ovr_train,
 )
 from .composition import METHODS, compose_batch
-from .corpus import FLAVORS, corpus_points, load_corpus, load_embeddings
+from .corpus import _check_flavor, corpus_points, load_corpus, load_embeddings
 
 # Not called here: benchmarks/tracing.py looks this name up in this module.
 from .corpus import represent_corpus  # noqa: F401
@@ -57,19 +57,28 @@ def _repeated(values) -> list:
     return sorted({v for v in values if values.count(v) > 1})
 
 
-def _check_methods(methods) -> None:
-    """The method-list rule: one or more known composition methods, none repeated."""
+def _check_methods(methods) -> tuple:
+    """The method-list rule: a tuple of one or more known composition methods, none repeated."""
     if len(methods) == 0:
         raise ValueError("at least one composition method is required")
     if unknown := [m for m in methods if m not in METHODS]:
         raise ValueError(f"unknown composition methods {unknown}; expected from {METHODS}")
     if repeated := _repeated(methods):
         raise ValueError(f"composition methods repeated: {repeated}")
+    return tuple(methods)
+
+
+def _check_seed(seed) -> int:
+    """The seed rule: seed as an int if it is a non-negative whole number."""
+    if not (seed >= 0 and seed % 1 == 0):
+        raise ValueError(f"expected a non-negative integer, got {seed}")
+    return int(seed)
 
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Stratified evaluation protocol: holdout (train ratio) or k-fold."""
+    """Stratified evaluation protocol: holdout (train ratio) or k-fold,
+    seeded by a non-negative whole number, stored as an int (7.0 is 7)."""
 
     kind: str = "holdout"
     ratio: float = 0.8
@@ -88,6 +97,7 @@ class SplitSpec:
             if self.folds < 2:
                 raise ValueError(f"k-fold needs at least 2 folds, got {self.folds}")
             object.__setattr__(self, "folds", int(self.folds))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 class SplitError(ValueError):
@@ -114,8 +124,8 @@ class KnnSpec:
             raise ValueError(f"k repeated: {repeated}")
         # stored as ints, so that 3.0 and 3 write one row key
         object.__setattr__(self, "ks", ks)
-        if self.metric is not None and self.metric not in METRIC_KINDS:
-            raise ValueError(f"unknown metric {self.metric!r}; expected one of {METRIC_KINDS}")
+        if self.metric is not None:
+            _check_metric(self.metric)
 
 
 @dataclass(frozen=True)
@@ -130,12 +140,12 @@ class ExperimentConfig:
     split: SplitSpec = SplitSpec()
 
     def __post_init__(self):
-        if self.flavor not in FLAVORS:
-            raise ValueError(f"unknown flavor {self.flavor!r}; expected one of {FLAVORS}")
+        _check_flavor(self.flavor)
         if self.knn is not None and self.knn.metric is None:
             # the flavor names are the metric names
             object.__setattr__(self, "knn", replace(self.knn, metric=self.flavor))
-        _check_methods(self.methods)
+        # stored as a tuple, so that the frozen config hashes
+        object.__setattr__(self, "methods", _check_methods(self.methods))
         if self.knn is None and self.svm is None and self.linear_svm is None:
             raise ValueError("at least one classifier is required")
 

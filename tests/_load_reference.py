@@ -16,14 +16,13 @@ import math
 import numpy as np
 
 from _compose_reference import clamp
-from gyrotext.corpus import FLAVORS, SKIP_THRESHOLD, EmbeddingTable, LoadReport, _is_count_header
+from gyrotext.corpus import SKIP_THRESHOLD, EmbeddingTable, LoadReport, _check_flavor, _is_count_header
 
 logger = logging.getLogger(__name__)
 
 
 def load_embeddings(path, flavor: str):
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
+    _check_flavor(flavor)
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if _is_count_header(lines):
@@ -63,4 +62,4 @@ def load_embeddings(path, flavor: str):
     if clamped:
         logger.warning("%s: %d vectors clamped inside the unit ball", path, clamped)
     table = EmbeddingTable(dimension=dimension, vectors=vectors)
-    return table, LoadReport(total=total, parsed=total - skipped, skipped=skipped, clamped=clamped)
+    return table, LoadReport(total=total, skipped=skipped, clamped=clamped)

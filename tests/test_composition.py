@@ -404,6 +404,14 @@ def test_point_batch_validation():
         PointBatch.pack([np.array([[np.inf, 0.0]])])
     with pytest.raises(ValueError):
         PointBatch(pts, np.array([2]))
+    # lengths go through np.asarray: a list of ints builds, float lengths
+    # get the batch's own error
+    listed = PointBatch(pts, [3])
+    assert isinstance(listed.lengths, np.ndarray) and listed.lengths.tolist() == [3]
+    assert listed.starts.tolist() == [0]
+    for lengths in ([3.0], [1.5, 1.5]):
+        with pytest.raises(ValueError, match="one or more sequences"):
+            PointBatch(pts, lengths)
     batch = PointBatch.pack([pts, pts[:1]])
     assert batch.lengths.tolist() == [3, 1] and batch.starts.tolist() == [0, 3]
     with pytest.raises(ValueError):

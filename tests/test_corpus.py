@@ -36,7 +36,7 @@ def test_load_embeddings_basic(tmp_path):
     table, report = load_embeddings(path, flavor="poincare")
     assert table.dimension == 2 and len(table.vectors) == 2
     np.testing.assert_allclose(table.vectors["a"], [0.1, 0.2])
-    assert report == (2, 2, 0, 0)
+    assert report == (2, 0, 0)
 
 
 def test_load_embeddings_clamps_boundary_vectors(tmp_path):
@@ -64,12 +64,12 @@ def test_load_embeddings_euclidean_skips_rows_whose_squared_norm_overflows(tmp_p
     huge = ["huge 1e200 0", "big -1e300 1e300"]
     path = write(tmp_path, "emb.txt", "\n".join(good[:70] + huge + good[70:]) + "\n")
     got = load_embeddings(path, "euclidean")
-    assert got[1] == (252, 250, 2, 0)
+    assert got[1] == (252, 2, 0)
     assert "huge" not in got[0].vectors and "big" not in got[0].vectors
     assert_same_load(got, reference.load_embeddings(path, "euclidean"))
     # the 1% rule is unchanged: one such line in 100 loads, two abort
     path = write(tmp_path, "emb.txt", "\n".join(good[:99] + huge[:1]) + "\n")
-    assert load_embeddings(path, "euclidean")[1] == (100, 99, 1, 0)
+    assert load_embeddings(path, "euclidean")[1] == (100, 1, 0)
     path = write(tmp_path, "emb.txt", "\n".join(good[:98] + huge) + "\n")
     with pytest.raises(ValueError, match="2 of 100 lines malformed"):
         load_embeddings(path, "euclidean")
@@ -84,14 +84,14 @@ def test_load_embeddings_word2vec_count_header(tmp_path):
     assert "200" not in table.vectors
     np.testing.assert_array_equal(table.vectors["w0"], vecs[0])
     # the header is neither a parsed nor a skipped line
-    assert report == (200, 200, 0, 0)
+    assert report == (200, 0, 0)
     headless, _ = load_embeddings(write(tmp_path, "plain.txt", body), "poincare")
     assert headless.vectors.keys() == table.vectors.keys()
     # "7 2" is a 1-d vector when the next line has 2 fields, not d + 1 = 3
     table, report = load_embeddings(write(tmp_path, "1d.txt", "7 2\na 0.5\n"), "euclidean")
     assert table.dimension == 1 and len(table.vectors) == 2
     np.testing.assert_array_equal(table.vectors["7"], [2.0])
-    assert report == (2, 2, 0, 0)
+    assert report == (2, 0, 0)
 
 
 def test_load_embeddings_ignores_a_byte_order_mark(tmp_path):
@@ -100,7 +100,7 @@ def test_load_embeddings_ignores_a_byte_order_mark(tmp_path):
     for text in ("\ufeff3 2\n" + body, "\ufeff" + body):
         table, report = load_embeddings(write(tmp_path, "bom.txt", text), "poincare")
         assert list(table.vectors) == ["a", "b", "c"]
-        assert report == (3, 3, 0, 0)
+        assert report == (3, 0, 0)
 
 
 def test_load_embeddings_ignores_whitespace_only_lines(tmp_path):
@@ -111,10 +111,10 @@ def test_load_embeddings_ignores_whitespace_only_lines(tmp_path):
     for text in (body + "\n", "\n \t\n" + "".join(lines[:7]) + "  \n" + "".join(lines[7:]) + "\n\n"):
         table, report = load_embeddings(write(tmp_path, "emb.txt", text), "poincare")
         assert len(table.vectors) == 40
-        assert report == (40, 40, 0, 0)
+        assert report == (40, 0, 0)
     # a count header is still the first line that is not blank
     table, report = load_embeddings(write(tmp_path, "w2v.txt", "\n40 2\n\n" + body), "poincare")
-    assert "40" not in table.vectors and report == (40, 40, 0, 0)
+    assert "40" not in table.vectors and report == (40, 0, 0)
 
 
 def test_load_embeddings_skips_malformed_lines(tmp_path):
@@ -124,8 +124,7 @@ def test_load_embeddings_skips_malformed_lines(tmp_path):
     lines.insert(12, "nan_line 0.1 oops")  # unparseable number
     path = write(tmp_path, "emb.txt", "\n".join(lines) + "\n")
     table, report = load_embeddings(path, flavor="poincare")
-    assert report.skipped == 3
-    assert report.parsed + report.skipped == report.total == 303
+    assert report.skipped == 3 and report.total == 303
     assert len(table.vectors) == 300
     assert "bad" not in table.vectors and "alone" not in table.vectors
 
@@ -183,7 +182,7 @@ def test_load_embeddings_clamp_values(tmp_path):
     np.testing.assert_allclose(
         table.vectors["c"], np.array([0.6, 0.8]) * (1.0 - 1e-7), atol=1e-15
     )
-    assert report == (3, 3, 0, 2)
+    assert report == (3, 0, 2)
 
 
 def test_load_embeddings_number_grammar(tmp_path):
@@ -191,7 +190,7 @@ def test_load_embeddings_number_grammar(tmp_path):
     # reader does not, so these two lines are malformed
     lines = ["w%d 0.%d 0.5" % (i, i % 10) for i in range(200)] + ["w 1_000 2", "v ١ ٢"]
     table, report = load_embeddings(write(tmp_path, "emb.txt", "\n".join(lines)), "euclidean")
-    assert report == (202, 200, 2, 0)
+    assert report == (202, 2, 0)
     assert "w" not in table.vectors and "v" not in table.vectors
 
 
@@ -285,7 +284,7 @@ def test_load_embeddings_blocks_match_per_line_reference(
             assert (0 in dirty) == first_block_dirty
         for flavor in FLAVORS:
             got = load_embeddings(path, flavor)
-            assert got[1] == (807, 800, 7, 400 if flavor == "poincare" else 0)
+            assert got[1] == (807, 7, 400 if flavor == "poincare" else 0)
             assert_same_load(got, reference.load_embeddings(path, flavor))
         for load in (load_embeddings, reference.load_embeddings):
             with pytest.raises(ValueError, match="12 of 812 lines malformed"):
@@ -299,7 +298,7 @@ def test_load_embeddings_skips_a_whole_block_of_wrong_dimension(tmp_path, monkey
     lines[100:100] = ["wide 0.1 0.2 0.3", "wider 0.1 0.2 0.3"]
     path = write(tmp_path, "emb.txt", "\n".join(lines))
     got = load_embeddings(path, "poincare")
-    assert got[1] == (302, 300, 2, 0)
+    assert got[1] == (302, 2, 0)
     assert_same_load(got, reference.load_embeddings(path, "poincare"))
 
 
@@ -311,7 +310,7 @@ def test_load_embeddings_skips_a_block_of_unparseable_lines(tmp_path, monkeypatc
     assert len(lines) == 400 and 99 % 3 == 0
     path = write(tmp_path, "emb.txt", "\n".join(lines) + "\n")
     got = load_embeddings(path, "poincare")
-    assert got[1] == (400, 397, 3, 0)
+    assert got[1] == (400, 3, 0)
     assert_same_load(got, reference.load_embeddings(path, "poincare"))
 
 
@@ -320,7 +319,7 @@ def test_load_embeddings_keeps_direction_of_overflowing_vector(tmp_path):
     # clamped along its direction, without a floating-point warning
     path = write(tmp_path, "emb.txt", "a 1e200 0\nb -1e300 1e300\nc 0.1 0.2\n")
     table, report = load_embeddings(path, "poincare")
-    assert report == (3, 3, 0, 2)
+    assert report == (3, 0, 2)
     assert table.vectors["a"].tolist() == [0.9999999, 0.0]
     b = table.vectors["b"]
     assert b[0] == -b[1] and b[1] > 0
@@ -333,7 +332,7 @@ def test_load_embeddings_clamps_a_block_with_zero_and_overflowing_rows(tmp_path)
     # |coordinate|: dividing the all-zero rows too would warn of 0/0
     text = "zero 0 0 0\nneg -0.0 0 -0.0\nfive 3 4 0\nhuge 1e200 1e200 -1e200\nin 0.1 -0.2 0.3\n"
     table, report = load_embeddings(write(tmp_path, "emb.txt", text), "poincare")
-    assert report == (5, 5, 0, 2)
+    assert report == (5, 0, 2)
     assert table.vectors["zero"].tobytes() == np.zeros(3).tobytes()
     assert table.vectors["neg"].tobytes() == np.array([-0.0, 0.0, -0.0]).tobytes()
     assert table.vectors["five"].tolist() == [0.59999994, 0.7999999200000001, 0.0]
@@ -352,7 +351,7 @@ def test_load_embeddings_ends_lines_only_at_line_breaks(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_bytes("".join(f"w{i}{ch}0.5{ch}-0.25{ends[i % 3]}" for i, ch in enumerate(inner)).encode())
     table, report = load_embeddings(path, "poincare")
-    assert report == (8, 8, 0, 0)
+    assert report == (8, 0, 0)
     assert table.dimension == 2
     assert {token: v.tolist() for token, v in table.vectors.items()} == {
         f"w{i}": [0.5, -0.25] for i in range(8)
@@ -369,11 +368,11 @@ def test_load_embeddings_finds_the_count_header_across_blocks(tmp_path, monkeypa
         monkeypatch.setattr(corpus, "PARSE_BLOCK_LINES", block_lines)
         table, report = load_embeddings(header, "poincare")
         assert list(table.vectors) == [f"w{i}" for i in range(40)]
-        assert report == (40, 40, 0, 0)
+        assert report == (40, 0, 0)
         # "7 2" is no header when the next line that is not blank has 2 fields
         table, report = load_embeddings(one_d, "euclidean")
         assert table.dimension == 1 and list(table.vectors) == ["7", "a", "b"]
-        assert report == (3, 3, 0, 0)
+        assert report == (3, 0, 0)
 
 
 def test_load_embeddings_holds_one_block_of_text_at_a_time(tmp_path, monkeypatch):
@@ -392,7 +391,7 @@ def test_load_embeddings_holds_one_block_of_text_at_a_time(tmp_path, monkeypatch
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report == (2000, 2000, 0, 0) and len(table.vectors) == 2000
+    assert report == (2000, 0, 0) and len(table.vectors) == 2000
     # Beyond the table it returns, a load holds one block's tokens and
     # number strings, which is the block's text once (ASCII, a byte a
     # character). Their str headers, two of about 50 bytes a line, and the
@@ -464,7 +463,7 @@ def test_load_corpus_basic(tmp_path):
     corpus, report = load_corpus(path)
     assert corpus.records == (("sport", "match report"),)
     assert {label for label, _ in corpus.records} == {"sport"}
-    assert report == (1, 1, 0)
+    assert report == (1, 0)
 
 
 def test_load_corpus_label_set(tmp_path):
@@ -479,8 +478,7 @@ def test_load_corpus_rejects_tabless_lines(tmp_path):
     lines.insert(7, "no tab here")
     path = write(tmp_path, "c.tsv", "\n".join(lines) + "\n")
     corpus, report = load_corpus(path)
-    assert report.rejected == 1
-    assert report.parsed + report.rejected == report.total == 301
+    assert report.rejected == 1 and report.total == 301
     assert len(corpus) == 300
 
 
@@ -492,7 +490,7 @@ def test_load_corpus_ignores_whitespace_only_lines(tmp_path):
     for text in (body + "\n", " \n" + "".join(lines[:7]) + "\t\n\f\n" + "".join(lines[7:]) + "\r\n\n"):
         corpus, report = load_corpus(write(tmp_path, "c.tsv", text))
         assert [text for _, text in corpus.records] == [f"doc {i}" for i in range(40)]
-        assert report == (40, 40, 0)
+        assert report == (40, 0)
 
 
 def test_load_corpus_abort_above_threshold(tmp_path):
@@ -520,7 +518,7 @@ def test_load_corpus_ignores_a_byte_order_mark(tmp_path):
     corpus, report = load_corpus(path)
     assert corpus.records[0] == ("pos", "good film")
     assert {label for label, _ in corpus.records} == {"neg", "pos"}
-    assert report == (3, 3, 0)
+    assert report == (3, 0)
 
 
 def test_load_corpus_ends_records_only_at_line_breaks(tmp_path):
@@ -534,7 +532,7 @@ def test_load_corpus_ends_records_only_at_line_breaks(tmp_path):
     path.write_bytes("".join(f"l{i % 2}\t{t}{ends[i % 3]}" for i, t in enumerate(texts)).encode())
     corpus, report = load_corpus(path)
     assert corpus.records == tuple((f"l{i % 2}", t) for i, t in enumerate(texts))
-    assert report == (8, 8, 0)
+    assert report == (8, 0)
 
 
 # ----------------------------------------------------------- doc_to_points
@@ -584,29 +582,28 @@ def corpus_of(*records):
 def test_represent_corpus_single_doc_mean():
     table = make_table()
     corpus = corpus_of(("lab", "a b"))
-    reps, labels, diag = represent_corpus(corpus, table, "emean")
+    reps, labels, points = represent_corpus(corpus, table, "emean")
     np.testing.assert_allclose(reps, [[0.2, 0.0]], atol=1e-15)
     assert labels == ["lab"]
-    assert diag.n_docs == 1 and diag.oov_rate == 0.0
+    assert points.batch.lengths.size == 1 and points.oov_tokens == 0
 
 
 def test_represent_corpus_all_oov_doc_is_origin():
     table = make_table()
     corpus = corpus_of(("x", "a b c"), ("y", "qqq zzz"))
-    reps, labels, diag = represent_corpus(corpus, table, "lcf")
-    assert diag.empty_doc_indices == (1,)
+    reps, labels, points = represent_corpus(corpus, table, "lcf")
+    assert points.empty_doc_indices == (1,)
     np.testing.assert_allclose(reps[1], [0.0, 0.0], atol=0)
-    assert diag.oov_tokens == 2 and diag.total_tokens == 5
-    assert diag.oov_rate == pytest.approx(0.4)
+    assert points.oov_tokens == 2 and points.total_tokens == 5
 
 
 def test_represent_corpus_row_count_matches_corpus():
     table = make_table()
     corpus = corpus_of(("x", "a"), ("y", ""), ("z", "b c a"), ("w", "nope"))
-    reps, labels, diag = represent_corpus(corpus, table, "fnw")
+    reps, labels, points = represent_corpus(corpus, table, "fnw")
     assert reps.shape == (4, 2)
     assert labels == ["x", "y", "z", "w"]
-    assert diag.empty_doc_indices == (1, 3)
+    assert points.empty_doc_indices == (1, 3)
 
 
 def test_represent_corpus_lcf_vs_lcb_differ():
@@ -670,7 +667,7 @@ def test_corpus_rows_equal_per_text_compose_bitwise(tmp_path):
     texts += ["w0 w1 w2 w3 w4 w5 w6 w7 zzz"]
     corpus = corpus_of(*(("x", t) for t in texts))
     points = corpus_points(corpus, table)
-    assert points.diagnostics.empty_doc_indices == (1, 3)
+    assert points.empty_doc_indices == (1, 3)
     for method in ("emean", "naive", "lcf", "lcb", "lca", "fnw", "bnw"):
         reps = compose_batch(method, points.batch)
         assert reps.tobytes() == represent_corpus(corpus, table, method)[0].tobytes()
@@ -704,8 +701,8 @@ def test_empty_documents_pack_as_the_origin(texts):
     empty = [i for i, t in enumerate(texts) if not set(tokenize(t)) & {"a", "b", "c"}]
     for flavor, table, methods in cases:
         points = corpus_points(corpus, table)
-        assert points._fields == ("batch", "diagnostics")
-        assert points.diagnostics.empty_doc_indices == tuple(empty)
+        assert points._fields == ("batch", "empty_doc_indices", "total_tokens", "oov_tokens")
+        assert points.empty_doc_indices == tuple(empty)
         batch = points.batch
         assert batch.lengths.size == len(texts)
         for i in empty:
@@ -734,9 +731,9 @@ def test_doc_to_points_packs_a_text_as_corpus_points_does(flavor):
         block = batch.points[batch.starts[i] : batch.starts[i] + batch.lengths[i]]
         assert doc.points.shape == block.shape and doc.points.tobytes() == block.tobytes(), i
         assert doc.oov == sum(token not in vectors for token in tokenize(text)), i
-    assert sum(doc.oov for doc in docs) == points.diagnostics.oov_tokens
+    assert sum(doc.oov for doc in docs) == points.oov_tokens
     empty = tuple(i for i, doc in enumerate(docs) if doc.empty)
-    assert empty == points.diagnostics.empty_doc_indices == (2, 3, 5)
+    assert empty == points.empty_doc_indices == (2, 3, 5)
 
 
 def test_corpus_points_warns_about_empty_documents_once(caplog):

@@ -63,6 +63,14 @@ def test_split_spec_validation():
         SplitSpec(ratio=0.0)
     with pytest.raises(ValueError):
         SplitSpec(kind="kfold", folds=1)
+    # the seed rule holds when the spec is built, not inside split after
+    # both files have loaded: a non-negative whole number, stored as an int
+    for bad in (-1, 1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="expected a non-negative integer"):
+            SplitSpec(seed=bad)
+    assert SplitSpec(seed=0).seed == 0
+    whole = SplitSpec(seed=7.0)
+    assert whole == SplitSpec(seed=7) and type(whole.seed) is int
 
 
 def test_split_spec_folds_follow_the_whole_number_rule_of_k():
@@ -121,6 +129,10 @@ def test_experiment_config_validation():
         ExperimentConfig("c", "e", "poincare", methods=("lcf", "emean", "lcf"), knn=KnnSpec())
     with pytest.raises(ValueError, match="unknown flavor 'spherical'"):
         ExperimentConfig("c", "e", "spherical", methods=("emean",), knn=KnnSpec())
+    # a list of methods is stored as a tuple, so the frozen config hashes
+    listed = ExperimentConfig("c", "e", "poincare", methods=["lcf", "emean"], knn=KnnSpec())
+    assert listed.methods == ("lcf", "emean")
+    assert hash(listed) == hash(replace(listed, methods=("lcf", "emean")))
 
 
 def test_default_knn_metric_is_the_flavor(synth_files, tmp_path, capsys):
