@@ -86,9 +86,17 @@ def _signs(labels, n: int) -> np.ndarray:
     return y.astype(np.float64)
 
 
+def _meets(value, rule) -> bool:
+    """Whether value meets rule; a value it cannot compare (None, a string) does not."""
+    try:
+        return bool(rule(value))
+    except TypeError:
+        return False
+
+
 def _check_k(k, n=math.inf) -> int:
     """k as an int if it is a whole number in [1, n]; a cast would truncate 2.5."""
-    if not (1 <= k <= n and k % 1 == 0):
+    if not _meets(k, lambda k: 1 <= k <= n and k % 1 == 0):
         raise ValueError(f"k must lie in [1, {n}] and be a whole number, got {k!r}")
     return int(k)
 

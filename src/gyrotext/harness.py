@@ -24,6 +24,7 @@ from .classify import (
     SmoConfig,
     _check_k,
     _check_metric,
+    _meets,
     knn_fit,
     knn_predict_batch,
     knn_rank,
@@ -70,7 +71,7 @@ def _check_methods(methods) -> tuple:
 
 def _check_seed(seed) -> int:
     """The seed rule: seed as an int if it is a non-negative whole number."""
-    if not (seed >= 0 and seed % 1 == 0):
+    if not _meets(seed, lambda s: s >= 0 and s % 1 == 0):
         raise ValueError(f"expected a non-negative integer, got {seed}")
     return int(seed)
 
@@ -88,15 +89,16 @@ class SplitSpec:
     def __post_init__(self):
         if self.kind not in ("holdout", "kfold"):
             raise ValueError(f"unknown split kind {self.kind!r}")
-        if self.kind == "holdout" and not (0.0 < self.ratio < 1.0):
+        # both fields are checked whatever the kind, so that no spec holds a
+        # value its rule refuses
+        if not _meets(self.ratio, lambda r: 0.0 < r < 1.0):
             raise ValueError(f"holdout ratio must lie in (0, 1), got {self.ratio}")
-        if self.kind == "kfold":
-            # k's whole-number rule: 2.5 is refused, 3.0 is stored as 3
-            if self.folds % 1 != 0:
-                raise ValueError(f"k-fold needs a whole number of folds, got {self.folds!r}")
-            if self.folds < 2:
-                raise ValueError(f"k-fold needs at least 2 folds, got {self.folds}")
-            object.__setattr__(self, "folds", int(self.folds))
+        # k's whole-number rule: 2.5 is refused, 3.0 is stored as 3
+        if not _meets(self.folds, lambda f: f % 1 == 0):
+            raise ValueError(f"k-fold needs a whole number of folds, got {self.folds!r}")
+        if self.folds < 2:
+            raise ValueError(f"k-fold needs at least 2 folds, got {self.folds}")
+        object.__setattr__(self, "folds", int(self.folds))
         object.__setattr__(self, "seed", _check_seed(self.seed))
 
 

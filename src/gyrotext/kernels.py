@@ -9,18 +9,17 @@ Laplacian kernel (a valid Mercer kernel on the ball); q = 2 is the geodesic
 Gaussian kernel, which is not positive semidefinite there - some point
 configurations give Gram matrices with negative eigenvalues. Euclidean
 RBF exp(-lambda |u - v|^2) and the plain dot product are provided as
-baselines. The eigensolver used for the PSD diagnostic is an in-repo
-Jacobi iteration in the round-robin (parallel) ordering of Brent & Luk
-1985, which rotates disjoint index pairs together.
+baselines. The PSD diagnostic needs only the smallest eigenvalue, which an
+in-repo route finds: a Householder reduction to tridiagonal form, then
+bisection on the Sturm count.
 
 Every square matrix this module or the kernel SVM takes - a
-``GramMatrix``, a raw Gram array, the eigensolver's input - passes the
-one check ``check_gram``; a ``GramMatrix`` holds the array it returned.
+``GramMatrix``, a raw Gram array, the PSD check's input - passes the one
+check ``check_gram``; a ``GramMatrix`` holds the array it returned.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -36,14 +35,11 @@ __all__ = [
     "check_gram",
     "cross_kernel",
     "gram_matrix",
-    "jacobi_eigenvalues",
     "psd_check",
 ]
 
 KERNEL_KINDS = ("geodesic", "euclidean_rbf", "linear")
 
-# Jacobi sweeps before jacobi_eigenvalues returns whatever diagonal it has
-MAX_SWEEPS = 100
 # psd_check passes a smallest eigenvalue down to -PSD_TOL * max(1, trace / n)
 PSD_TOL = 1e-8
 
@@ -128,81 +124,59 @@ def gram_matrix(points, spec: KernelSpec) -> GramMatrix:
     return GramMatrix(entries=cross_kernel(P, P, spec))
 
 
-def jacobi_eigenvalues(matrix) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix by Jacobi rotations.
+def _smallest_eigenvalue(a: np.ndarray) -> float:
+    """Smallest eigenvalue of a symmetric matrix ``check_gram`` returned.
 
-    Each sweep rotates every off-diagonal pair once, in the round-robin
-    ordering of Brent & Luk 1985 (SIAM J. Sci. Stat. Comput. 6): n - 1
-    rounds (n for odd n) of disjoint pairs, each round one matrix update.
-
-    Sweeps stop once the off-diagonal Frobenius norm falls to
-    1e-12 * trace (or hits zero), capped at ``MAX_SWEEPS`` sweeps.
-    Returns the eigenvalues in ascending order.
+    Householder reflections reduce a copy to tridiagonal form, n - 2 rank-2
+    updates (Golub & Van Loan, Matrix Computations, 4th ed., 8.3.1). On that
+    form, bisection on the Sturm count (Barth, Martin & Wilkinson 1967,
+    Numer. Math. 9) narrows the Gershgorin interval until its ends are
+    adjacent floats, and returns the upper end.
     """
-    a = check_gram(matrix).copy()
+    # on a copy scaled exactly by a power of two to a largest |entry| in
+    # [0.5, 1), so that the squared subdiagonal entries below neither
+    # overflow nor lose a tiny matrix's entries
+    exponent = math.frexp(float(np.abs(a).max()))[1]
+    a = np.ldexp(a, -exponent)
     n = a.shape[0]
-    threshold = max(1e-12 * float(np.trace(a)), 0.0)
-    off_diagonal = ~np.eye(n, dtype=bool)
-    for _ in range(MAX_SWEEPS):
-        # summed from the off-diagonal entries themselves: the difference
-        # sum(a^2) - sum(diag^2) cancels to a ~1e-7 floor above threshold
-        if math.sqrt(float(np.sum(a[off_diagonal] ** 2))) <= threshold:
-            break
-        _jacobi_sweep(a)
-    return np.sort(np.diag(a))
-
-
-def _jacobi_sweep(a: np.ndarray) -> None:
-    """One round-robin pass of rotations over every off-diagonal pair, in place.
-
-    Each round rotates its disjoint pairs at once: the rotations commute, so
-    they form one orthogonal J and the round is the update a <- J^T a J.
-    """
-    n = a.shape[0]
-    diag = a.diagonal()
-    for p, q, entries in _round_robin(n):
-        # tangent of the rotation zeroing a[p, q]; this form of the quadratic
-        # root never overflows, unlike theta = delta/(2 apq). A pair with
-        # apq = 0 and delta = 0 (0/0 here) is already diagonal: t = 0.
-        two_apq = 2.0 * a[p, q]
-        delta = diag[q] - diag[p]
-        den = delta + np.copysign(np.hypot(delta, two_apq), delta)
-        t = np.divide(two_apq, den, out=np.zeros_like(den), where=den != 0.0)
-        c = 1.0 / np.hypot(1.0, t)
-        s = t * c
-        J = np.eye(n)
-        J.put(entries, np.concatenate((c, c, s, -s)))
-        np.matmul(J.T @ a, J, out=a)
-        a.put(entries[2 * len(p):], 0.0)
-
-
-@functools.lru_cache(maxsize=16)
-def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Circle-method schedule: rounds of disjoint index pairs (p, q) that
-    together meet every pair of 0..n-1 once (Brent & Luk 1985).
-
-    Index 0 stays put while the others rotate one place per round. For odd
-    n a bye slot n pads the circle and its pair is dropped, so each round
-    one index sits out. Each round also carries the flat indices of its
-    (p, p), (q, q), (p, q), (q, p) entries in an n x n array. The arrays are
-    read-only: every caller shares them.
-    """
-    m = n + n % 2
-    circle = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = [
-            (circle[i], circle[m - 1 - i])
-            for i in range(m // 2)
-            if max(circle[i], circle[m - 1 - i]) < n
-        ]
-        p, q = (np.array(side, dtype=np.intp) for side in zip(*pairs))
-        entries = np.concatenate((p * n + p, q * n + q, p * n + q, q * n + p))
-        for array in (p, q, entries):
-            array.flags.writeable = False
-        rounds.append((p, q, entries))
-        circle = [circle[0], circle[-1], *circle[1:-1]]
-    return tuple(rounds)
+    for k in range(n - 2):
+        x = a[k + 1 :, k]
+        if not x[1:].any():
+            continue  # already zero below the subdiagonal
+        # scaled by its largest |entry| first, as LAPACK's dlarfg does, so
+        # that v @ v >= 1 and cannot underflow
+        scale = np.abs(x).max()
+        v = x / scale
+        alpha = -math.copysign(math.sqrt(v @ v), v[0])
+        v[0] -= alpha
+        # the subdiagonal entry H leaves; the zeros below it are never read
+        x[0] = alpha * scale
+        # H = I - beta v v^T applied on both sides of the trailing block
+        beta = 2.0 / (v @ v)
+        rest = a[k + 1 :, k + 1 :]
+        p = beta * (rest @ v)
+        w = p - (0.5 * beta * (p @ v)) * v
+        rest -= np.outer(v, w) + np.outer(w, v)
+    diag, off = a.diagonal(), a.diagonal(-1)
+    radius = np.r_[np.abs(off), 0.0] + np.r_[0.0, np.abs(off)]
+    # one float down, so that rounding in the bound cannot put lo above it
+    lo = math.nextafter(float((diag - radius).min()), -math.inf)
+    hi = float((diag + radius).max())
+    d, e2 = diag.tolist(), [0.0, *(off * off).tolist()]
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        # T - mid I = L D L^T has as many negative eigenvalues as D has
+        # negative pivots (Sylvester), so one pivot <= 0 puts an eigenvalue
+        # at or below mid. A zero pivot counts, as LAPACK's dstebz counts it
+        # by taking it as -pivmin; stopping there never divides by zero
+        pivot = 1.0
+        for di, ei in zip(d, e2):
+            pivot = di - mid - ei / pivot
+            if pivot <= 0.0:
+                hi = mid
+                break
+        else:
+            lo = mid
+    return math.ldexp(hi, exponent)
 
 
 class PsdReport(NamedTuple):
@@ -217,7 +191,6 @@ def psd_check(gram) -> PsdReport:
     which keeps the threshold dimensionless across kernel rates.
     """
     a = check_gram(gram)
-    # jacobi_eigenvalues works on its own copy
-    lo = float(jacobi_eigenvalues(a)[0])
+    lo = _smallest_eigenvalue(a)
     scale = max(1.0, float(np.trace(a)) / a.shape[0])
     return PsdReport(passed=lo >= -PSD_TOL * scale, min_eigenvalue=lo)

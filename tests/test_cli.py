@@ -332,7 +332,7 @@ def test_check_kernel_gaussian_counterexample_fails(capsys):
         ]
     )
     assert rc == 1
-    assert "psd=FAIL" in capsys.readouterr().out
+    assert capsys.readouterr().out == "n=30 q=2 lambda=0.25 min_eigenvalue=-1.644914e-01 psd=FAIL\n"
 
 
 def test_check_kernel_bad_n(tmp_path, capsys):

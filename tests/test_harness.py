@@ -71,6 +71,24 @@ def test_split_spec_validation():
     assert SplitSpec(seed=0).seed == 0
     whole = SplitSpec(seed=7.0)
     assert whole == SplitSpec(seed=7) and type(whole.seed) is int
+    # both fields hold to their rules whatever the kind
+    with pytest.raises(ValueError, match="k-fold needs a whole number of folds, got 2.5"):
+        SplitSpec(kind="holdout", folds=2.5)
+    with pytest.raises(ValueError, match=r"holdout ratio must lie in \(0, 1\), got 7.0"):
+        SplitSpec(kind="kfold", ratio=7.0)
+
+
+def test_split_and_knn_rules_refuse_values_that_do_not_compare():
+    # None or a string fails the rule's own check, not a comparison inside it
+    for bad in (None, "3"):
+        with pytest.raises(ValueError, match="expected a non-negative integer"):
+            SplitSpec(seed=bad)
+        with pytest.raises(ValueError, match="whole number of folds"):
+            SplitSpec(kind="kfold", folds=bad)
+        with pytest.raises(ValueError, match="holdout ratio must lie in"):
+            SplitSpec(ratio=bad)
+        with pytest.raises(ValueError, match="whole number"):
+            KnnSpec(ks=(bad,))
 
 
 def test_split_spec_folds_follow_the_whole_number_rule_of_k():

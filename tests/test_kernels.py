@@ -4,7 +4,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gyrotext import kernels
 from gyrotext.classify import svm_train_smo
 from gyrotext.gyroball import pairwise_poincare_distance, poincare_distance
 from gyrotext.kernels import (
@@ -14,7 +13,6 @@ from gyrotext.kernels import (
     check_gram,
     cross_kernel,
     gram_matrix,
-    jacobi_eigenvalues,
     psd_check,
 )
 
@@ -181,59 +179,114 @@ def test_gram_matrix_validation():
         GramMatrix(np.ones((2, 3)))
 
 
-def test_jacobi_small_examples():
-    np.testing.assert_allclose(jacobi_eigenvalues(np.eye(3)), np.ones(3), atol=0)
-    ones = np.ones((2, 2))
-    np.testing.assert_allclose(jacobi_eigenvalues(ones), [0.0, 2.0], atol=1e-14)
+def min_eig(matrix):
+    return psd_check(matrix).min_eigenvalue
+
+
+def test_psd_check_small_examples():
+    assert min_eig(np.eye(3)) == 1.0
+    assert min_eig(np.ones((2, 2))) == pytest.approx(0.0, abs=1e-14)
     m = np.array([[2.0, 1.0], [1.0, 2.0]])
-    np.testing.assert_allclose(jacobi_eigenvalues(m), [1.0, 3.0], atol=1e-12)
-    # pairs across the 2x2 blocks have a[p, q] = 0 and a[p, p] = a[q, q]
+    assert min_eig(m) == pytest.approx(1.0, abs=1e-12)
+    # below each block's subdiagonal entry the column is zero: no reflection
     blocks = np.kron(np.eye(3), [[1.0, 0.5], [0.5, 1.0]])
-    np.testing.assert_allclose(jacobi_eigenvalues(blocks), [0.5] * 3 + [1.5] * 3, atol=1e-14)
+    assert min_eig(blocks) == pytest.approx(0.5, abs=1e-14)
 
 
-def test_jacobi_matches_reference_solver(monkeypatch):
-    # odd n leaves one index out of each round; 60 is the benchmark's size.
-    # Of each matrix and its negation one has a trace <= 0, so its threshold
-    # is 0 and only an exactly zero off-diagonal stops the sweeps
-    sweeps = []
-    sweep = kernels._jacobi_sweep
-    monkeypatch.setattr(kernels, "_jacobi_sweep", lambda a: (sweeps.append(1), sweep(a)))
+def test_psd_check_matches_reference_solver():
+    # odd and even n, 60 being the benchmark's size; each matrix and its
+    # negation, so that one of them has a trace <= 0
     rng = np.random.default_rng(26)
     for n in (2, 3, 8, 20, 59, 60, 61):
         a = rng.normal(size=(n, n))
         for sym in ((a + a.T) / 2.0, -(a + a.T) / 2.0):
-            sweeps.clear()
-            got = jacobi_eigenvalues(sym)
-            expect = np.linalg.eigvalsh(sym)
-            np.testing.assert_allclose(got, expect, atol=1e-10 * max(1.0, np.abs(sym).sum()))
-            assert len(sweeps) < kernels.MAX_SWEEPS
+            expect = np.linalg.eigvalsh(sym)[0]
+            assert min_eig(sym) == pytest.approx(expect, abs=1e-10 * max(1.0, np.abs(sym).sum()))
 
 
-def test_jacobi_accepts_gram_and_rejects_asymmetry():
+def test_psd_check_accepts_gram_and_rejects_asymmetry():
     rng = np.random.default_rng(27)
     pts = random_points(rng, 10, 3)
     gm = gram_matrix(pts, KernelSpec("geodesic"))
-    np.testing.assert_allclose(
-        jacobi_eigenvalues(gm), np.linalg.eigvalsh(gm.entries), atol=1e-10
-    )
+    assert min_eig(gm) == pytest.approx(np.linalg.eigvalsh(gm.entries)[0], abs=1e-10)
     with pytest.raises(ValueError):
-        jacobi_eigenvalues(np.array([[1.0, 0.2], [0.1, 1.0]]))
+        psd_check(np.array([[1.0, 0.2], [0.1, 1.0]]))
 
 
-def test_jacobi_diagonal_input_takes_zero_sweeps(monkeypatch):
-    # non-integer entries make sum(a^2) - sum(diag(a)^2) round to a nonzero
-    # floor far above 1e-12 * trace; the exact zero off-diagonal must stop it
-    sweeps = []
-    sweep = kernels._jacobi_sweep
-    monkeypatch.setattr(kernels, "_jacobi_sweep", lambda a: (sweeps.append(1), sweep(a)))
+def test_psd_check_diagonal_input_gives_its_minimum_bitwise():
+    # no column needs a reflection, and bisection stops at adjacent floats
+    # around the smallest diagonal entry, so the upper one is that entry
     rng = np.random.default_rng(46)
     for _ in range(20):
         diag = rng.uniform(0.5, 1.5, size=60)
-        assert np.array_equal(jacobi_eigenvalues(np.diag(diag)), np.sort(diag))
-    # a 1x1 matrix has an empty off-diagonal
-    assert jacobi_eigenvalues([[2.5]]).tolist() == [2.5]
-    assert sweeps == []
+        assert min_eig(np.diag(diag)) == diag.min()
+    for lone in (2.5, -2.0, 0.0, 1e-300, -7e-310):
+        assert min_eig([[lone]]) == lone
+
+
+def reference_gap(matrix):
+    """|psd_check's minimum - eigvalsh's| in units of max(1, trace / n)."""
+    a = check_gram(matrix)
+    scale = max(1.0, float(np.trace(a)) / a.shape[0])
+    return abs(min_eig(a) - np.linalg.eigvalsh(a)[0]) / scale
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_psd_check_matches_reference_near_the_boundary(q):
+    # 60 points in d = 50 at norms 1 - 10^-u, u in [1, 7], where hyperbolic
+    # embeddings put specific words
+    rng = np.random.default_rng(47)
+    for _ in range(10):
+        u = rng.normal(size=(60, 50))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        pts = u * (1.0 - 10.0 ** -rng.uniform(1.0, 7.0, size=(60, 1)))
+        assert reference_gap(gram_matrix(pts, KernelSpec("geodesic", lam=0.05, q=q))) < 1e-13
+
+
+def test_psd_check_scales_each_householder_column():
+    # every entry below the diagonal squares to 1e-340, below the smallest
+    # float: unscaled, v @ v underflows to 0 and the reflector divides by it
+    a = np.full((6, 6), 1e-170)
+    np.fill_diagonal(a, 1.0)
+    assert reference_gap(a) < 1e-15
+    assert reference_gap(np.diag([1.0, 2.0, 3.0]) + np.full((3, 3), 1e-170)) < 1e-15
+
+
+def test_psd_check_is_exact_under_power_of_two_scaling():
+    # a matrix's entries near 1e180 would square past the largest float, and
+    # near 1e-180 below the smallest; scaled by a power of two the smallest
+    # eigenvalue scales exactly
+    m = np.array([[1.0, 2.0], [2.0, 5.0]])
+    rng = np.random.default_rng(50)
+    a = rng.normal(size=(20, 20))
+    for base in (m, (a + a.T) / 2.0):
+        want = min_eig(base)
+        for exponent in (600, -600):
+            assert min_eig(np.ldexp(base, exponent)) == math.ldexp(want, exponent)
+    assert psd_check(1e200 * m).passed
+    assert min_eig(1e200 * m) == pytest.approx(np.linalg.eigvalsh(1e200 * m)[0], rel=1e-14)
+
+
+def test_psd_check_block_diagonal_gram():
+    # a linear Gram of points in orthogonal coordinate blocks is block
+    # diagonal: at each block's last column nothing is left below the
+    # diagonal, so no reflection is formed there
+    rng = np.random.default_rng(48)
+    pts = np.zeros((12, 9))
+    for block in range(3):
+        pts[4 * block : 4 * block + 4, 3 * block : 3 * block + 3] = rng.uniform(-0.5, 0.5, size=(4, 3))
+    gram = gram_matrix(pts, KernelSpec("linear"))
+    assert np.count_nonzero(gram.entries) == 3 * 16
+    assert reference_gap(gram) < 1e-15
+    assert reference_gap(gram.entries - 0.1 * np.eye(12)) < 1e-15
+
+
+def test_psd_check_one_and_two_points():
+    rng = np.random.default_rng(49)
+    for _ in range(20):
+        x, y, z = rng.normal(size=3)
+        assert min_eig([[x]]) == x
+        assert reference_gap([[x, y], [y, z]]) < 1e-15
 
 
 def test_square_matrix_rule_is_one_for_every_entry_point():
@@ -263,24 +316,19 @@ def test_square_matrix_rule_is_one_for_every_entry_point():
         (np.empty((0, 0)), False, "Gram matrix must be square and non-empty"),
     ]:
         verdicts = []
-        for entry in (
-            lambda a: svm_train_smo(a, labels),
-            jacobi_eigenvalues,
-            psd_check,
-            GramMatrix,
-        ):
+        for entry in (lambda a: svm_train_smo(a, labels), psd_check, GramMatrix):
             try:
                 entry(m)
                 verdicts.append(True)
             except ValueError as exc:
                 assert reason in str(exc)
                 verdicts.append(False)
-        assert verdicts == [ok] * 4, (m.shape, reason, verdicts)
+        assert verdicts == [ok] * 3, (m.shape, reason, verdicts)
 
 
 def test_gram_matrix_holds_the_float64_array_it_checked():
-    # built from nested lists or an int array, a GramMatrix trains, checks
-    # and gives eigenvalues bitwise as the float64 array does
+    # built from nested lists or an int array, a GramMatrix trains and
+    # checks bitwise as the float64 array does
     ints = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
     for source, labels in [
         ([[1.0, 0.2], [0.2, 1.0]], [1, -1]),
@@ -293,7 +341,6 @@ def test_gram_matrix_holds_the_float64_array_it_checked():
         assert gram.entries.tobytes() == plain.tobytes()
         # checked once, when it was built: the rule returns the same array
         assert check_gram(gram) is gram.entries
-        assert jacobi_eigenvalues(gram).tobytes() == jacobi_eigenvalues(plain).tobytes()
         assert psd_check(gram) == psd_check(plain)
         got, want = svm_train_smo(gram, labels), svm_train_smo(plain, labels)
         assert got.alphas.tobytes() == want.alphas.tobytes() and got.bias == want.bias
@@ -308,13 +355,11 @@ def test_psd_tolerance_is_the_module_constant():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_eigen_entry_points_reject_non_finite(bad):
-    # a NaN pair used to run every sweep and report nan eigenvalues; an inf
-    # one warned in the symmetry test
+    # an inf pair would warn in the symmetry test, a NaN one pass it
     m = np.eye(4)
     m[0, 1] = m[1, 0] = bad
-    for entry in (jacobi_eigenvalues, psd_check):
-        with pytest.raises(ValueError, match="non-finite"):
-            entry(m)
+    with pytest.raises(ValueError, match="non-finite"):
+        psd_check(m)
 
 
 def test_psd_check_verdicts():
