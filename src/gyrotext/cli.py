@@ -14,22 +14,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
 
 from .classify import METRIC_KINDS, LinearPrimalConfig, SmoConfig
-from .composition import METHODS, compose
+from .composition import METHODS, _check_methods, _repeated, compose
 from .corpus import FLAVORS, doc_to_points, load_embeddings, tokenize
 from .harness import (
     ExperimentConfig,
     KnnSpec,
     SplitError,
     SplitSpec,
-    _check_methods,
     _check_seed,
     _composable,
-    _repeated,
     emit_table,
     run_experiment,
 )
@@ -158,6 +157,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing the table to ``path`` would, before
+    any work; a file that did not exist is removed again."""
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_run(args) -> int:
     knn = None
     if args.knn != "off":
@@ -172,6 +181,7 @@ def _cmd_run(args) -> int:
         linear_svm=_flag("--linear-svm", _parse_linear_svm, args.linear_svm) if args.linear_svm else None,
         split=_flag("--split", _parse_split, args.split, _flag("--seed", _check_seed, args.seed)),
     )
+    _check_writable(args.out)
     try:
         results = run_experiment(config)
     except SplitError as exc:

@@ -19,11 +19,14 @@ into one (total, d) array, composed in lockstep. naive and the folds take
 one step per position over every sequence still long enough, so a corpus
 costs them about as many numpy calls as its longest document. The trees
 take one step per tree level and emean a fixed number of calls, both over
-groups of consecutive sequences. ``compose`` is the batch of one.
+groups of consecutive sequences. ``compose_batch`` composes several
+methods of one batch, and two or more of lcf, lcb and lca share one fold
+of the forward and backward readings. ``compose`` is the batch of one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -229,8 +232,13 @@ def _reading(batch: PointBatch, backward: bool):
     return batch.starts, ones
 
 
-def _lca(batch: PointBatch) -> np.ndarray:
-    # the forward and backward folds of every sequence run as one fold
+def _folds(batch: PointBatch, methods) -> list:
+    """The blocks of ``methods``, some of lcf, lcb and lca, from one fold.
+    lcf or lcb alone folds its own reading. Otherwise the forward and the
+    backward reading of every sequence run as one fold over twice the
+    rows, and lca is the midpoint of its two halves."""
+    if len(methods) == 1 and "lca" not in methods:
+        return [_fold(batch.points, *_reading(batch, "lcb" in methods), batch.lengths)]
     (f_first, f_stride), (b_first, b_stride) = _reading(batch, False), _reading(batch, True)
     folds = _fold(
         batch.points,
@@ -239,7 +247,10 @@ def _lca(batch: PointBatch) -> np.ndarray:
         np.concatenate([batch.lengths, batch.lengths]),
     )
     b = batch.lengths.size
-    return _geodesic(folds[:b], folds[b:], 0.5)
+    blocks = {"lcf": folds[:b], "lcb": folds[b:]}
+    if "lca" in methods:
+        blocks["lca"] = _geodesic(blocks["lcf"], blocks["lcb"], 0.5)
+    return [blocks[m] for m in methods]
 
 
 def _tree(vals, starts, lengths) -> np.ndarray:
@@ -278,45 +289,102 @@ def _trees(batch: PointBatch, first, stride) -> np.ndarray:
     return out
 
 
+def _alone(scheme):
+    """A scheme that composes one method as a pass: a list of its one block."""
+    return lambda batch, methods: [scheme(batch)]
+
+
+# every method's pass, called as pass(batch, methods) for the methods it
+# serves; ``_passes`` groups the methods that name the same one
 _SCHEMES = {
-    "emean": _emean,
-    "naive": _naive,
-    "lcf": lambda batch: _fold(batch.points, *_reading(batch, False), batch.lengths),
-    "lcb": lambda batch: _fold(batch.points, *_reading(batch, True), batch.lengths),
-    "lca": _lca,
-    "fnw": lambda batch: _trees(batch, *_reading(batch, False)),
-    "bnw": lambda batch: _trees(batch, *_reading(batch, True)),
+    "emean": _alone(_emean),
+    "naive": _alone(_naive),
+    "lcf": _folds,
+    "lcb": _folds,
+    "lca": _folds,
+    "fnw": _alone(lambda batch: _trees(batch, *_reading(batch, False))),
+    "bnw": _alone(lambda batch: _trees(batch, *_reading(batch, True))),
 }
 
 METHODS = tuple(_SCHEMES)
 
 
-def compose_batch(method: str, batch: PointBatch) -> np.ndarray:
-    """Compose every sequence of the batch; row i of the result is sequence i's point.
+def _repeated(values) -> list:
+    """The values that occur more than once, sorted."""
+    return sorted({v for v in values if values.count(v) > 1})
 
-    Every method but emean needs points strictly inside the unit ball;
-    emean also takes unconstrained Euclidean vectors, and its rows are
-    never clamped. The rows of the six ball schemes need no clamp here:
-    each scheme's last step (naive's Mobius scale, the others' geodesic
-    step) clamps, and a one-point sequence is its own input point.
+
+def _check_methods(methods) -> tuple:
+    """The method-list rule: a tuple of one or more known composition methods, none repeated."""
+    if isinstance(methods, str):
+        raise ValueError(f"expected a sequence of composition methods, got the string {methods!r}")
+    if len(methods) == 0:
+        raise ValueError("at least one composition method is required")
+    if unknown := [m for m in methods if m not in METHODS]:
+        raise ValueError(f"unknown composition methods {unknown}; expected from {METHODS}")
+    if repeated := _repeated(methods):
+        raise ValueError(f"composition methods repeated: {repeated}")
+    return tuple(methods)
+
+
+def _passes(methods) -> list:
+    """Known methods as passes, each a tuple of the methods it composes, in
+    the order of their first method: the methods of one scheme share its
+    pass. lcf, lcb and lca share ``_folds``, and every other method is a
+    pass of its own."""
+    passes = {}
+    for method in methods:
+        passes.setdefault(_SCHEMES[method], []).append(method)
+    return [tuple(group) for group in passes.values()]
+
+
+@functools.cache
+def _plan(methods) -> tuple:
+    """(label of the ball check, None for emean alone; passes) of a method
+    tuple that the method-list rule accepts. Cached per tuple, of which
+    there are finitely many valid ones (a refused one raises and is not
+    kept): ``compose`` asks for the same seven once per text, and this
+    bookkeeping would cost it a few microseconds each time."""
+    methods = _check_methods(methods)
+    ball = [m for m in methods if m != "emean"]
+    label = f"composition method {ball[0]!r}" if ball else None
+    return label, tuple(_passes(methods))
+
+
+def compose_batch(methods, batch: PointBatch) -> dict:
+    """Compose every sequence of the batch by each of ``methods``, in
+    passes as ``_passes`` groups them; returns {method: block}, where row
+    i of a block is sequence i's point.
+
+    A row depends only on its own sequence, so a method's block is bitwise
+    the same whichever methods it is composed with. Every method but emean
+    needs points strictly inside the unit ball; emean also takes
+    unconstrained Euclidean vectors, and its rows are never clamped. The
+    rows of the six ball schemes need no clamp here: each scheme's last
+    step (naive's Mobius scale, the others' geodesic step) clamps, and a
+    one-point sequence is its own input point.
     """
-    scheme = _SCHEMES.get(method)
-    if scheme is None:
-        raise ValueError(f"unknown composition method {method!r}; expected one of {METHODS}")
-    if method != "emean":
-        _inside(batch.points, f"composition method {method!r}")
-    out = scheme(batch)
+    if not isinstance(methods, (str, tuple)):
+        # a hashable key for _plan; a string stays one, for the rule to refuse
+        methods = tuple(methods)
+    label, passes = _plan(methods)
+    if label is not None:
+        _inside(batch.points, label)
+    blocks = {}
+    for group in passes:
+        blocks.update(zip(group, _SCHEMES[group[0]](batch, group)))
     # a one-point sequence composes to that point, bit for bit: fsum would
     # turn its -0.0 coordinates into 0.0, and naive's rescale could move it
     single = batch.lengths == 1
     if np.count_nonzero(single):
-        out[single] = batch.points[batch.starts[single]]
-    return out
+        for out in blocks.values():
+            out[single] = batch.points[batch.starts[single]]
+    return blocks
 
 
 def compose(method: str, points) -> np.ndarray:
     """Compose one (n, d) point sequence by table name: the batch of one."""
-    return compose_batch(method, PointBatch.pack([points]))[0]
+    return compose_batch((method,), PointBatch.pack([points]))[method][0]
 
 
 def mobius_sum(points):

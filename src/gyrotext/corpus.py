@@ -379,8 +379,9 @@ def represent_corpus(corpus: LabeledCorpus, table: EmbeddingTable, method: str):
     in-vocabulary tokens are represented by the origin and listed in its
     ``empty_doc_indices`` rather than dropped, so the output row count
     always equals the corpus record count. To compose several methods,
-    call ``corpus_points`` once and ``compose_batch`` on its batch each.
+    call ``corpus_points`` once and ``compose_batch`` once on its batch
+    with all of them, so that lcf, lcb and lca share one fold.
     """
     points = corpus_points(corpus, table)
     labels = [label for label, _ in corpus.records]
-    return compose_batch(method, points.batch), labels, points
+    return compose_batch((method,), points.batch)[method], labels, points

@@ -31,7 +31,7 @@ from .classify import (
     ovr_predict,
     ovr_train,
 )
-from .composition import METHODS, compose_batch
+from .composition import _check_methods, _passes, _repeated, compose_batch
 from .corpus import _check_flavor, corpus_points, load_corpus, load_embeddings
 
 # Not called here: benchmarks/tracing.py looks this name up in this module.
@@ -51,22 +51,6 @@ __all__ = [
 ]
 
 CSV_HEADER = ("embedding", "composition", "classifier", "params", "accuracy", "micro_f1", "runtime_s")
-
-
-def _repeated(values) -> list:
-    """The values that occur more than once, sorted."""
-    return sorted({v for v in values if values.count(v) > 1})
-
-
-def _check_methods(methods) -> tuple:
-    """The method-list rule: a tuple of one or more known composition methods, none repeated."""
-    if len(methods) == 0:
-        raise ValueError("at least one composition method is required")
-    if unknown := [m for m in methods if m not in METHODS]:
-        raise ValueError(f"unknown composition methods {unknown}; expected from {METHODS}")
-    if repeated := _repeated(methods):
-        raise ValueError(f"composition methods repeated: {repeated}")
-    return tuple(methods)
 
 
 def _check_seed(seed) -> int:
@@ -270,12 +254,15 @@ def _run_cell(spec, config, X, y, pairs, rankings):
 def run_experiment(config: ExperimentConfig) -> ResultsTable:
     """Execute the full (composition x classifier) grid.
 
-    The corpus is tokenized and looked up once; every method composes
-    from those points, and its representations are shared by its cells,
-    as is each fold's k-NN ranking by its k-NN cells. The split is
-    computed once from the corpus labels and reused everywhere, so cells
-    are comparable. Cell failures are captured in the row's error field;
-    remaining cells still run.
+    The corpus is tokenized and looked up once, and every method composes
+    from those points: one ``compose_batch`` call per pass of ``_passes``,
+    so lcf, lcb and lca share one fold. A method's representations are
+    shared by its cells, as is each fold's k-NN ranking by its k-NN cells.
+    The split is computed once from the corpus labels and reused
+    everywhere, so cells are comparable. Cell failures are captured in the
+    row's error field; remaining cells still run. A failing pass gives
+    error rows to the methods it composes; the other methods' rows are
+    unchanged.
     """
     table, _ = load_embeddings(config.embeddings_path, config.flavor)
     corpus, _ = load_corpus(config.corpus_path)
@@ -295,14 +282,25 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
         error = None if exc is None else f"{type(exc).__name__}: {exc}"
         return ResultRow(config.flavor, method, classifier, params, None, None, None, error)
 
+    # each pass composes when its first method comes up, and a method's
+    # block is let go once its cells have run
+    pass_of = {
+        m: group
+        for group in _passes([m for m in config.methods if _composable(config.flavor, m)])
+        for m in group
+    }
+    blocks = {}
     for method in config.methods:
-        if not _composable(config.flavor, method):
-            rows.extend(empty_row(method, c, p) for c, p, _ in cells)
-            continue
-        try:
-            X = compose_batch(method, points.batch)
-        except Exception as exc:
-            rows.extend(empty_row(method, c, p, exc) for c, p, _ in cells)
+        if method in pass_of and method not in blocks:
+            group = pass_of[method]
+            try:
+                blocks.update(compose_batch(group, points.batch))
+            except Exception as exc:
+                blocks.update(dict.fromkeys(group, exc))
+        X = blocks.pop(method, None)
+        if not isinstance(X, np.ndarray):
+            # no block: NA rows by the flavor rule; an exception: error rows
+            rows.extend(empty_row(method, c, p, X) for c, p, _ in cells)
             continue
         rankings = {}
         for classifier, params, spec in cells:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gyrotext import harness
 from gyrotext.cli import (
     _parse_knn,
     _parse_methods,
@@ -175,6 +176,40 @@ def test_run_rejects_bad_C(tmp_path, capsys, flag, value):
     assert rc == 2
     assert "C must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("where, errno", [("missing/o.csv", 2), ("", 21)])
+def test_run_fails_on_a_bad_out_before_loading(tmp_path, capsys, monkeypatch, where, errno):
+    # an --out in a missing directory, or naming a directory, exits 2 before
+    # the embeddings or the corpus load, and leaves no file behind
+    emb, cor = tiny_files(tmp_path)
+    loaded = []
+    for name in ("load_embeddings", "load_corpus"):
+        monkeypatch.setattr(harness, name, lambda *args, name=name: loaded.append(name))
+    out = tmp_path / where
+    before = sorted(tmp_path.rglob("*"))
+    rc = main(["run", "--corpus", cor, "--embeddings", emb, "--flavor", "poincare",
+               "--methods", "emean,lcf", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: [Errno {errno}] ")
+    assert loaded == []
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_run_checks_out_without_touching_it(tmp_path, capsys):
+    # the check opens --out without truncating an existing file, and a run
+    # that fails after it leaves no new file behind
+    emb, cor = tiny_files(tmp_path)
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n", encoding="utf-8")
+    args = ["run", "--corpus", cor, "--embeddings", emb, "--flavor", "poincare",
+            "--methods", "emean", "--split", "kfold:11", "--out"]
+    assert main(args + [str(kept)]) == 2
+    assert kept.read_text(encoding="utf-8") == "old\n"
+    fresh = tmp_path / "fresh.csv"
+    assert main(args + [str(fresh)]) == 2
+    assert not fresh.exists()
+    capsys.readouterr()
 
 
 def test_run_kfold_names_the_short_class_by_its_label(tmp_path, capsys):

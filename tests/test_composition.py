@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -77,7 +78,7 @@ def hard_sums(draw):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(hard_sums())
 def test_emean_equals_fsum_bit_for_bit(seqs):
-    got = compose_batch("emean", PointBatch.pack(seqs))
+    got = compose_batch(("emean",), PointBatch.pack(seqs))["emean"]
     for i, seq in enumerate(seqs):
         # a one-point sequence composes to that point itself
         fsum = [math.fsum(col.tolist()) / len(seq) for col in seq.T]
@@ -88,7 +89,7 @@ def test_emean_equals_fsum_bit_for_bit(seqs):
     # groups of at most 50 points; longer sequences alone
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(composition, "STEP_BYTES", 50 * 8 * seqs[0].shape[1])
-        assert compose_batch("emean", PointBatch.pack(seqs)).tobytes() == got.tobytes()
+        assert compose_batch(("emean",), PointBatch.pack(seqs))["emean"].tobytes() == got.tobytes()
 
 
 def test_emean_peak_memory_is_flat_in_batch_size():
@@ -102,7 +103,7 @@ def test_emean_peak_memory_is_flat_in_batch_size():
         batch = PointBatch(rng.uniform(-1.0, 1.0, size=(int(lengths.sum()), 8)), lengths)
         tracemalloc.start()
         try:
-            out = compose_batch("emean", batch)
+            out = compose_batch(("emean",), batch)["emean"]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -124,7 +125,7 @@ def test_emean_overflow_raises_as_fsum_does():
             with pytest.raises(OverflowError):
                 compose("emean", seq)
             with pytest.raises(OverflowError):
-                compose_batch("emean", PointBatch.pack([np.array([[0.5], [0.25]]), seq]))
+                compose_batch(("emean",), PointBatch.pack([np.array([[0.5], [0.25]]), seq]))
     # near the overflow threshold without overflowing, the sums are fsum's
     seq = np.array([[top, 1.0], [-top, 2.0**-1074], [2.0**970, -0.0]])
     want = [math.fsum(col.tolist()) / 3 for col in seq.T]
@@ -291,7 +292,7 @@ def test_methods_are_the_scheme_table_in_order():
 def test_dispatch_and_validation():
     rng = np.random.default_rng(15)
     seq = random_points(rng, 4, 3)
-    assert np.array_equal(compose("fnw", seq), compose_batch("fnw", PointBatch.pack([seq]))[0])
+    assert np.array_equal(compose("fnw", seq), compose_batch(("fnw",), PointBatch.pack([seq]))["fnw"][0])
     with pytest.raises(ValueError):
         compose("frechet", seq)
     with pytest.raises(ValueError):
@@ -314,9 +315,9 @@ def test_compose_batch_rejects_points_outside_ball_except_for_emean():
         batch = PointBatch.pack([np.array([[0.1, 0.2]]), pts])
         for method in (m for m in METHODS if m != "emean"):
             with pytest.raises(ValueError, match="strictly inside the unit ball"):
-                compose_batch(method, batch)
+                compose_batch((method,), batch)
         # emean takes unconstrained Euclidean vectors as they are
-        assert np.array_equal(compose_batch("emean", batch)[1], pts.sum(axis=0) / len(pts))
+        assert np.array_equal(compose_batch(("emean",), batch)["emean"][1], pts.sum(axis=0) / len(pts))
 
 
 def test_batch_matches_per_document_reference():
@@ -327,7 +328,7 @@ def test_batch_matches_per_document_reference():
     docs = ragged_batch(rng, lengths, 7)
     batch = PointBatch.pack(docs)
     for method in METHODS:
-        got = compose_batch(method, batch)
+        got = compose_batch((method,), batch)[method]
         for i, doc in enumerate(docs):
             expect = reference.compose(method, doc)
             np.testing.assert_allclose(got[i], expect, rtol=0, atol=1e-12,
@@ -345,7 +346,7 @@ def test_naive_overflow_matches_reference():
         rows = direction + jitter
         docs.append(rows / np.linalg.norm(rows, axis=1, keepdims=True) * 0.999)
     fired = 0
-    naive_rows = compose_batch("naive", PointBatch.pack(docs))
+    naive_rows = compose_batch(("naive",), PointBatch.pack(docs))["naive"]
     for doc, row in zip(docs, naive_rows):
         expect_sum, expect_count = reference.mobius_sum(doc)
         got_sum, got_count = mobius_sum(doc)
@@ -356,10 +357,10 @@ def test_naive_overflow_matches_reference():
     assert fired > 0
 
 
-def test_batch_of_one_equals_full_batch_bitwise():
-    # edge cases: single points, points on the clamp radius 1 - 1e-7 and at
-    # 1 - 1e-6, a constant sequence, and long and short sequences side by side
-    rng = np.random.default_rng(22)
+def edge_docs(rng):
+    """Single points, the origin row of an all-OOV document, points on the
+    clamp radius 1 - 1e-7 and at 1 - 1e-6, a constant sequence, and long
+    and short sequences side by side."""
     docs = ragged_batch(rng, [1, 2, 3, 9, 33, 1, 70], 5)
     edge = random_points(rng, 6, 5)
     edge /= np.linalg.norm(edge, axis=1, keepdims=True)
@@ -367,9 +368,15 @@ def test_batch_of_one_equals_full_batch_bitwise():
     docs.append(edge[:1] * (1.0 - 1e-7))
     docs.append(np.tile(edge[2] * (1.0 - 1e-7), (4, 1)))
     docs.append(np.concatenate([edge[:3] * (1.0 - 1e-6), docs[3]]))
+    docs.append(np.zeros((1, 5)))
+    return docs
+
+
+def test_batch_of_one_equals_full_batch_bitwise():
+    docs = edge_docs(np.random.default_rng(22))
     batch = PointBatch.pack(docs)
     for method in METHODS:
-        full = compose_batch(method, batch)
+        full = compose_batch((method,), batch)[method]
         for i, doc in enumerate(docs):
             one = compose(method, doc)
             assert np.array_equal(one, full[i]), (method, i)
@@ -379,6 +386,51 @@ def test_batch_of_one_equals_full_batch_bitwise():
             assert gyroball._clamp(full).tobytes() == full.tobytes(), method
 
 
+def test_shared_fold_blocks_equal_one_method_blocks_bitwise():
+    # every mix of the folds with the other methods, in two request orders:
+    # each block is the one-method block, byte for byte
+    rng = np.random.default_rng(24)
+    batch = PointBatch.pack(edge_docs(rng))
+    alone = {m: compose_batch((m,), batch)[m] for m in METHODS}
+    folds, others = ("lcf", "lcb", "lca"), ("emean", "naive", "fnw", "bnw")
+    for f, o in itertools.product(range(1, 8), range(16)):
+        methods = [m for i, m in enumerate(folds) if f >> i & 1]
+        methods += [m for i, m in enumerate(others) if o >> i & 1]
+        for order in (rng.permutation(methods).tolist(), methods[::-1]):
+            blocks = compose_batch(order, batch)
+            assert sorted(blocks) == sorted(order)
+            for m, block in blocks.items():
+                assert block.tobytes() == alone[m].tobytes(), (order, m)
+
+
+def test_shared_fold_runs_once(monkeypatch):
+    rng = np.random.default_rng(25)
+    batch = PointBatch.pack(ragged_batch(rng, [1, 4, 9], 3))
+    folded = []
+    real = composition._fold
+
+    def fold(points, first, stride, lengths):
+        folded.append(lengths.size)
+        return real(points, first, stride, lengths)
+
+    monkeypatch.setattr(composition, "_fold", fold)
+    for methods, rows in [(("lcf",), 3), (("lca",), 6), (("lcb", "lcf"), 6),
+                          (("naive", "lca", "fnw", "lcf", "lcb"), 6)]:
+        folded.clear()
+        compose_batch(methods, batch)
+        assert folded == [rows], methods
+    assert composition._passes(("lcb", "emean", "lca", "bnw", "lcf")) == [
+        ("lcb", "lca", "lcf"), ("emean",), ("bnw",)
+    ]
+
+
+@pytest.mark.parametrize("methods", [(), ("lcf", "frechet"), ("lca", "emean", "lca"), "lcf"])
+def test_compose_batch_rejects_a_bad_method_list(methods):
+    batch = PointBatch.pack([np.array([[0.1, 0.2]])])
+    with pytest.raises(ValueError):
+        compose_batch(methods, batch)
+
+
 def test_tree_groups_match_one_group(monkeypatch):
     # fnw/bnw split a large batch into groups of consecutive sequences; the
     # grouping must not change any row
@@ -386,10 +438,10 @@ def test_tree_groups_match_one_group(monkeypatch):
     batch = PointBatch.pack(ragged_batch(rng, rng.integers(1, 30, size=25), 4))
     # groups of at most 10 points of 4 coordinates; longer sequences alone
     monkeypatch.setattr(composition, "STEP_BYTES", 10 * 4 * 8)
-    grouped = {m: compose_batch(m, batch) for m in ("fnw", "bnw")}
+    grouped = {m: compose_batch((m,), batch)[m] for m in ("fnw", "bnw")}
     monkeypatch.setattr(composition, "STEP_BYTES", 10**9)
     for method, rows in grouped.items():
-        assert np.array_equal(compose_batch(method, batch), rows), method
+        assert np.array_equal(compose_batch((method,), batch)[method], rows), method
 
 
 def test_point_batch_validation():
@@ -415,4 +467,4 @@ def test_point_batch_validation():
     batch = PointBatch.pack([pts, pts[:1]])
     assert batch.lengths.tolist() == [3, 1] and batch.starts.tolist() == [0, 3]
     with pytest.raises(ValueError):
-        compose_batch("frechet", batch)
+        compose_batch(("frechet",), batch)

@@ -669,7 +669,7 @@ def test_corpus_rows_equal_per_text_compose_bitwise(tmp_path):
     points = corpus_points(corpus, table)
     assert points.empty_doc_indices == (1, 3)
     for method in ("emean", "naive", "lcf", "lcb", "lca", "fnw", "bnw"):
-        reps = compose_batch(method, points.batch)
+        reps = compose_batch((method,), points.batch)[method]
         assert reps.tobytes() == represent_corpus(corpus, table, method)[0].tobytes()
         for i, text in enumerate(texts):
             assert reps[i].tobytes() == _text_row(table, method, text).tobytes(), (method, i)
@@ -709,7 +709,7 @@ def test_empty_documents_pack_as_the_origin(texts):
             assert batch.lengths[i] == 1
             assert batch.points[batch.starts[i]].tobytes() == np.zeros(3).tobytes()
         for method in methods:
-            reps = compose_batch(method, points.batch)
+            reps = compose_batch((method,), points.batch)[method]
             assert reps.shape == (len(texts), 3)
             assert reps.tobytes() == represent_corpus(corpus, table, method)[0].tobytes()
             for i, text in enumerate(texts):
@@ -742,7 +742,7 @@ def test_corpus_points_warns_about_empty_documents_once(caplog):
     with caplog.at_level("WARNING", logger="gyrotext.corpus"):
         points = corpus_points(corpus, table)
         for method in ("emean", "lcf", "fnw"):
-            compose_batch(method, points.batch)
+            compose_batch((method,), points.batch)
     assert len(caplog.records) == 1
     assert "2 of 3 documents" in caplog.records[0].getMessage()
     # the two empty documents are one point each, at the origin

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gyrotext import corpus as corpus_module
-from gyrotext import cli, harness
+from gyrotext import cli, composition, harness
 from gyrotext.classify import LinearPrimalConfig, SmoConfig, knn_fit, knn_predict_batch
 from gyrotext.corpus import load_corpus, load_embeddings, represent_corpus
 from gyrotext.harness import (
@@ -366,31 +366,63 @@ def test_run_experiment_error_isolation(tmp_path):
     assert len(results.errors) == 2
 
 
-def test_run_experiment_isolates_a_failing_composition(tmp_path, monkeypatch):
-    # a method whose composition raises gets one error row per cell; the
-    # other methods' rows are those of an unpatched run
+def check_failing_passes(tmp_path, monkeypatch, methods, failed):
+    """Run ``methods`` with every composition pass that serves lcf raising:
+    the methods in ``failed`` get one error row per cell, and the other
+    methods' rows are those of an unpatched run."""
     emb, cor = tiny_files(tmp_path)
-    config = full_config(emb, cor)
+    config = full_config(emb, cor, methods=methods)
     clean = run_experiment(config)
     real = harness.compose_batch
 
-    def compose_batch(method, batch):
-        if method == "lcf":
+    def compose_batch(methods, batch):
+        if "lcf" in methods:
             raise RuntimeError("composition broke")
-        return real(method, batch)
+        return real(methods, batch)
 
     monkeypatch.setattr(harness, "compose_batch", compose_batch)
     broken = run_experiment(config)
-    assert len(broken.rows) == len(clean.rows) == 3 * 4
-    assert len(broken.errors) == 4
+    assert len(broken.rows) == len(clean.rows) == len(methods) * 4
+    assert len(broken.errors) == len(failed) * 4
     for got, want in zip(broken.rows, clean.rows):
         cell = (got.embedding, got.composition, got.classifier, got.params)
         assert cell == (want.embedding, want.composition, want.classifier, want.params)
-        if got.composition == "lcf":
+        if got.composition in failed:
             assert got.error == "RuntimeError: composition broke"
             assert (got.accuracy, got.micro_f1, got.runtime_s) == (None, None, None)
         else:
             assert replace(got, runtime_s=None) == replace(want, runtime_s=None)
+
+
+def test_run_experiment_isolates_a_failing_composition(tmp_path, monkeypatch):
+    check_failing_passes(tmp_path, monkeypatch, ("emean", "lcf", "bnw"), {"lcf"})
+
+
+def test_run_experiment_isolates_a_failing_shared_pass(tmp_path, monkeypatch):
+    # lcf and lca share one pass, so both lose their rows; emean and bnw keep theirs
+    check_failing_passes(tmp_path, monkeypatch, ("emean", "lca", "bnw", "lcf"), {"lcf", "lca"})
+
+
+@pytest.mark.parametrize("methods, rows", [
+    (("lcf", "lcb", "lca"), 2 * 12),
+    (("lcf",), 12),
+    (("bnw", "lcb"), 12),
+    (("lca", "emean", "lcb"), 2 * 12),
+])
+def test_run_experiment_folds_once(tmp_path, monkeypatch, methods, rows):
+    # lcf, lcb and lca come from one fold over the forward and backward
+    # readings they need (12 documents each), never from a fold each
+    emb, cor = tiny_files(tmp_path)
+    folded = []
+    real = composition._fold
+
+    def fold(points, first, stride, lengths):
+        folded.append(lengths.size)
+        return real(points, first, stride, lengths)
+
+    monkeypatch.setattr(composition, "_fold", fold)
+    run_experiment(full_config(emb, cor, methods=methods))
+    assert folded == [rows]
 
 
 def test_run_experiment_deterministic_modulo_runtime(tmp_path):
