@@ -15,13 +15,17 @@ so the weighted midpoints of the folds and trees step by fractions of
 point counts.
 
 Every scheme runs on a ``PointBatch``: many sequences packed back to back
-into one (total, d) array, composed in lockstep. naive and the folds take
-one step per position over every sequence still long enough, so a corpus
-costs them about as many numpy calls as its longest document. The trees
-take one step per tree level and emean a fixed number of calls, both over
-groups of consecutive sequences. ``compose_batch`` composes several
-methods of one batch, and two or more of lcf, lcb and lca share one fold
-of the forward and backward readings. ``compose`` is the batch of one.
+into one (total, d) array, composed in lockstep. ``PointBatch(points,
+lengths)`` is its one constructor and the one place where the points pass
+the point-row rule; with no lengths the points are one sequence, so
+``compose`` and ``mobius_sum`` check each point once. naive and the folds
+take one step per position over every sequence still long enough, so a
+corpus costs them about as many numpy calls as its longest document. The
+trees take one step per tree level and emean a fixed number of calls,
+both over groups of consecutive sequences. ``compose_batch`` composes
+several methods of one batch, and two or more of lcf, lcb and lca share
+one fold of the forward and backward readings. ``compose`` is the batch
+of one.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gyroball import MAX_NORM, _add, _geodesic, _inside, _rows, _same_width, _scale
+from .gyroball import MAX_NORM, _add, _geodesic, _inside, _rows, _scale
 
 # Not called here: benchmarks/tracing.py looks these names up in this module.
 from .gyroball import mobius_add, mobius_scale, weighted_midpoint  # noqa: F401
@@ -60,14 +64,17 @@ class PointBatch:
 
     Sequence i is ``points[starts[i] : starts[i] + lengths[i]]``; the
     points are point rows, and every sequence has at least one of them.
+    With no lengths, the points are one sequence. Build a batch of many
+    sequences from their ``np.concatenate`` and their lengths.
     """
 
     points: np.ndarray
-    lengths: np.ndarray
+    lengths: np.ndarray | None = None
     starts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        pts, lengths = _rows(self.points, "point sequence"), np.asarray(self.lengths)
+        pts = _rows(self.points, "point sequence")
+        lengths = np.asarray([pts.shape[0]] if self.lengths is None else self.lengths)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "lengths", lengths)
         if lengths.ndim != 1 or lengths.dtype.kind not in "iu" or lengths.size == 0 or lengths.min() < 1:
@@ -75,17 +82,6 @@ class PointBatch:
         if lengths.sum() != pts.shape[0]:
             raise ValueError("sequence lengths must sum to the point count")
         object.__setattr__(self, "starts", np.cumsum(lengths) - lengths)
-
-    @classmethod
-    def pack(cls, sequences) -> "PointBatch":
-        """Pack point-row arrays of one width, one sequence each."""
-        if not sequences:
-            raise ValueError("no sequences to pack")
-        seqs = [_rows(s, "point sequence") for s in sequences]
-        for s in seqs[1:]:
-            _same_width(seqs[0], s)
-        lengths = np.array([s.shape[0] for s in seqs], dtype=np.int64)
-        return cls(points=np.concatenate(seqs), lengths=lengths)
 
 
 def _groups(batch: PointBatch):
@@ -384,7 +380,7 @@ def compose_batch(methods, batch: PointBatch) -> dict:
 
 def compose(method: str, points) -> np.ndarray:
     """Compose one (n, d) point sequence by table name: the batch of one."""
-    return compose_batch((method,), PointBatch.pack([points]))[method][0]
+    return compose_batch((method,), PointBatch(points))[method][0]
 
 
 def mobius_sum(points):
@@ -396,7 +392,7 @@ def mobius_sum(points):
     how many times the rescale fired. The points must lie strictly inside
     the unit ball.
     """
-    batch = PointBatch.pack([points])
+    batch = PointBatch(points)
     _inside(batch.points, "mobius_sum")
     sums, counts = _sums(batch)
     return sums[0], int(counts[0])

@@ -256,13 +256,13 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
 
     The corpus is tokenized and looked up once, and every method composes
     from those points: one ``compose_batch`` call per pass of ``_passes``,
-    so lcf, lcb and lca share one fold. A method's representations are
-    shared by its cells, as is each fold's k-NN ranking by its k-NN cells.
-    The split is computed once from the corpus labels and reused
-    everywhere, so cells are comparable. Cell failures are captured in the
-    row's error field; remaining cells still run. A failing pass gives
-    error rows to the methods it composes; the other methods' rows are
-    unchanged.
+    so lcf, lcb and lca share one fold, and every pass composes once,
+    before any cell runs. A method's representations are shared by its
+    cells, as is each fold's k-NN ranking by its k-NN cells. The split is
+    computed once from the corpus labels and reused everywhere, so cells
+    are comparable. Cell failures are captured in the row's error field;
+    remaining cells still run. A failing pass gives error rows to the
+    methods it composes; the other methods' rows are unchanged.
     """
     table, _ = load_embeddings(config.embeddings_path, config.flavor)
     corpus, _ = load_corpus(config.corpus_path)
@@ -282,21 +282,14 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
         error = None if exc is None else f"{type(exc).__name__}: {exc}"
         return ResultRow(config.flavor, method, classifier, params, None, None, None, error)
 
-    # each pass composes when its first method comes up, and a method's
-    # block is let go once its cells have run
-    pass_of = {
-        m: group
-        for group in _passes([m for m in config.methods if _composable(config.flavor, m)])
-        for m in group
-    }
     blocks = {}
+    for group in _passes([m for m in config.methods if _composable(config.flavor, m)]):
+        try:
+            blocks.update(compose_batch(group, points.batch))
+        except Exception as exc:
+            blocks.update(dict.fromkeys(group, exc))
     for method in config.methods:
-        if method in pass_of and method not in blocks:
-            group = pass_of[method]
-            try:
-                blocks.update(compose_batch(group, points.batch))
-            except Exception as exc:
-                blocks.update(dict.fromkeys(group, exc))
+        # a method's block is let go once its cells have run
         X = blocks.pop(method, None)
         if not isinstance(X, np.ndarray):
             # no block: NA rows by the flavor rule; an exception: error rows

@@ -666,7 +666,7 @@ def test_point_row_rule_is_one_for_every_entry_point():
         "linear_svm_primal_train": lambda X: linear_svm_primal_train(X, [1, 1, -1, -1]),
         "ovr_train": lambda X: ovr_train(X, y, LinearPrimalConfig()),
         "PointBatch": lambda X: PointBatch(X, np.array([4])),
-        "PointBatch.pack": lambda X: PointBatch.pack([X]),
+        "PointBatch/one sequence": lambda X: PointBatch(X),
     }
     for metric, model in knn.items():
         entries[f"knn_rank/{metric}"] = lambda X, m=model: knn_rank(m, X)

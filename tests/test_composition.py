@@ -26,6 +26,11 @@ def random_points(rng, n, dim, max_norm=0.8):
     return u * rng.uniform(0.0, max_norm, size=(n, 1))
 
 
+def batch_of(seqs):
+    """One batch of the sequences, built as corpus_points builds its batch."""
+    return PointBatch(np.concatenate(seqs), [len(s) for s in seqs])
+
+
 def test_emean_examples():
     x = np.array([0.3, -0.2])
     assert np.array_equal(compose("emean", x[None, :]), x)
@@ -78,7 +83,7 @@ def hard_sums(draw):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(hard_sums())
 def test_emean_equals_fsum_bit_for_bit(seqs):
-    got = compose_batch(("emean",), PointBatch.pack(seqs))["emean"]
+    got = compose_batch(("emean",), batch_of(seqs))["emean"]
     for i, seq in enumerate(seqs):
         # a one-point sequence composes to that point itself
         fsum = [math.fsum(col.tolist()) / len(seq) for col in seq.T]
@@ -89,7 +94,7 @@ def test_emean_equals_fsum_bit_for_bit(seqs):
     # groups of at most 50 points; longer sequences alone
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(composition, "STEP_BYTES", 50 * 8 * seqs[0].shape[1])
-        assert compose_batch(("emean",), PointBatch.pack(seqs))["emean"].tobytes() == got.tobytes()
+        assert compose_batch(("emean",), batch_of(seqs))["emean"].tobytes() == got.tobytes()
 
 
 def test_emean_peak_memory_is_flat_in_batch_size():
@@ -125,7 +130,7 @@ def test_emean_overflow_raises_as_fsum_does():
             with pytest.raises(OverflowError):
                 compose("emean", seq)
             with pytest.raises(OverflowError):
-                compose_batch(("emean",), PointBatch.pack([np.array([[0.5], [0.25]]), seq]))
+                compose_batch(("emean",), batch_of([np.array([[0.5], [0.25]]), seq]))
     # near the overflow threshold without overflowing, the sums are fsum's
     seq = np.array([[top, 1.0], [-top, 2.0**-1074], [2.0**970, -0.0]])
     want = [math.fsum(col.tolist()) / 3 for col in seq.T]
@@ -292,13 +297,33 @@ def test_methods_are_the_scheme_table_in_order():
 def test_dispatch_and_validation():
     rng = np.random.default_rng(15)
     seq = random_points(rng, 4, 3)
-    assert np.array_equal(compose("fnw", seq), compose_batch(("fnw",), PointBatch.pack([seq]))["fnw"][0])
+    assert np.array_equal(compose("fnw", seq), compose_batch(("fnw",), PointBatch(seq))["fnw"][0])
     with pytest.raises(ValueError):
         compose("frechet", seq)
     with pytest.raises(ValueError):
         compose("emean", np.empty((0, 3)))
     with pytest.raises(ValueError):
         compose("emean", np.array([[np.nan, 0.0]]))
+
+
+def test_compose_checks_each_point_once(monkeypatch):
+    # the batch of one passes the point-row rule once, on construction
+    calls = []
+    real = composition._rows
+
+    def rows(X, name="points"):
+        calls.append(name)
+        return real(X, name)
+
+    monkeypatch.setattr(composition, "_rows", rows)
+    seq = random_points(np.random.default_rng(16), 5, 3)
+    for method in METHODS:
+        calls.clear()
+        compose(method, seq)
+        assert len(calls) == 1, (method, calls)
+    calls.clear()
+    mobius_sum(seq)
+    assert len(calls) == 1, calls
 
 
 # ------------------------------------------- batched vs per-document reference
@@ -312,7 +337,7 @@ def test_compose_batch_rejects_points_outside_ball_except_for_emean():
     # the geodesic steps turn such points into NaN or into points of no geodesic
     outside = [np.array([[0.5, 0.0], [1.5, 0.0], [0.0, 2.0]]), np.array([[0.0, 1.0]])]
     for pts in outside:
-        batch = PointBatch.pack([np.array([[0.1, 0.2]]), pts])
+        batch = batch_of([np.array([[0.1, 0.2]]), pts])
         for method in (m for m in METHODS if m != "emean"):
             with pytest.raises(ValueError, match="strictly inside the unit ball"):
                 compose_batch((method,), batch)
@@ -326,7 +351,7 @@ def test_batch_matches_per_document_reference():
     rng = np.random.default_rng(20)
     lengths = np.concatenate([[1, 1, 2, 3, 64], rng.integers(1, 40, size=30)])
     docs = ragged_batch(rng, lengths, 7)
-    batch = PointBatch.pack(docs)
+    batch = batch_of(docs)
     for method in METHODS:
         got = compose_batch((method,), batch)[method]
         for i, doc in enumerate(docs):
@@ -346,7 +371,7 @@ def test_naive_overflow_matches_reference():
         rows = direction + jitter
         docs.append(rows / np.linalg.norm(rows, axis=1, keepdims=True) * 0.999)
     fired = 0
-    naive_rows = compose_batch(("naive",), PointBatch.pack(docs))["naive"]
+    naive_rows = compose_batch(("naive",), batch_of(docs))["naive"]
     for doc, row in zip(docs, naive_rows):
         expect_sum, expect_count = reference.mobius_sum(doc)
         got_sum, got_count = mobius_sum(doc)
@@ -374,7 +399,7 @@ def edge_docs(rng):
 
 def test_batch_of_one_equals_full_batch_bitwise():
     docs = edge_docs(np.random.default_rng(22))
-    batch = PointBatch.pack(docs)
+    batch = batch_of(docs)
     for method in METHODS:
         full = compose_batch((method,), batch)[method]
         for i, doc in enumerate(docs):
@@ -390,7 +415,7 @@ def test_shared_fold_blocks_equal_one_method_blocks_bitwise():
     # every mix of the folds with the other methods, in two request orders:
     # each block is the one-method block, byte for byte
     rng = np.random.default_rng(24)
-    batch = PointBatch.pack(edge_docs(rng))
+    batch = batch_of(edge_docs(rng))
     alone = {m: compose_batch((m,), batch)[m] for m in METHODS}
     folds, others = ("lcf", "lcb", "lca"), ("emean", "naive", "fnw", "bnw")
     for f, o in itertools.product(range(1, 8), range(16)):
@@ -405,7 +430,7 @@ def test_shared_fold_blocks_equal_one_method_blocks_bitwise():
 
 def test_shared_fold_runs_once(monkeypatch):
     rng = np.random.default_rng(25)
-    batch = PointBatch.pack(ragged_batch(rng, [1, 4, 9], 3))
+    batch = batch_of(ragged_batch(rng, [1, 4, 9], 3))
     folded = []
     real = composition._fold
 
@@ -426,7 +451,7 @@ def test_shared_fold_runs_once(monkeypatch):
 
 @pytest.mark.parametrize("methods", [(), ("lcf", "frechet"), ("lca", "emean", "lca"), "lcf"])
 def test_compose_batch_rejects_a_bad_method_list(methods):
-    batch = PointBatch.pack([np.array([[0.1, 0.2]])])
+    batch = PointBatch(np.array([[0.1, 0.2]]))
     with pytest.raises(ValueError):
         compose_batch(methods, batch)
 
@@ -435,7 +460,7 @@ def test_tree_groups_match_one_group(monkeypatch):
     # fnw/bnw split a large batch into groups of consecutive sequences; the
     # grouping must not change any row
     rng = np.random.default_rng(23)
-    batch = PointBatch.pack(ragged_batch(rng, rng.integers(1, 30, size=25), 4))
+    batch = batch_of(ragged_batch(rng, rng.integers(1, 30, size=25), 4))
     # groups of at most 10 points of 4 coordinates; longer sequences alone
     monkeypatch.setattr(composition, "STEP_BYTES", 10 * 4 * 8)
     grouped = {m: compose_batch((m,), batch)[m] for m in ("fnw", "bnw")}
@@ -446,16 +471,15 @@ def test_tree_groups_match_one_group(monkeypatch):
 
 def test_point_batch_validation():
     pts = np.zeros((3, 2))
-    with pytest.raises(ValueError):
-        PointBatch.pack([])
-    with pytest.raises(ValueError):
-        PointBatch.pack([pts, np.zeros((2, 3))])
-    with pytest.raises(ValueError):
-        PointBatch.pack([pts, np.empty((0, 2))])
-    with pytest.raises(ValueError):
-        PointBatch.pack([np.array([[np.inf, 0.0]])])
-    with pytest.raises(ValueError):
-        PointBatch(pts, np.array([2]))
+    # with no lengths the points are one sequence
+    one = PointBatch(pts)
+    assert one.lengths.tolist() == [3] and one.starts.tolist() == [0]
+    for bad in (np.empty((0, 2)), np.array([[np.inf, 0.0]]), np.float64(0.5)):
+        with pytest.raises(ValueError):
+            PointBatch(bad)
+    for lengths in ([2], [], [3, 0], [4, -1], [[3]]):
+        with pytest.raises(ValueError):
+            PointBatch(pts, lengths)
     # lengths go through np.asarray: a list of ints builds, float lengths
     # get the batch's own error
     listed = PointBatch(pts, [3])
@@ -464,7 +488,7 @@ def test_point_batch_validation():
     for lengths in ([3.0], [1.5, 1.5]):
         with pytest.raises(ValueError, match="one or more sequences"):
             PointBatch(pts, lengths)
-    batch = PointBatch.pack([pts, pts[:1]])
+    batch = batch_of([pts, pts[:1]])
     assert batch.lengths.tolist() == [3, 1] and batch.starts.tolist() == [0, 3]
     with pytest.raises(ValueError):
         compose_batch(("frechet",), batch)
