@@ -363,7 +363,12 @@ def compose_batch(methods, batch: PointBatch) -> dict:
     if not isinstance(methods, (str, tuple)):
         # a hashable key for _plan; a string stays one, for the rule to refuse
         methods = tuple(methods)
-    label, passes = _plan(methods)
+    try:
+        label, passes = _plan(methods)
+    except TypeError:
+        # an unhashable method name misses the cache; the rule refuses it
+        _check_methods(methods)
+        raise
     if label is not None:
         _inside(batch.points, label)
     blocks = {}

@@ -58,6 +58,9 @@ CHUNK_BYTES = 512 * 1024
 # clamped to it
 MAX_NORM = 1.0 - 1e-7
 
+# the smallest normal float64, read once: _geodesic floors by it at every step
+_TINY = np.finfo(np.float64).tiny
+
 
 def _rows(X, name: str = "points") -> np.ndarray:
     """The point-row rule: X as finite float64 (n, d) rows, d >= 1; a 1-D
@@ -179,7 +182,7 @@ def _geodesic(A: np.ndarray, B: np.ndarray, t) -> np.ndarray:
     gamma = 2.0 * x * np.sinh(th) * np.sinh(uh)
     # all three weights are 0 only where b = a, whose step is a; elsewhere
     # beta or alpha is at least sinh(h), far above the smallest normal
-    den = np.maximum(alpha + beta + gamma, np.finfo(np.float64).tiny)
+    den = np.maximum(alpha + beta + gamma, _TINY)
     return _clamp((1.0 - gamma / den)[:, None] * A + (beta / den)[:, None] * D)
 
 

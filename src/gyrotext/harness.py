@@ -267,12 +267,11 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
     table, _ = load_embeddings(config.embeddings_path, config.flavor)
     corpus, _ = load_corpus(config.corpus_path)
     points = corpus_points(corpus, table)
-    label_names = sorted({label for label, _ in corpus.records})
-    label_id = {name: i for i, name in enumerate(label_names)}
-    y = np.array([label_id[label] for label, _ in corpus.records], dtype=np.int64)
-    # split by name, in the order of the ids, so that an error names the
-    # class as the corpus writes it
-    pairs = split(np.array(label_names, dtype=object)[y], config.split)
+    # split by name, so that an error names the class as the corpus writes
+    # it; object dtype, as a fixed-width str array drops trailing NULs
+    labels = np.array([label for label, _ in corpus.records], dtype=object)
+    y = np.unique(labels, return_inverse=True)[1]
+    pairs = split(labels, config.split)
     cells = _classifier_cells(config)
 
     rows = []
@@ -311,7 +310,9 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
 
 
 def _cell_str(value):
-    return "NA" if value is None else repr(value)
+    if value is None:
+        return "NA"
+    return value if isinstance(value, str) else repr(value)
 
 
 def emit_table(results: ResultsTable, fmt: str, destination) -> None:
@@ -320,18 +321,7 @@ def emit_table(results: ResultsTable, fmt: str, destination) -> None:
         with open(destination, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_HEADER)
-            for r in results.rows:
-                writer.writerow(
-                    [
-                        r.embedding,
-                        r.composition,
-                        r.classifier,
-                        r.params,
-                        _cell_str(r.accuracy),
-                        _cell_str(r.micro_f1),
-                        _cell_str(r.runtime_s),
-                    ]
-                )
+            writer.writerows([_cell_str(getattr(r, c)) for c in CSV_HEADER] for r in results.rows)
     elif fmt == "json":
         with open(destination, "w", encoding="utf-8") as fh:
             json.dump([asdict(r) for r in results.rows], fh, indent=2, ensure_ascii=False)

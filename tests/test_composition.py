@@ -456,6 +456,17 @@ def test_compose_batch_rejects_a_bad_method_list(methods):
         compose_batch(methods, batch)
 
 
+def test_an_unhashable_method_name_meets_the_method_list_rule():
+    # the plan cache hashes the method list; a list as a name must still get
+    # the rule's message, not the cache's TypeError
+    pts = np.array([[0.1, 0.2]])
+    message = r"^unknown composition methods \[\['lcf'\]\]; expected from \("
+    with pytest.raises(ValueError, match=message):
+        compose(["lcf"], pts)
+    with pytest.raises(ValueError, match=message):
+        compose_batch([["lcf"]], PointBatch(pts))
+
+
 def test_tree_groups_match_one_group(monkeypatch):
     # fnw/bnw split a large batch into groups of consecutive sequences; the
     # grouping must not change any row

@@ -534,6 +534,80 @@ def test_emit_table_params_quoted_roundtrip(tmp_path):
     assert all(len(r) == len(CSV_HEADER) for r in rows)
 
 
+def test_emit_table_exact_bytes(tmp_path):
+    # a scored row whose float needs 17 digits, an NA row and an error row,
+    # the first two with commas in params
+    svm, error = "kernel=geodesic,lambda=1.0,q=1.0,C=1.0", "FloatingPointError: overflow"
+    table = ResultsTable(
+        rows=(
+            ResultRow("poincare", "lcf", "svm", svm, 0.1 + 0.2, 0.1 + 0.2, 0.0625),
+            ResultRow("euclidean", "lcf", "knn", "k=3,metric=euclidean", None, None, None),
+            ResultRow("poincare", "bnw", "linear-svm", "C=1.0", None, None, None, error),
+        )
+    )
+    c, j = tmp_path / "t.csv", tmp_path / "t.json"
+    emit_table(table, "csv", c)
+    emit_table(table, "json", j)
+    assert c.read_bytes() == (
+        b"embedding,composition,classifier,params,accuracy,micro_f1,runtime_s\n"
+        b'poincare,lcf,svm,"kernel=geodesic,lambda=1.0,q=1.0,C=1.0",'
+        b"0.30000000000000004,0.30000000000000004,0.0625\n"
+        b'euclidean,lcf,knn,"k=3,metric=euclidean",NA,NA,NA\n'
+        b"poincare,bnw,linear-svm,C=1.0,NA,NA,NA\n"
+    )
+    assert j.read_bytes() == b"""[
+  {
+    "embedding": "poincare",
+    "composition": "lcf",
+    "classifier": "svm",
+    "params": "kernel=geodesic,lambda=1.0,q=1.0,C=1.0",
+    "accuracy": 0.30000000000000004,
+    "micro_f1": 0.30000000000000004,
+    "runtime_s": 0.0625,
+    "error": null
+  },
+  {
+    "embedding": "euclidean",
+    "composition": "lcf",
+    "classifier": "knn",
+    "params": "k=3,metric=euclidean",
+    "accuracy": null,
+    "micro_f1": null,
+    "runtime_s": null,
+    "error": null
+  },
+  {
+    "embedding": "poincare",
+    "composition": "bnw",
+    "classifier": "linear-svm",
+    "params": "C=1.0",
+    "accuracy": null,
+    "micro_f1": null,
+    "runtime_s": null,
+    "error": "FloatingPointError: overflow"
+  }
+]
+"""
+
+
+def test_run_experiment_keeps_labels_that_differ_by_a_trailing_nul(tmp_path):
+    # "red" and "red\0" are two classes of 6 documents, too few for 7 folds;
+    # a fixed-width str array would strip the NUL and split one class of 12
+    emb, cor = tiny_files(tmp_path)
+    path = tmp_path / "corpus.tsv"
+    path.write_text(path.read_text(encoding="utf-8").replace("blue\t", "red\0\t"), encoding="utf-8")
+    config = ExperimentConfig(
+        corpus_path=cor,
+        embeddings_path=emb,
+        flavor="poincare",
+        methods=("lcf",),
+        knn=KnnSpec(ks=(1,)),
+        split=SplitSpec(kind="kfold", folds=7),
+    )
+    with pytest.raises(SplitError, match="^class 'red' has 6 members, fewer than 7 folds$"):
+        run_experiment(config)
+
+
 def test_emit_table_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         emit_table(sample_table(), "xml", tmp_path / "t.xml")
