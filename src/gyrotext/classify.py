@@ -3,7 +3,8 @@
 Three families, mirroring the experiment grids:
 
     - metric k-NN with either the hyperbolic ball distance or the
-      Euclidean distance, with fully deterministic tie rules;
+      Euclidean distance, with fully deterministic tie rules, ranking a
+      queries-by-training distance matrix only as deep as k;
     - binary soft-margin kernel SVM trained by SMO on a precomputed
       Gram matrix, each pair chosen by second-order working set
       selection (Fan, Chen & Lin 2005, LIBSVM's rule): the maximal
@@ -14,6 +15,10 @@ Three families, mirroring the experiment grids:
 
 Multiclass problems are reduced one-vs-rest; prediction is the argmax
 of the binary decision values with ties going to the smallest class id.
+On the kernel route a query is its row of kernel values against the
+training points, so a caller that already holds the test-by-train
+distances (the harness shares one matrix a fold between k-NN and the
+SVM) builds the rows from them instead of computing the distances again.
 """
 
 from __future__ import annotations
@@ -25,7 +30,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .gyroball import _rows, _same_width, pairwise_poincare_distance, pairwise_squared_distance
-from .kernels import KernelSpec, check_gram, cross_kernel, gram_matrix
+from .kernels import KernelSpec, check_gram, gram_matrix
+
+# Not called here: benchmarks/tracing.py looks this name up in this module.
+from .kernels import cross_kernel  # noqa: F401
 
 __all__ = [
     "KnnModel",
@@ -107,10 +115,18 @@ def _check_metric(metric: str) -> None:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRIC_KINDS}")
 
 
-def _pairwise_distance(queries, points, metric: str) -> np.ndarray:
+def _pair_matrix(queries, points, metric: str) -> np.ndarray:
+    """The queries-by-points matrix a metric is read from: the Poincare
+    distances, or the squared Euclidean distances, which the rbf kernel reads
+    as they are and whose square roots are k-NN's Euclidean distances."""
     if metric == "poincare":
         return pairwise_poincare_distance(queries, points)
-    return np.sqrt(pairwise_squared_distance(queries, points))
+    return pairwise_squared_distance(queries, points)
+
+
+def _knn_distances(pairs: np.ndarray, metric: str) -> np.ndarray:
+    """k-NN's distances from a metric's ``_pair_matrix``."""
+    return pairs if metric == "poincare" else np.sqrt(pairs)
 
 
 @dataclass(frozen=True)
@@ -135,22 +151,41 @@ def knn_fit(points, labels, k: int, metric: str = "poincare") -> KnnModel:
 
 
 class KnnRanking(NamedTuple):
-    """Training points ordered by distance, per query row.
+    """The nearest training points of each query row, a fixed depth deep.
 
-    ``order[i]`` lists training indices by increasing distance to query i,
-    equal distances in training index order; ``distances[i]`` holds those
-    distances in that order. It does not depend on k, so one ranking
-    serves every k over the same training set and queries.
+    ``order[i]`` lists the depth nearest training indices by increasing
+    distance to query i, equal distances in training index order;
+    ``distances[i]`` holds those distances in that order. It is the prefix
+    of the full stable ranking, so one ranking serves every k up to its
+    depth over the same training set and queries.
     """
 
     order: np.ndarray
     distances: np.ndarray
 
 
-def knn_rank(model: KnnModel, queries) -> KnnRanking:
-    """Rank the model's training points for every query row (ignores model.k)."""
-    d = _pairwise_distance(_rows(queries, "queries"), model.points, model.metric)
-    order = np.argsort(d, axis=1, kind="stable")
+def knn_rank(model: KnnModel, distances) -> KnnRanking:
+    """Rank the model's training points model.k deep for every query row.
+
+    ``distances`` is the queries-by-training distance matrix in the model's
+    metric. Each row is partitioned at its k-th smallest distance and the k
+    candidates are sorted by (distance, training index). A row where a
+    training point outside the candidates ties the k-th distance is
+    ranked by its stable argsort instead, so the result is always the
+    prefix of the full stable ranking.
+    """
+    d = _rows(distances, "distances")
+    if d.shape[1] != (n := model.points.shape[0]):
+        raise ValueError(f"distances shape {d.shape} does not cover {n} training points")
+    k = model.k
+    part = np.argpartition(d, k - 1, axis=1)[:, :k]
+    near = np.take_along_axis(d, part, axis=1)
+    order = np.take_along_axis(part, np.lexsort((part, near), axis=1), axis=1)
+    # the candidates hold every distance below the k-th; a k-th distance
+    # shared with a point outside them may have left a smaller index out
+    kth = near.max(axis=1)
+    for i in np.flatnonzero(np.count_nonzero(d <= kth[:, None], axis=1) > k):
+        order[i] = np.argsort(d[i], kind="stable")[:k]
     return KnnRanking(order=order, distances=np.take_along_axis(d, order, axis=1))
 
 
@@ -160,16 +195,23 @@ def knn_predict_batch(model: KnnModel, queries, ranking: Optional[KnnRanking] = 
     Distance ties at the k-th rank are broken by training index order;
     vote ties by the smallest summed distance, then the smallest class id.
     ``ranking``, when given, is ``knn_rank`` of the same training points
-    and queries, computed once and shared by several k. Votes and summed
-    distances are counted for all queries at once, each sum added in rank
-    order; zero query rows give an empty int64 array.
+    and queries, at least k deep, computed once and shared by several k;
+    without one, the distances are computed and ranked k deep here. Votes
+    and summed distances are counted for all queries at once, each sum
+    added in rank order; zero query rows give an empty int64 array.
     """
     Q = _rows(queries, "queries")
     _same_width(Q, model.points)
     if ranking is None:
-        ranking = knn_rank(model, Q)
-    elif ranking.order.shape != (shape := (Q.shape[0], model.points.shape[0])):
-        raise ValueError(f"ranking shape {ranking.order.shape} is not queries x points {shape}")
+        pairs = _pair_matrix(Q, model.points, model.metric)
+        ranking = knn_rank(model, _knn_distances(pairs, model.metric))
+    elif not (
+        ranking.order.shape[0] == Q.shape[0] and model.k <= ranking.order.shape[1] <= model.points.shape[0]
+    ):
+        raise ValueError(
+            f"ranking shape {ranking.order.shape} does not rank {Q.shape[0]} queries"
+            f" at least k={model.k} deep over {model.points.shape[0]} training points"
+        )
     classes, codes = np.unique(model.labels, return_inverse=True)
     q, c = ranking.order.shape[0], classes.size
     # one bin per (query, class) cell; bincount adds the weights in rank order
@@ -424,13 +466,12 @@ class OvrModel:
     """One binary model per class id, over a shared training representation.
 
     kernel, set only on the kernel route, is the one kernel every binary
-    model was trained and decides with; decisions take its rows against
-    train_points, the training set kept for that route.
+    model was trained and decides with; a decision there reads each query's
+    kernel row against the training points, not the query itself.
     """
 
     classes: np.ndarray
     models: tuple
-    train_points: Optional[np.ndarray] = None
     kernel: Optional[KernelSpec] = None
 
 
@@ -447,7 +488,7 @@ def ovr_train(points, labels, config: SmoConfig | LinearPrimalConfig) -> OvrMode
     if isinstance(config, SmoConfig):
         gram = gram_matrix(P, config.kernel)
         models = tuple(svm_train_smo(gram, s, C=config.C) for s in signs)
-        return OvrModel(classes=classes, models=models, train_points=P, kernel=config.kernel)
+        return OvrModel(classes=classes, models=models, kernel=config.kernel)
     if isinstance(config, LinearPrimalConfig):
         models = tuple(linear_svm_primal_train(P, s, C=config.C) for s in signs)
         return OvrModel(classes=classes, models=models)
@@ -455,11 +496,17 @@ def ovr_train(points, labels, config: SmoConfig | LinearPrimalConfig) -> OvrMode
 
 
 def ovr_decision(model: OvrModel, queries) -> np.ndarray:
-    """Decision-value matrix, one row per query row and one column per class."""
+    """Decision-value matrix, one row per query and one column per class.
+
+    On the kernel route each query is its row of kernel values against the
+    training points, ``cross_kernel(query_points, train_points,
+    model.kernel)``, one entry per training point; on the linear route it
+    is the query's point row.
+    """
     Q = _rows(queries, "queries")
     if model.kernel is not None:
-        rows = cross_kernel(Q, model.train_points, model.kernel)
-        cols = [rows @ (m.alphas * m.labels) + m.bias for m in model.models]
+        _same_width(Q, model.models[0].alphas)
+        cols = [Q @ (m.alphas * m.labels) + m.bias for m in model.models]
     else:
         _same_width(Q, model.models[0].weights)
         cols = [Q @ m.weights + m.bias for m in model.models]
@@ -467,7 +514,8 @@ def ovr_decision(model: OvrModel, queries) -> np.ndarray:
 
 
 def ovr_predict(model: OvrModel, queries) -> np.ndarray:
-    """Argmax class per query; exact ties go to the smallest class id."""
+    """Argmax class per query row, as ``ovr_decision`` takes it; exact ties
+    go to the smallest class id."""
     scores = ovr_decision(model, queries)
     # argmax returns the first maximum and classes are sorted ascending
     return model.classes[np.argmax(scores, axis=1)]

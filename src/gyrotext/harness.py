@@ -24,7 +24,9 @@ from .classify import (
     SmoConfig,
     _check_k,
     _check_metric,
+    _knn_distances,
     _meets,
+    _pair_matrix,
     knn_fit,
     knn_predict_batch,
     knn_rank,
@@ -33,6 +35,7 @@ from .classify import (
 )
 from .composition import _check_methods, _passes, _repeated, compose_batch
 from .corpus import _check_flavor, corpus_points, load_corpus, load_embeddings
+from .kernels import _exp_kernel, cross_kernel
 
 # Not called here: benchmarks/tracing.py looks this name up in this module.
 from .corpus import represent_corpus  # noqa: F401
@@ -151,12 +154,15 @@ def split(labels, spec: SplitSpec):
     floor(n_c * (1 - ratio) + 0.5) test members per class, keeping at
     least one training member, and raises ``SplitError`` when that draws
     none at all; k-fold raises it when a class has fewer members than folds.
+    The labels are taken as an object array and each class's members found
+    by its id, since a str array or a str compared with one would drop
+    trailing NULs and merge two classes.
     """
-    y = np.asarray(labels)
+    y = np.asarray(labels, dtype=object)
     if y.shape[0] == 0:
         raise ValueError("no labels to split")
-    classes = np.unique(y)
-    per_class = [np.flatnonzero(y == c) for c in classes]
+    classes, ids = np.unique(y, return_inverse=True)
+    per_class = [np.flatnonzero(ids == c) for c in range(classes.size)]
     if spec.kind == "kfold":
         for c, idx in zip(classes.tolist(), per_class):
             if idx.size < spec.folds:
@@ -231,22 +237,49 @@ def _classifier_cells(config: ExperimentConfig):
     return cells
 
 
-def _run_cell(spec, config, X, y, pairs, rankings):
+# the k-NN metric whose test-by-train matrix each exp kernel reads
+_KERNEL_METRIC = {"geodesic": "poincare", "euclidean_rbf": "euclidean"}
+
+
+def _fold_matrix(shared, metric, X, train, test):
+    """The fold's test-by-train ``_pair_matrix`` for a metric, made on first use."""
+    if metric not in shared:
+        shared[metric] = _pair_matrix(X[test], X[train], metric)
+    return shared[metric]
+
+
+def _run_cell(spec, config, X, y, pairs, memo):
     """Mean accuracy of one cell over the folds.
 
-    ``rankings`` maps a fold to its query-by-training k-NN ranking. The
-    first k-NN cell of a method computes and stores it; the later ones only
-    vote from its sorted prefix.
+    ``memo`` maps a fold to what a method's cells share there, each entry
+    made by the first cell that needs it: per metric, the test-by-train
+    ``_pair_matrix``, which both the k-NN ranking and the kernel SVM's
+    cross-kernel rows read, and the k-NN ranking, min(max(ks), n_train)
+    deep, whose prefix every k-NN cell votes from.
     """
     accs = []
     for fold, (train, test) in enumerate(pairs):
+        shared = memo.setdefault(fold, {})
         if isinstance(spec, (SmoConfig, LinearPrimalConfig)):
-            preds = ovr_predict(ovr_train(X[train], y[train], spec), X[test])
+            model = ovr_train(X[train], y[train], spec)
+            kernel = model.kernel
+            if kernel is None:
+                queries = X[test]
+            elif kernel.kind in _KERNEL_METRIC:
+                matrix = _fold_matrix(shared, _KERNEL_METRIC[kernel.kind], X, train, test)
+                # a copy: _exp_kernel overwrites its matrix, and this one is shared
+                queries = _exp_kernel(matrix.copy(), kernel)
+            else:
+                queries = cross_kernel(X[test], X[train], kernel)
+            preds = ovr_predict(model, queries)
         else:
-            model = knn_fit(X[train], y[train], spec, config.knn.metric)
-            if fold not in rankings:
-                rankings[fold] = knn_rank(model, X[test])
-            preds = knn_predict_batch(model, X[test], rankings[fold])
+            metric = config.knn.metric
+            model = knn_fit(X[train], y[train], spec, metric)
+            if "ranking" not in shared:
+                distances = _knn_distances(_fold_matrix(shared, metric, X, train, test), metric)
+                deepest = replace(model, k=min(max(config.knn.ks), len(train)))
+                shared["ranking"] = knn_rank(deepest, distances)
+            preds = knn_predict_batch(model, X[test], shared["ranking"])
         accs.append(evaluate(preds, y[test]))
     return float(np.mean(accs))
 
@@ -258,7 +291,8 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
     from those points: one ``compose_batch`` call per pass of ``_passes``,
     so lcf, lcb and lca share one fold, and every pass composes once,
     before any cell runs. A method's representations are shared by its
-    cells, as is each fold's k-NN ranking by its k-NN cells. The split is
+    cells, as are each fold's test-by-train distances (by k-NN and the
+    kernel SVM) and its k-NN ranking (by the k-NN cells). The split is
     computed once from the corpus labels and reused everywhere, so cells
     are comparable. Cell failures are captured in the row's error field;
     remaining cells still run. A failing pass gives error rows to the
@@ -294,11 +328,11 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
             # no block: NA rows by the flavor rule; an exception: error rows
             rows.extend(empty_row(method, c, p, X) for c, p, _ in cells)
             continue
-        rankings = {}
+        memo = {}
         for classifier, params, spec in cells:
             start = time.perf_counter()
             try:
-                acc = _run_cell(spec, config, X, y, pairs, rankings)
+                acc = _run_cell(spec, config, X, y, pairs, memo)
             except Exception as exc:
                 rows.append(empty_row(method, classifier, params, exc))
                 continue

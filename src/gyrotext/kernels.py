@@ -88,17 +88,31 @@ def check_gram(matrix) -> np.ndarray:
     Rejects a matrix that is empty, not square, not finite, or asymmetric
     beyond 1e-12 * max(1, max |entry|), and returns its float64 entries; a
     ``GramMatrix``'s, checked when it was built, are returned as they are.
+    Finiteness and the scale come from the largest and smallest entries (a
+    NaN or an infinity carries through max or min), and an exactly
+    symmetric matrix, as every ``gram_matrix`` is, passes on one comparison
+    with its transpose, so it is checked without n x n float scratch.
     """
     if isinstance(matrix, GramMatrix):
         return matrix.entries
     a = np.asarray(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise ValueError(f"Gram matrix must be square and non-empty, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    hi, lo = float(a.max()), float(a.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
         raise ValueError("Gram matrix contains non-finite entries")
-    if np.abs(a - a.T).max() > 1e-12 * max(1.0, float(np.abs(a).max())):
+    if not np.array_equal(a, a.T) and np.abs(a - a.T).max() > 1e-12 * max(1.0, abs(hi), abs(lo)):
         raise ValueError("Gram matrix is asymmetric beyond tolerance")
     return a
+
+
+def _exp_kernel(pairs: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """exp(-lambda pairs^q), computed in place on a matrix the caller owns:
+    the geodesic kernel of Poincare distances, or the rbf kernel of squared
+    Euclidean distances (whose q is 1)."""
+    pairs **= spec.q
+    pairs *= -spec.lam
+    return np.exp(pairs, out=pairs)
 
 
 def cross_kernel(queries, points, spec: KernelSpec) -> np.ndarray:
@@ -107,10 +121,9 @@ def cross_kernel(queries, points, spec: KernelSpec) -> np.ndarray:
     P = _rows(points, "points")
     _same_width(Q, P)
     if spec.kind == "geodesic":
-        d = pairwise_poincare_distance(Q, P)
-        return np.exp(-spec.lam * d**spec.q)
+        return _exp_kernel(pairwise_poincare_distance(Q, P), spec)
     if spec.kind == "euclidean_rbf":
-        return np.exp(-spec.lam * pairwise_squared_distance(Q, P))
+        return _exp_kernel(pairwise_squared_distance(Q, P), spec)
     return Q @ P.T
 
 
@@ -136,7 +149,7 @@ def _smallest_eigenvalue(a: np.ndarray) -> float:
     # on a copy scaled exactly by a power of two to a largest |entry| in
     # [0.5, 1), so that the squared subdiagonal entries below neither
     # overflow nor lose a tiny matrix's entries
-    exponent = math.frexp(float(np.abs(a).max()))[1]
+    exponent = math.frexp(max(abs(float(a.max())), abs(float(a.min()))))[1]
     a = np.ldexp(a, -exponent)
     n = a.shape[0]
     for k in range(n - 2):

@@ -40,7 +40,10 @@ def test_tracer_reports_a_traced_run_and_compose(synth_files, tmp_path, monkeypa
     capsys.readouterr()
     assert (run_rc, compose_rc, oov_rc) == (0, 0, 0)
     metrics = tracing.layer_metrics(tracer.spans, tracer.counts, wall)
-    for name in ("harness.cells", "composition.compose_calls", "classify.smo_models"):
+    # k-NN votes and the SVM's Gram still pass through traced names when
+    # both read a fold's shared test-by-train matrix
+    for name in ("harness.cells", "composition.compose_calls", "classify.smo_models",
+                 "classify.knn_queries", "kernels.gram_entries"):
         assert metrics[name] > 0, name
     assert (metrics["corpus.empty_docs"], metrics["corpus.oov_tokens"]) == (1, 3)
     # corpus_points maps every document of the run through doc_to_points,

@@ -60,14 +60,11 @@ def oracle_knn(train_points, train_labels, query, k, metric):
 
 def linear_decision(model, train_points, queries):
     """Decision values of one binary SMO model trained on the linear-kernel
-    Gram of ``train_points``, evaluated through ovr_decision."""
-    ovr = OvrModel(
-        classes=np.array([1]),
-        models=(model,),
-        train_points=np.atleast_2d(np.asarray(train_points, dtype=np.float64)),
-        kernel=KernelSpec("linear"),
-    )
-    return ovr_decision(ovr, queries)[:, 0]
+    Gram of ``train_points``, evaluated through ovr_decision on the
+    queries' linear-kernel rows."""
+    spec = KernelSpec("linear")
+    ovr = OvrModel(classes=np.array([1]), models=(model,), kernel=spec)
+    return ovr_decision(ovr, cross_kernel(queries, train_points, spec))[:, 0]
 
 
 def ball_blobs(rng, centers, per_class, spread=0.05):
@@ -195,27 +192,75 @@ def test_knn_query_shape_checks():
         knn_predict_batch(model, np.array([[0.1, 0.0, 0.0]]))
 
 
+def knn_distances(queries, train, metric):
+    """The queries-by-training distances k-NN ranks by, as the harness shares them."""
+    return classify._knn_distances(classify._pair_matrix(queries, train, metric), metric)
+
+
 def test_knn_shared_ranking_matches_fresh_prediction():
-    # one ranking serves every k; ties in distance and in votes included
+    # one ranking, as deep as the largest k it serves, serves every k up to
+    # that depth; ties in distance and in votes included
     rng = np.random.default_rng(33)
     train = np.round(rng.uniform(-0.5, 0.5, size=(50, 2)), 1)
     labels = rng.integers(0, 3, size=50)
     queries = np.round(rng.uniform(-0.5, 0.5, size=(25, 2)), 1)
     # the same classes again as negative, non-contiguous ids in another order
     for metric, y in product(("poincare", "euclidean"), (labels, np.array([7, -4, 0])[labels])):
-        ranking = knn_rank(knn_fit(train, y, 1, metric), queries)
-        assert ranking.order.shape == ranking.distances.shape == (25, 50)
-        assert np.all(np.diff(ranking.distances, axis=1) >= 0)
-        for k in (1, 2, 3, 4, 7, 15, 50):
-            model = knn_fit(train, y, k, metric)
-            shared = knn_predict_batch(model, queries, ranking)
-            assert np.array_equal(shared, knn_predict_batch(model, queries)), (metric, k)
-            expect = [oracle_knn(train, y, q, k, metric) for q in queries]
-            assert shared.tolist() == expect, (metric, k)
-            none = knn_predict_batch(model, queries[:0])
-            assert none.dtype == np.int64 and none.shape == (0,)
-    with pytest.raises(ValueError):
+        distances = knn_distances(queries, train, metric)
+        full = np.argsort(distances, axis=1, kind="stable")
+        for depth, ks in ((15, (1, 2, 3, 4, 7, 15)), (50, (1, 15, 50))):
+            ranking = knn_rank(knn_fit(train, y, depth, metric), distances)
+            assert ranking.order.shape == ranking.distances.shape == (25, depth)
+            assert np.array_equal(ranking.order, full[:, :depth])
+            assert np.all(np.diff(ranking.distances, axis=1) >= 0)
+            for k in ks:
+                model = knn_fit(train, y, k, metric)
+                shared = knn_predict_batch(model, queries, ranking)
+                assert np.array_equal(shared, knn_predict_batch(model, queries)), (metric, k)
+                expect = [oracle_knn(train, y, q, k, metric) for q in queries]
+                assert shared.tolist() == expect, (metric, k)
+                none = knn_predict_batch(model, queries[:0])
+                assert none.dtype == np.int64 and none.shape == (0,)
+    with pytest.raises(ValueError, match="does not rank 3 queries"):
         knn_predict_batch(model, queries[:3], ranking)
+    # a ranking shallower than k cannot serve it
+    shallow = knn_rank(knn_fit(train, y, 4, metric), distances)
+    with pytest.raises(ValueError, match="at least k=7 deep"):
+        knn_predict_batch(knn_fit(train, y, 7, metric), queries, shallow)
+
+
+def test_knn_rank_at_depth_is_the_stable_argsort_prefix():
+    # eight training points at exactly one distance from the origin query,
+    # (+-a, +-b) and (+-b, +-a), with three nearer and four farther points;
+    # shuffled, so that the tied indices lie apart. At k = 4 the cut takes
+    # one of the eight, and seven others tie with it outside the candidates
+    a, b = 0.3, 0.1
+    ring = [(sa * a, sb * b) for sa in (1, -1) for sb in (1, -1)]
+    ring += [(y, x) for x, y in ring]
+    near = [(0.05, 0.0), (0.0, -0.1), (-0.12, 0.02)]
+    far = [(0.5, 0.1), (-0.45, -0.2), (0.2, 0.55), (-0.1, -0.6)]
+    rng = np.random.default_rng(34)
+    train = rng.permutation(np.array(ring + near + far))
+    labels = rng.integers(0, 3, size=len(train))
+    queries = np.vstack([np.zeros((2, 2)), rng.uniform(-0.4, 0.4, size=(5, 2))])
+    n = len(train)
+    for metric in ("poincare", "euclidean"):
+        d = knn_distances(queries, train, metric)
+        assert np.unique(d[0]).size == n - 7
+        full = np.argsort(d, axis=1, kind="stable")
+        for k in (1, 3, 4, 5, 10, 11, 12, n):
+            ranking = knn_rank(knn_fit(train, labels, k, metric), d)
+            assert np.array_equal(ranking.order, full[:, :k]), (metric, k)
+            assert ranking.distances.tobytes() == np.take_along_axis(d, full[:, :k], axis=1).tobytes()
+        # zero queries rank to an empty (0, k) ranking
+        empty = knn_rank(knn_fit(train, labels, 4, metric), d[:0])
+        assert empty.order.shape == empty.distances.shape == (0, 4)
+    model = knn_fit(train, labels, 4)
+    with pytest.raises(ValueError, match="does not cover 15 training points"):
+        knn_rank(model, d[:, 1:])
+    d[0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        knn_rank(model, d)
 
 
 # ------------------------------------------------------------------- SMO
@@ -569,7 +614,7 @@ def test_ovr_two_class_decisions_anticorrelated(monkeypatch):
     rng = np.random.default_rng(41)
     pts, labels = ball_blobs(rng, [(0.4, 0.0), (-0.4, 0.0)], per_class=15)
     model = ovr_train(pts, labels, SmoConfig(kernel=KernelSpec("geodesic")))
-    scores = ovr_decision(model, pts)
+    scores = ovr_decision(model, cross_kernel(pts, pts, model.kernel))
     assert np.all(np.sign(scores[:, 0]) == -np.sign(scores[:, 1]))
     np.testing.assert_allclose(scores[:, 0], -scores[:, 1], atol=1e-4)
 
@@ -598,8 +643,8 @@ def test_ovr_three_class_blobs_both_routes():
     labels = labels * 10 + 10  # non-contiguous ids: 10, 20, 30
     smo = ovr_train(pts, labels, SmoConfig(kernel=KernelSpec("geodesic", lam=1.0)))
     linear = ovr_train(pts, labels, LinearPrimalConfig())
-    for model in (smo, linear):
-        preds = ovr_predict(model, pts)
+    for model, queries in ((smo, cross_kernel(pts, pts, smo.kernel)), (linear, pts)):
+        preds = ovr_predict(model, queries)
         assert np.mean(preds == labels) >= 0.95
         assert set(preds.tolist()) <= {10, 20, 30}
 
@@ -613,6 +658,10 @@ def test_ovr_decision_dimension_checks():
     smo = ovr_train(pts, labels, SmoConfig(kernel=KernelSpec("geodesic")))
     with pytest.raises(ValueError):
         ovr_decision(smo, np.zeros((2, 3)))
+    # the kernel route reads kernel rows, one entry per training point, not points
+    assert ovr_decision(smo, np.zeros((2, 10))).shape == (2, 2)
+    with pytest.raises(ValueError, match="dimension mismatch: 2 vs 10"):
+        ovr_decision(smo, pts[:2])
 
 
 def test_ovr_smo_decision_matches_manual_kernel_rows():
@@ -620,14 +669,38 @@ def test_ovr_smo_decision_matches_manual_kernel_rows():
     pts, labels = ball_blobs(rng, [(0.35, 0.1), (-0.35, -0.1)], per_class=8)
     spec = KernelSpec("geodesic", lam=0.8)
     model = ovr_train(pts, labels, SmoConfig(kernel=spec))
-    queries = pts[:3]
-    rows = cross_kernel(queries, pts, spec)
-    scores = ovr_decision(model, queries)
+    rows = cross_kernel(pts[:3], pts, spec)
+    scores = ovr_decision(model, rows)
     for col, binary in enumerate(model.models):
         for r in range(3):
             assert scores[r, col] == pytest.approx(
                 float(rows[r] @ (binary.alphas * binary.labels) + binary.bias), abs=1e-12
             )
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec("geodesic", lam=0.8),
+    KernelSpec("geodesic", lam=0.3, q=2.0),
+    KernelSpec("euclidean_rbf", lam=1.5),
+    KernelSpec("linear"),
+])
+def test_ovr_decision_on_kernel_rows_is_the_decision_on_points(spec):
+    # the kernel route used to take point rows and build their kernel rows
+    # itself, by the expressions below; decided from the rows the caller
+    # builds, every score is bitwise what it was
+    rng = np.random.default_rng(47)
+    pts, labels = ball_blobs(rng, [(0.4, 0.0), (-0.2, 0.35), (-0.2, -0.35)], per_class=8)
+    queries = rng.uniform(-0.4, 0.4, size=(7, 2))
+    model = ovr_train(pts, labels, SmoConfig(kernel=spec))
+    if spec.kind == "geodesic":
+        rows = np.exp(-spec.lam * pairwise_poincare_distance(queries, pts) ** spec.q)
+    elif spec.kind == "euclidean_rbf":
+        rows = np.exp(-spec.lam * pairwise_squared_distance(queries, pts))
+    else:
+        rows = queries @ pts.T
+    before = np.stack([rows @ (m.alphas * m.labels) + m.bias for m in model.models], axis=1)
+    got = ovr_decision(model, cross_kernel(queries, pts, spec))
+    assert got.tobytes() == before.tobytes()
 
 
 def test_ovr_smo_reuses_single_gram():
@@ -669,16 +742,21 @@ def test_point_row_rule_is_one_for_every_entry_point():
         "PointBatch/one sequence": lambda X: PointBatch(X),
     }
     for metric, model in knn.items():
-        entries[f"knn_rank/{metric}"] = lambda X, m=model: knn_rank(m, X)
         entries[f"knn_predict_batch/{metric}"] = lambda X, m=model: knn_predict_batch(m, X)
         # a shared ranking spares the distances, not the rule
-        ranking = knn_rank(model, P)
+        ranking = knn_rank(model, knn_distances(P, P, metric))
         entries[f"knn_predict_batch+ranking/{metric}"] = (
             lambda X, m=model, r=ranking: knn_predict_batch(m, X, r)
         )
     for name, model in ovr.items():
-        entries[f"ovr_decision/{name}"] = lambda X, m=model: ovr_decision(m, X)
-        entries[f"ovr_predict/{name}"] = lambda X, m=model: ovr_predict(m, X)
+        # the kernel route decides from the queries' kernel rows, which
+        # cross_kernel builds from point rows under the same rule
+        if model.kernel is None:
+            rows = lambda X: X  # noqa: E731
+        else:
+            rows = lambda X, k=model.kernel: cross_kernel(X, P, k)  # noqa: E731
+        entries[f"ovr_decision/{name}"] = lambda X, m=model, r=rows: ovr_decision(m, r(X))
+        entries[f"ovr_predict/{name}"] = lambda X, m=model, r=rows: ovr_predict(m, r(X))
     nan = P.copy()
     nan[0, 0] = np.nan
     for X, ok, reason in [
@@ -707,15 +785,19 @@ def test_query_entry_points_take_zero_and_one_dimensional_queries():
         # a 1-D query is one row, with a shared ranking as without one
         expected = knn_predict_batch(model, q[None])
         assert knn_predict_batch(model, q).tolist() == expected.tolist()
-        assert knn_predict_batch(model, q, knn_rank(model, q)).tolist() == expected.tolist()
+        d = knn_distances(q, P, model.metric)
+        assert knn_predict_batch(model, q, knn_rank(model, d)).tolist() == expected.tolist()
         assert knn_predict_batch(model, np.empty((0, 2))).shape == (0,)
     assert pairwise_squared_distance(np.empty((0, 2)), P).shape == (0, 4)
-    assert cross_kernel(np.empty((0, 2)), P, KernelSpec("geodesic")).shape == (0, 4)
-    model = ovr_train(P, y, SmoConfig(KernelSpec("geodesic")))
-    assert ovr_predict(model, np.empty((0, 2))).shape == (0,)
-    assert ovr_predict(model, q).tolist() == ovr_predict(model, q[None]).tolist()
+    spec = KernelSpec("geodesic")
+    assert cross_kernel(np.empty((0, 2)), P, spec).shape == (0, 4)
+    model = ovr_train(P, y, SmoConfig(spec))
+    assert ovr_predict(model, cross_kernel(np.empty((0, 2)), P, spec)).shape == (0,)
+    # a 1-D kernel row is one query, as a 1-D point row is
+    rows = cross_kernel(q, P, spec)
+    assert ovr_predict(model, rows[0]).tolist() == ovr_predict(model, rows).tolist()
     with pytest.raises(ValueError, match="dimension mismatch"):
-        knn_predict_batch(models[0], np.zeros((1, 3)), knn_rank(models[0], q))
+        knn_predict_batch(models[0], np.zeros((1, 3)), knn_rank(models[0], d))
 
 
 def test_label_rules_are_one_for_both_trainers():

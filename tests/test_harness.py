@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gyrotext import corpus as corpus_module
-from gyrotext import cli, composition, harness
+from gyrotext import classify, cli, composition, gyroball, harness, kernels
 from gyrotext.classify import LinearPrimalConfig, SmoConfig, knn_fit, knn_predict_batch
 from gyrotext.corpus import load_corpus, load_embeddings, represent_corpus
 from gyrotext.harness import (
@@ -247,6 +247,33 @@ def test_split_partitions_are_frozen():
         assert train.tolist() == sorted(set(range(len(labels))) - set(test.tolist()))
 
 
+def test_split_keeps_labels_that_differ_by_a_trailing_nul():
+    # a plain list of str labels is taken as objects: "a" and "a\0" are two
+    # classes of two members, too few for three folds, and not one of four;
+    # a holdout draws one test member from each
+    labels = ["a", "a\0"] * 2
+    for given in (labels, np.array(labels, dtype=object)):
+        with pytest.raises(SplitError, match="^class 'a' has 2 members, fewer than 3 folds$"):
+            split(given, SplitSpec(kind="kfold", folds=3))
+    [(train, test)] = split(labels, SplitSpec(ratio=0.5))
+    assert sorted(labels[i] for i in test) == ["a", "a\0"]
+
+
+def test_split_of_int_labels_is_unchanged():
+    # the object array numbers and orders int labels as the int array did
+    labels = [3, 1, 2, 1, 3, 3, 2, 1, 2, 3, 1, 2, 1]
+    for spec in (SplitSpec(ratio=0.7, seed=3), SplitSpec(kind="kfold", folds=3, seed=3)):
+        for given in (labels, np.array(labels), np.array(labels, dtype=np.int8)):
+            got = split(given, spec)
+            want = split(np.array([f"{v}" for v in labels]), spec)
+            assert [(a.tolist(), b.tolist()) for a, b in got] == [(a.tolist(), b.tolist()) for a, b in want]
+    assert [t.tolist() for _, t in split(labels, SplitSpec(kind="kfold", folds=3, seed=3))] == [
+        [5, 8, 9, 10, 11, 12], [1, 4, 6, 7], [0, 2, 3],
+    ]
+    with pytest.raises(SplitError, match="^class 2 has 4 members, fewer than 5 folds$"):
+        split(labels, SplitSpec(kind="kfold", folds=5))
+
+
 def test_split_empty_raises():
     with pytest.raises(ValueError):
         split([], SplitSpec())
@@ -423,6 +450,31 @@ def test_run_experiment_folds_once(tmp_path, monkeypatch, methods, rows):
     monkeypatch.setattr(composition, "_fold", fold)
     run_experiment(full_config(emb, cor, methods=methods))
     assert folded == [rows]
+
+
+def test_run_experiment_computes_one_test_by_train_matrix_per_fold(tmp_path, monkeypatch):
+    # k-NN ranks and the geodesic SVM decides from one Poincare matrix per
+    # (method, fold); the SVM's Gram is the only other distance computed
+    emb, cor = tiny_files(tmp_path)
+    config = full_config(emb, cor, methods=("emean", "lcf"))
+    config = replace(config, split=SplitSpec(kind="kfold", folds=3, seed=2))
+    clean = run_experiment(config)
+    calls = []
+    real = gyroball.pairwise_poincare_distance
+
+    def counted(U, V):
+        calls.append("gram" if V is U else (len(U), len(V)))
+        return real(U, V)
+
+    for module in (classify, kernels):
+        monkeypatch.setattr(module, "pairwise_poincare_distance", counted)
+    counted_run = run_experiment(config)
+    assert [replace(r, runtime_s=None) for r in counted_run.rows] == [
+        replace(r, runtime_s=None) for r in clean.rows
+    ]
+    # 12 documents in 3 folds of 4: per method, the first k-NN cell makes
+    # each fold's 4 x 8 matrix, and the SVM cell only each fold's Gram
+    assert calls == 2 * (3 * [(4, 8)] + 3 * ["gram"])
 
 
 def test_run_experiment_deterministic_modulo_runtime(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gyrotext.classify import svm_train_smo
-from gyrotext.gyroball import pairwise_poincare_distance, poincare_distance
+from gyrotext.gyroball import pairwise_poincare_distance, pairwise_squared_distance, poincare_distance
 from gyrotext.kernels import (
     PSD_TOL,
     GramMatrix,
@@ -324,6 +324,69 @@ def test_square_matrix_rule_is_one_for_every_entry_point():
                 assert reason in str(exc)
                 verdicts.append(False)
         assert verdicts == [ok] * 3, (m.shape, reason, verdicts)
+
+
+def previous_check_gram(matrix):
+    """The square-matrix rule as it read with n x n float scratch: the
+    message it raises, or None."""
+    a = np.asarray(matrix, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        return f"Gram matrix must be square and non-empty, got shape {a.shape}"
+    if not np.all(np.isfinite(a)):
+        return "Gram matrix contains non-finite entries"
+    if np.abs(a - a.T).max() > 1e-12 * max(1.0, float(np.abs(a).max())):
+        return "Gram matrix is asymmetric beyond tolerance"
+    return None
+
+
+def test_check_gram_keeps_its_verdicts_and_messages():
+    rng = np.random.default_rng(51)
+    base = gram_matrix(random_points(rng, 7, 3), KernelSpec("geodesic")).entries
+    cases = {"symmetric": base, "empty": np.empty((0, 0)), "wide": np.ones((2, 3))}
+    for bad in (np.nan, np.inf, -np.inf):
+        for i, j in ((2, 5), (3, 3)):
+            m = base.copy()
+            m[i, j] = bad
+            cases[f"{bad} at {i},{j}"] = m
+    # the tolerance is 1e-12 max(1, max|entry|): entries up to 1 here, up to
+    # 300 in size (from the largest entry), and up to 300 from the most
+    # negative entry
+    for scale, sign in ((1.0, 1.0), (300.0, 1.0), (300.0, -1.0)):
+        m = sign * scale * base
+        tol = 1e-12 * max(1.0, float(np.abs(m).max()))
+        for factor in (0.5, 0.99, 1.01, 2.0):
+            shifted = m.copy()
+            shifted[1, 4] += factor * tol
+            cases[f"{sign * scale} off by {factor} tol"] = shifted
+    flipped = np.eye(3)
+    flipped[0, 1], flipped[1, 0] = 0.0, -0.0
+    cases["signed zeros"] = flipped
+    for name, m in cases.items():
+        want = previous_check_gram(m)
+        for entry in (check_gram, lambda a: check_gram(GramMatrix(a))):
+            if want is None:
+                assert entry(m).tobytes() == np.asarray(m, dtype=np.float64).tobytes(), name
+            else:
+                with pytest.raises(ValueError) as caught:
+                    entry(m)
+                assert str(caught.value) == want, name
+    assert [name for name, m in cases.items() if previous_check_gram(m) is None] == [
+        "symmetric", "1.0 off by 0.5 tol", "1.0 off by 0.99 tol", "300.0 off by 0.5 tol",
+        "300.0 off by 0.99 tol", "-300.0 off by 0.5 tol", "-300.0 off by 0.99 tol", "signed zeros",
+    ]
+
+
+def test_exp_kernels_are_bitwise_the_previous_expressions():
+    # cross_kernel and the harness's shared rows compute exp(-lambda m^q)
+    # in place; it is bitwise the out-of-place expression it replaced
+    rng = np.random.default_rng(52)
+    Q, P = random_points(rng, 9, 4), random_points(rng, 13, 4)
+    d, s = pairwise_poincare_distance(Q, P), pairwise_squared_distance(Q, P)
+    for lam, q in ((1.0, 1.0), (0.25, 2.0), (0.7, 0.5), (2.0, 3.0)):
+        got = cross_kernel(Q, P, KernelSpec("geodesic", lam=lam, q=q))
+        assert got.tobytes() == np.exp(-lam * d**q).tobytes(), (lam, q)
+    got = cross_kernel(Q, P, KernelSpec("euclidean_rbf", lam=0.6))
+    assert got.tobytes() == np.exp(-0.6 * s).tobytes()
 
 
 def test_gram_matrix_holds_the_float64_array_it_checked():
