@@ -15,10 +15,10 @@ Three families, mirroring the experiment grids:
 
 Multiclass problems are reduced one-vs-rest; prediction is the argmax
 of the binary decision values with ties going to the smallest class id.
-On the kernel route a query is its row of kernel values against the
-training points, so a caller that already holds the test-by-train
-distances (the harness shares one matrix a fold between k-NN and the
-SVM) builds the rows from them instead of computing the distances again.
+On the kernel route the caller builds both kernel matrices, as LIBSVM's
+precomputed kernels have it: the training Gram and each query's row of
+kernel values against the training points (the harness builds the rows
+from the test-by-train distances a fold's k-NN cells share).
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .gyroball import _rows, _same_width, pairwise_poincare_distance, pairwise_squared_distance
-from .kernels import KernelSpec, check_gram, gram_matrix
+from .kernels import GramMatrix, KernelSpec, check_gram
 
-# Not called here: benchmarks/tracing.py looks this name up in this module.
-from .kernels import cross_kernel  # noqa: F401
+# Not called here: benchmarks/tracing.py looks these names up in this module.
+from .kernels import cross_kernel, gram_matrix  # noqa: F401
 
 __all__ = [
     "KnnModel",
@@ -475,24 +475,25 @@ class OvrModel:
     kernel: Optional[KernelSpec] = None
 
 
-def ovr_train(points, labels, config: SmoConfig | LinearPrimalConfig) -> OvrModel:
-    """Train one binary classifier per class (that class vs. the rest)."""
-    P = _rows(points, "points")
-    y = _class_ids(labels, P.shape[0])
+def ovr_train(train, labels, config: SmoConfig | LinearPrimalConfig) -> OvrModel:
+    """Train one binary classifier per class (that class vs. the rest) on the
+    training point rows, or on the kernel route on their Gram, wrapped once
+    in a ``GramMatrix`` so that every class's SMO reads it unchecked."""
+    if isinstance(config, SmoConfig):
+        data = GramMatrix(train)
+        n, fit, kernel = data.entries.shape[0], svm_train_smo, config.kernel
+    elif isinstance(config, LinearPrimalConfig):
+        data = _rows(train, "points")
+        n, fit, kernel = data.shape[0], linear_svm_primal_train, None
+    else:
+        raise TypeError(f"unsupported trainer config {type(config).__name__}")
+    y = _class_ids(labels, n)
     classes = np.unique(y)
     if classes.size < 2:
         raise ValueError("one-vs-rest needs at least 2 classes")
-
     # one binary problem per class: that class +1, the rest -1
-    signs = [np.where(y == c, 1.0, -1.0) for c in classes]
-    if isinstance(config, SmoConfig):
-        gram = gram_matrix(P, config.kernel)
-        models = tuple(svm_train_smo(gram, s, C=config.C) for s in signs)
-        return OvrModel(classes=classes, models=models, kernel=config.kernel)
-    if isinstance(config, LinearPrimalConfig):
-        models = tuple(linear_svm_primal_train(P, s, C=config.C) for s in signs)
-        return OvrModel(classes=classes, models=models)
-    raise TypeError(f"unsupported trainer config {type(config).__name__}")
+    models = tuple(fit(data, np.where(y == c, 1.0, -1.0), C=config.C) for c in classes)
+    return OvrModel(classes=classes, models=models, kernel=kernel)
 
 
 def ovr_decision(model: OvrModel, queries) -> np.ndarray:

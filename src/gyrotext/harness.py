@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernels
 from .classify import (
     LinearPrimalConfig,
     SmoConfig,
@@ -35,7 +36,6 @@ from .classify import (
 )
 from .composition import _check_methods, _passes, _repeated, compose_batch
 from .corpus import _check_flavor, corpus_points, load_corpus, load_embeddings
-from .kernels import _exp_kernel, cross_kernel
 
 # Not called here: benchmarks/tracing.py looks this name up in this module.
 from .corpus import represent_corpus  # noqa: F401
@@ -251,26 +251,30 @@ def _fold_matrix(shared, metric, X, train, test):
 def _run_cell(spec, config, X, y, pairs, memo):
     """Mean accuracy of one cell over the folds.
 
-    ``memo`` maps a fold to what a method's cells share there, each entry
-    made by the first cell that needs it: per metric, the test-by-train
-    ``_pair_matrix``, which both the k-NN ranking and the kernel SVM's
-    cross-kernel rows read, and the k-NN ranking, min(max(ks), n_train)
-    deep, whose prefix every k-NN cell votes from.
+    The kernel SVM's Gram and kernel rows are both built here. ``memo``
+    maps a fold to what a method's cells share there, each entry made by
+    the first cell that needs it: per metric, the test-by-train
+    ``_pair_matrix``, which the k-NN ranking and the SVM's rows read, and
+    the k-NN ranking, min(max(ks), n_train) deep, whose prefix every k-NN
+    cell votes from.
     """
     accs = []
     for fold, (train, test) in enumerate(pairs):
         shared = memo.setdefault(fold, {})
-        if isinstance(spec, (SmoConfig, LinearPrimalConfig)):
-            model = ovr_train(X[train], y[train], spec)
-            kernel = model.kernel
-            if kernel is None:
-                queries = X[test]
-            elif kernel.kind in _KERNEL_METRIC:
+        if isinstance(spec, LinearPrimalConfig):
+            preds = ovr_predict(ovr_train(X[train], y[train], spec), X[test])
+        elif isinstance(spec, SmoConfig):
+            kernel = spec.kernel
+            if np.unique(y[train]).size < 2:  # ovr_train's rule, before an n x n Gram
+                raise ValueError("one-vs-rest needs at least 2 classes")
+            # through the module, whose gram_matrix benchmarks/tracing.py wraps
+            model = ovr_train(kernels.gram_matrix(X[train], kernel), y[train], spec)
+            if kernel.kind in _KERNEL_METRIC:
                 matrix = _fold_matrix(shared, _KERNEL_METRIC[kernel.kind], X, train, test)
                 # a copy: _exp_kernel overwrites its matrix, and this one is shared
-                queries = _exp_kernel(matrix.copy(), kernel)
+                queries = kernels._exp_kernel(matrix.copy(), kernel)
             else:
-                queries = cross_kernel(X[test], X[train], kernel)
+                queries = kernels.cross_kernel(X[test], X[train], kernel)
             preds = ovr_predict(model, queries)
         else:
             metric = config.knn.metric

@@ -591,11 +591,19 @@ def test_ovr_train_one_model_per_class():
     pts, labels = ball_blobs(
         rng, [(0.4, 0.0), (-0.2, 0.35), (-0.2, -0.35)], per_class=10
     )
-    model = ovr_train(pts, labels, SmoConfig(kernel=KernelSpec("geodesic")))
+    config = SmoConfig(kernel=KernelSpec("geodesic"))
+    gram = gram_matrix(pts, config.kernel)
+    model = ovr_train(gram, labels, config)
     assert model.classes.tolist() == [0, 1, 2]
     assert len(model.models) == 3
-    with pytest.raises(ValueError):
-        ovr_train(pts, np.zeros(len(labels), dtype=int), SmoConfig(KernelSpec("geodesic")))
+    for train, y, message in [
+        (gram, np.zeros(len(labels), dtype=int), "at least 2 classes"),
+        # the kernel route trains on a Gram, and refuses the points it came from
+        (pts, labels, "Gram matrix must be square and non-empty, got shape"),
+        (gram.entries[:-1, :-1], labels, "29 points but"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ovr_train(train, y, config)
     with pytest.raises(TypeError):
         ovr_train(pts, labels, config="linear")
 
@@ -604,7 +612,7 @@ def test_ovr_model_holds_the_kernel_it_was_trained_with():
     rng = np.random.default_rng(46)
     pts, labels = ball_blobs(rng, [(0.4, 0.0), (-0.4, 0.0)], per_class=5)
     config = SmoConfig(kernel=KernelSpec("geodesic", lam=0.6, q=2.0))
-    assert ovr_train(pts, labels, config).kernel is config.kernel
+    assert ovr_train(gram_matrix(pts, config.kernel), labels, config).kernel is config.kernel
     assert ovr_train(pts, labels, LinearPrimalConfig()).kernel is None
 
 
@@ -613,7 +621,8 @@ def test_ovr_two_class_decisions_anticorrelated(monkeypatch):
     monkeypatch.setattr(classify, "KKT_TOL", 1e-6)
     rng = np.random.default_rng(41)
     pts, labels = ball_blobs(rng, [(0.4, 0.0), (-0.4, 0.0)], per_class=15)
-    model = ovr_train(pts, labels, SmoConfig(kernel=KernelSpec("geodesic")))
+    config = SmoConfig(kernel=KernelSpec("geodesic"))
+    model = ovr_train(gram_matrix(pts, config.kernel), labels, config)
     scores = ovr_decision(model, cross_kernel(pts, pts, model.kernel))
     assert np.all(np.sign(scores[:, 0]) == -np.sign(scores[:, 1]))
     np.testing.assert_allclose(scores[:, 0], -scores[:, 1], atol=1e-4)
@@ -641,7 +650,8 @@ def test_ovr_three_class_blobs_both_routes():
         rng, [(0.45, 0.0), (-0.22, 0.4), (-0.22, -0.4)], per_class=20
     )
     labels = labels * 10 + 10  # non-contiguous ids: 10, 20, 30
-    smo = ovr_train(pts, labels, SmoConfig(kernel=KernelSpec("geodesic", lam=1.0)))
+    spec = KernelSpec("geodesic", lam=1.0)
+    smo = ovr_train(gram_matrix(pts, spec), labels, SmoConfig(kernel=spec))
     linear = ovr_train(pts, labels, LinearPrimalConfig())
     for model, queries in ((smo, cross_kernel(pts, pts, smo.kernel)), (linear, pts)):
         preds = ovr_predict(model, queries)
@@ -655,7 +665,8 @@ def test_ovr_decision_dimension_checks():
     model = ovr_train(pts, labels, LinearPrimalConfig())
     with pytest.raises(ValueError):
         ovr_decision(model, np.zeros((2, 3)))
-    smo = ovr_train(pts, labels, SmoConfig(kernel=KernelSpec("geodesic")))
+    config = SmoConfig(kernel=KernelSpec("geodesic"))
+    smo = ovr_train(gram_matrix(pts, config.kernel), labels, config)
     with pytest.raises(ValueError):
         ovr_decision(smo, np.zeros((2, 3)))
     # the kernel route reads kernel rows, one entry per training point, not points
@@ -668,7 +679,7 @@ def test_ovr_smo_decision_matches_manual_kernel_rows():
     rng = np.random.default_rng(44)
     pts, labels = ball_blobs(rng, [(0.35, 0.1), (-0.35, -0.1)], per_class=8)
     spec = KernelSpec("geodesic", lam=0.8)
-    model = ovr_train(pts, labels, SmoConfig(kernel=spec))
+    model = ovr_train(gram_matrix(pts, spec), labels, SmoConfig(kernel=spec))
     rows = cross_kernel(pts[:3], pts, spec)
     scores = ovr_decision(model, rows)
     for col, binary in enumerate(model.models):
@@ -691,7 +702,7 @@ def test_ovr_decision_on_kernel_rows_is_the_decision_on_points(spec):
     rng = np.random.default_rng(47)
     pts, labels = ball_blobs(rng, [(0.4, 0.0), (-0.2, 0.35), (-0.2, -0.35)], per_class=8)
     queries = rng.uniform(-0.4, 0.4, size=(7, 2))
-    model = ovr_train(pts, labels, SmoConfig(kernel=spec))
+    model = ovr_train(gram_matrix(pts, spec), labels, SmoConfig(kernel=spec))
     if spec.kind == "geodesic":
         rows = np.exp(-spec.lam * pairwise_poincare_distance(queries, pts) ** spec.q)
     elif spec.kind == "euclidean_rbf":
@@ -704,16 +715,23 @@ def test_ovr_decision_on_kernel_rows_is_the_decision_on_points(spec):
 
 
 def test_ovr_smo_reuses_single_gram():
+    # a GramMatrix and its raw array train bitwise the same models, each
+    # bitwise the binary model svm_train_smo trains on that Gram alone
     rng = np.random.default_rng(45)
     pts, labels = ball_blobs(rng, [(0.4, 0.0), (0.0, 0.4), (-0.4, 0.0)], per_class=6)
-    spec = KernelSpec("geodesic")
-    model = ovr_train(pts, labels, SmoConfig(kernel=spec))
-    gram = gram_matrix(pts, spec)
-    for c, binary in zip(model.classes, model.models):
-        y = np.where(labels == c, 1.0, -1.0)
-        solo = svm_train_smo(gram, y)
-        assert np.array_equal(binary.alphas, solo.alphas)
-        assert binary.bias == solo.bias
+    config = SmoConfig(kernel=KernelSpec("geodesic"))
+    gram = gram_matrix(pts, config.kernel)
+    fields = ("alphas", "bias", "support_indices", "labels", "converged", "kkt_residual",
+              "dual_objective", "psd_warning", "n_iter", "objective_history")
+
+    def as_bytes(model):
+        return [np.asarray(getattr(model, f)).tobytes() for f in fields]
+
+    for train in (gram, gram.entries.copy()):
+        model = ovr_train(train, labels, config)
+        for c, binary in zip(model.classes, model.models):
+            solo = svm_train_smo(gram, np.where(labels == c, 1.0, -1.0))
+            assert as_bytes(binary) == as_bytes(solo)
 
 
 # ------------------------------------------------- point-row and label rules
@@ -723,12 +741,9 @@ def test_point_row_rule_is_one_for_every_entry_point():
     P = np.array([[0.1, 0.0], [0.0, 0.2], [-0.1, 0.1], [0.0, -0.2]])
     y = [0, 0, 1, 1]
     knn = {m: knn_fit(P, y, 1, m) for m in ("poincare", "euclidean")}
-    ovr = {
-        "linear-svm": ovr_train(P, y, LinearPrimalConfig()),
-        "rbf": ovr_train(P, y, SmoConfig(KernelSpec("euclidean_rbf"))),
-        "linear": ovr_train(P, y, SmoConfig(KernelSpec("linear"))),
-        "geodesic": ovr_train(P, y, SmoConfig(KernelSpec("geodesic"))),
-    }
+    ovr = {"linear-svm": ovr_train(P, y, LinearPrimalConfig())}
+    for name, kind in (("rbf", "euclidean_rbf"), ("linear", "linear"), ("geodesic", "geodesic")):
+        ovr[name] = ovr_train(gram_matrix(P, KernelSpec(kind)), y, SmoConfig(KernelSpec(kind)))
     # each entry point takes X in place of one point-row argument
     entries = {
         "pairwise_squared_distance": lambda X: pairwise_squared_distance(X, P),
@@ -791,7 +806,7 @@ def test_query_entry_points_take_zero_and_one_dimensional_queries():
     assert pairwise_squared_distance(np.empty((0, 2)), P).shape == (0, 4)
     spec = KernelSpec("geodesic")
     assert cross_kernel(np.empty((0, 2)), P, spec).shape == (0, 4)
-    model = ovr_train(P, y, SmoConfig(spec))
+    model = ovr_train(gram_matrix(P, spec), y, SmoConfig(spec))
     assert ovr_predict(model, cross_kernel(np.empty((0, 2)), P, spec)).shape == (0,)
     # a 1-D kernel row is one query, as a 1-D point row is
     rows = cross_kernel(q, P, spec)

@@ -477,6 +477,58 @@ def test_run_experiment_computes_one_test_by_train_matrix_per_fold(tmp_path, mon
     assert calls == 2 * (3 * [(4, 8)] + 3 * ["gram"])
 
 
+@pytest.mark.parametrize("kernel", [
+    KernelSpec("geodesic"),
+    KernelSpec("geodesic", q=2.0),
+    KernelSpec("euclidean_rbf"),
+    KernelSpec("linear"),
+])
+def test_run_experiment_svm_cell_is_the_svm_built_by_hand(tmp_path, kernel):
+    # the harness builds the fold's Gram and kernel rows itself, from the
+    # shared test-by-train matrix where the kernel reads one; its accuracy
+    # is that of the kernel SVM trained and queried on them by hand. The
+    # documents mix random words, so that a different Gram or different
+    # rows (another kernel, or lambda = 2) changes every cell's accuracy
+    rng = np.random.default_rng(2)
+    angles = rng.uniform(0.0, 2.0 * np.pi, 24)
+    radii = 0.7 * np.sqrt(rng.uniform(size=24))
+    emb, cor = tmp_path / "emb.txt", tmp_path / "corpus.tsv"
+    emb.write_text("".join(f"t{i} {float(r * math.cos(a))!r} {float(r * math.sin(a))!r}\n"
+                           for i, (a, r) in enumerate(zip(angles, radii))), encoding="utf-8")
+    docs = rng.integers(0, 24, size=(45, 3))
+    # labelled by the sector of a document's first word
+    sector = (angles // (2.0 * np.pi / 3.0)).astype(int)
+    cor.write_text("".join(f"{'abc'[sector[d[0]]]}\t{' '.join(f't{i}' for i in d)}\n" for d in docs),
+                   encoding="utf-8")
+    emb, cor = str(emb), str(cor)
+    svm = SmoConfig(kernel=kernel)
+    config = ExperimentConfig(cor, emb, "poincare", ("lcf",), svm=svm,
+                              split=SplitSpec(kind="kfold", folds=3, seed=5))
+    (row,) = run_experiment(config).rows
+    table, _ = load_embeddings(emb, "poincare")
+    corpus, _ = load_corpus(cor)
+    P = composition.compose_batch(("lcf",), corpus_module.corpus_points(corpus, table).batch)["lcf"]
+    y = np.unique([label for label, _ in corpus.records], return_inverse=True)[1]
+    accs = []
+    for train, test in split(y, config.split):
+        model = classify.ovr_train(kernels.gram_matrix(P[train], kernel), y[train], svm)
+        rows = kernels.cross_kernel(P[test], P[train], kernel)
+        accs.append(evaluate(classify.ovr_predict(model, rows), y[test]))
+    assert row.error is None and 0 < row.accuracy < 1
+    assert row.accuracy == float(np.mean(accs))
+
+
+def test_svm_cell_of_a_one_class_fold_fails_on_its_classes_before_its_gram():
+    # a one-class fold fails on the one-vs-rest rule, before the harness
+    # builds a Gram, even where the kernel could not measure the points
+    # (outside the ball, for the geodesic kernel)
+    X = np.array([[0.0, 3.0], [3.0, 0.0], [2.0, 2.0], [0.5, 0.0]])
+    y = np.zeros(4, dtype=np.int64)
+    pairs = [(np.arange(3), np.arange(3, 4))]
+    with pytest.raises(ValueError, match="^one-vs-rest needs at least 2 classes$"):
+        harness._run_cell(SmoConfig(kernel=KernelSpec("geodesic")), None, X, y, pairs, {})
+
+
 def test_run_experiment_deterministic_modulo_runtime(tmp_path):
     emb, cor = tiny_files(tmp_path)
     a = run_experiment(full_config(emb, cor))
