@@ -229,10 +229,10 @@ class SvmModel:
     """Fitted binary kernel SVM (dual form).
 
     converged is False when the KKT residual still exceeded ``KKT_TOL`` at
-    the iteration budget, or at a stall (a pair step under 1e-14 C once
-    clipped, on any Gram); the residual is reported either way. psd_warning
-    records whether any working pair exhibited negative curvature, a witness
-    that the Gram is not positive semidefinite. objective_history holds the
+    the iteration budget, or at a stall (``svm_train_smo``'s clipped pair
+    step under 1e-14 C / max(1, max K_ii)); the residual is reported either
+    way. psd_warning records whether any working pair exhibited negative
+    curvature, a witness that the Gram is not positive semidefinite. objective_history holds the
     dual objective after each pair step, one entry per iteration. Its kernel
     and C are the caller's: ``OvrModel.kernel`` and ``SmoConfig.C``.
     """
@@ -275,7 +275,8 @@ def svm_train_smo(gram, labels, C: float = 1.0) -> SvmModel:
     sets are built once and updated at the two indices each step changes
     (LIBSVM's per-index bound status). The budget is ``MAX_PASSES * n``
     iterations; running out is reported through converged/kkt_residual,
-    not raised. The Gram, a ``GramMatrix`` or an array, goes through
+    not raised, as is a stall (a clipped pair step under 1e-14 C / max(1,
+    max |K_ii|)). The Gram, a ``GramMatrix`` or an array, goes through
     ``check_gram``. The labels are -1 or +1, both present. The model
     keeps no kernel and no C: the caller that built the Gram knows them.
     """
@@ -295,12 +296,15 @@ def svm_train_smo(gram, labels, C: float = 1.0) -> SvmModel:
     stalled = False
     budget = MAX_PASSES * n
     kkt_tol = KKT_TOL
+    # snap and stall are relative to C, so a tiny box still steps, and to a
+    # PSD Gram's largest entry, its largest K_ii, by which the alphas shrink
+    scale = C / max(1.0, float(np.abs(diag).max()))
     # rounding can leave an alpha one ulp off its bound, which would keep
     # it in the working set and jam the pair update against the box; snap
     # near-bound values to the exact bound instead
-    snap = 1e-12 * C
-    # a shorter pair step has stalled; relative to C, so a tiny box still steps
-    stall = 1e-14 * C
+    snap = 1e-12 * scale
+    # a shorter pair step has stalled
+    stall = 1e-14 * scale
 
     def _snap(a: float) -> float:
         if a < snap:
@@ -341,7 +345,7 @@ def svm_train_smo(gram, labels, C: float = 1.0) -> SvmModel:
             lo, hi = max(0.0, a_i + a_j - C), min(C, a_i + a_j)
         a_j_new = _snap(min(max(a_j_new, lo), hi))
         if abs(a_j_new - a_j) < stall:
-            # the clipped step is under 1e-14 C, whether the box blocks it or it is that short
+            # the clipped step is under stall, whether the box blocks it or it is that short
             stalled = True
             break
         a_i_new = _snap(min(max(a_i - y_i * y_j * (a_j_new - a_j), 0.0), C))
@@ -502,16 +506,13 @@ def ovr_decision(model: OvrModel, queries) -> np.ndarray:
     On the kernel route each query is its row of kernel values against the
     training points, ``cross_kernel(query_points, train_points,
     model.kernel)``, one entry per training point; on the linear route it
-    is the query's point row.
+    is the query's point row. Either way a class's column is the rows'
+    product with its model's ``alphas * labels`` or ``weights``, plus its bias.
     """
     Q = _rows(queries, "queries")
-    if model.kernel is not None:
-        _same_width(Q, model.models[0].alphas)
-        cols = [Q @ (m.alphas * m.labels) + m.bias for m in model.models]
-    else:
-        _same_width(Q, model.models[0].weights)
-        cols = [Q @ m.weights + m.bias for m in model.models]
-    return np.stack(cols, axis=1)
+    coefs = [m.alphas * m.labels if model.kernel is not None else m.weights for m in model.models]
+    _same_width(Q, coefs[0])
+    return np.stack([Q @ w + m.bias for w, m in zip(coefs, model.models)], axis=1)
 
 
 def ovr_predict(model: OvrModel, queries) -> np.ndarray:

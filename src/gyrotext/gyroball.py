@@ -124,10 +124,6 @@ def _clamp_norms(X: np.ndarray):
     return X, n, over
 
 
-def _clamp(X: np.ndarray) -> np.ndarray:
-    return _clamp_norms(X)[0]
-
-
 def _add(A: np.ndarray, B: np.ndarray):
     """Rows of A (+) B, clamped, and their norms."""
     dot2 = 2.0 * np.vecdot(A, B)[:, None]
@@ -146,7 +142,7 @@ def _scale(r, X: np.ndarray) -> np.ndarray:
     n = np.sqrt(np.vecdot(X, X))
     mag = np.tanh(r * np.arctanh(n))
     # x/|x| has a removable singularity at the origin, which maps to itself
-    return _clamp((mag / np.where(n > 0.0, n, 1.0))[:, None] * X)
+    return _clamp_norms((mag / np.where(n > 0.0, n, 1.0))[:, None] * X)[0]
 
 
 def _geodesic(A: np.ndarray, B: np.ndarray, t) -> np.ndarray:
@@ -183,7 +179,7 @@ def _geodesic(A: np.ndarray, B: np.ndarray, t) -> np.ndarray:
     # all three weights are 0 only where b = a, whose step is a; elsewhere
     # beta or alpha is at least sinh(h), far above the smallest normal
     den = np.maximum(alpha + beta + gamma, _TINY)
-    return _clamp((1.0 - gamma / den)[:, None] * A + (beta / den)[:, None] * D)
+    return _clamp_norms((1.0 - gamma / den)[:, None] * A + (beta / den)[:, None] * D)[0]
 
 
 def mobius_add(a, b) -> np.ndarray:

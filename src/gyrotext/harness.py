@@ -241,50 +241,50 @@ def _classifier_cells(config: ExperimentConfig):
 _KERNEL_METRIC = {"geodesic": "poincare", "euclidean_rbf": "euclidean"}
 
 
-def _fold_matrix(shared, metric, X, train, test):
+def _fold_matrix(shared, metric, X_tr, X_te):
     """The fold's test-by-train ``_pair_matrix`` for a metric, made on first use."""
     if metric not in shared:
-        shared[metric] = _pair_matrix(X[test], X[train], metric)
+        shared[metric] = _pair_matrix(X_te, X_tr, metric)
     return shared[metric]
 
 
-def _run_cell(spec, config, X, y, pairs, memo):
-    """Mean accuracy of one cell over the folds.
+def _run_cell(spec, config, folds):
+    """Mean accuracy of one cell over a method's fold records.
 
-    The kernel SVM's Gram and kernel rows are both built here. ``memo``
-    maps a fold to what a method's cells share there, each entry made by
-    the first cell that needs it: per metric, the test-by-train
-    ``_pair_matrix``, which the k-NN ranking and the SVM's rows read, and
-    the k-NN ranking, min(max(ks), n_train) deep, whose prefix every k-NN
-    cell votes from.
+    A record ``(X_tr, y_tr, X_te, y_te, shared)`` holds a fold's blocks,
+    sliced once for the method's cells, which no callee writes into, and
+    what they share there, each entry made by the first cell that needs
+    it: per metric the test-by-train ``_pair_matrix``, which the k-NN
+    ranking and the SVM's kernel rows read, and the k-NN "ranking",
+    min(max(ks), n_train) deep, whose prefix every k-NN cell votes from.
+    The kernel SVM's Gram and kernel rows are both built here.
     """
     accs = []
-    for fold, (train, test) in enumerate(pairs):
-        shared = memo.setdefault(fold, {})
+    for X_tr, y_tr, X_te, y_te, shared in folds:
         if isinstance(spec, LinearPrimalConfig):
-            preds = ovr_predict(ovr_train(X[train], y[train], spec), X[test])
+            preds = ovr_predict(ovr_train(X_tr, y_tr, spec), X_te)
         elif isinstance(spec, SmoConfig):
             kernel = spec.kernel
-            if np.unique(y[train]).size < 2:  # ovr_train's rule, before an n x n Gram
+            if np.unique(y_tr).size < 2:  # ovr_train's rule, before an n x n Gram
                 raise ValueError("one-vs-rest needs at least 2 classes")
             # through the module, whose gram_matrix benchmarks/tracing.py wraps
-            model = ovr_train(kernels.gram_matrix(X[train], kernel), y[train], spec)
+            model = ovr_train(kernels.gram_matrix(X_tr, kernel), y_tr, spec)
             if kernel.kind in _KERNEL_METRIC:
-                matrix = _fold_matrix(shared, _KERNEL_METRIC[kernel.kind], X, train, test)
+                matrix = _fold_matrix(shared, _KERNEL_METRIC[kernel.kind], X_tr, X_te)
                 # a copy: _exp_kernel overwrites its matrix, and this one is shared
                 queries = kernels._exp_kernel(matrix.copy(), kernel)
             else:
-                queries = kernels.cross_kernel(X[test], X[train], kernel)
+                queries = kernels.cross_kernel(X_te, X_tr, kernel)
             preds = ovr_predict(model, queries)
         else:
             metric = config.knn.metric
-            model = knn_fit(X[train], y[train], spec, metric)
+            model = knn_fit(X_tr, y_tr, spec, metric)
             if "ranking" not in shared:
-                distances = _knn_distances(_fold_matrix(shared, metric, X, train, test), metric)
-                deepest = replace(model, k=min(max(config.knn.ks), len(train)))
+                distances = _knn_distances(_fold_matrix(shared, metric, X_tr, X_te), metric)
+                deepest = replace(model, k=min(max(config.knn.ks), len(X_tr)))
                 shared["ranking"] = knn_rank(deepest, distances)
-            preds = knn_predict_batch(model, X[test], shared["ranking"])
-        accs.append(evaluate(preds, y[test]))
+            preds = knn_predict_batch(model, X_te, shared["ranking"])
+        accs.append(evaluate(preds, y_te))
     return float(np.mean(accs))
 
 
@@ -294,13 +294,14 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
     The corpus is tokenized and looked up once, and every method composes
     from those points: one ``compose_batch`` call per pass of ``_passes``,
     so lcf, lcb and lca share one fold, and every pass composes once,
-    before any cell runs. A method's representations are shared by its
-    cells, as are each fold's test-by-train distances (by k-NN and the
-    kernel SVM) and its k-NN ranking (by the k-NN cells). The split is
-    computed once from the corpus labels and reused everywhere, so cells
-    are comparable. Cell failures are captured in the row's error field;
-    remaining cells still run. A failing pass gives error rows to the
-    methods it composes; the other methods' rows are unchanged.
+    before any cell runs. A method's cells share its fold records, sliced
+    once before any cell's ``runtime_s`` starts, and so each fold's
+    test-by-train distances (by k-NN and the kernel SVM) and its k-NN
+    ranking (by the k-NN cells). The split is computed once from the
+    corpus labels and reused everywhere, so cells are comparable. Cell
+    failures are captured in the row's error field; remaining cells still
+    run. A failing pass gives error rows to the methods it composes; the
+    other methods' rows are unchanged.
     """
     table, _ = load_embeddings(config.embeddings_path, config.flavor)
     corpus, _ = load_corpus(config.corpus_path)
@@ -332,11 +333,11 @@ def run_experiment(config: ExperimentConfig) -> ResultsTable:
             # no block: NA rows by the flavor rule; an exception: error rows
             rows.extend(empty_row(method, c, p, X) for c, p, _ in cells)
             continue
-        memo = {}
+        folds = [(X[train], y[train], X[test], y[test], {}) for train, test in pairs]
         for classifier, params, spec in cells:
             start = time.perf_counter()
             try:
-                acc = _run_cell(spec, config, X, y, pairs, memo)
+                acc = _run_cell(spec, config, folds)
             except Exception as exc:
                 rows.append(empty_row(method, classifier, params, exc))
                 continue

@@ -22,7 +22,8 @@ def smo(K, y, C=1.0):
     alpha = np.zeros(n)
     F = -y.copy()
     up, low = y > 0, y < 0
-    snap = 1e-12 * C
+    scale = C / max(1.0, float(np.abs(np.diagonal(K)).max()))
+    snap = 1e-12 * scale
 
     def _snap(a):
         return 0.0 if a < snap else C if a > C - snap else a
@@ -40,7 +41,7 @@ def smo(K, y, C=1.0):
         else:
             lo, hi = max(0.0, a_i + a_j - C), min(C, a_i + a_j)
         a_j_new = _snap(min(max(a_j + y[j] * (F[i] - F[j]) / eta, lo), hi))
-        if abs(a_j_new - a_j) < 1e-14 * C:
+        if abs(a_j_new - a_j) < 1e-14 * scale:
             stalled = True
             break
         a_i_new = _snap(min(max(a_i - y[i] * y[j] * (a_j_new - a_j), 0.0), C))

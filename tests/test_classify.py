@@ -370,18 +370,30 @@ def test_smo_budget_exhaustion_reports_residual(monkeypatch):
 
 
 def test_smo_stall_exit():
-    # the first pair step would move alpha by 2 / 1e15 = 2e-15, under the
-    # stall threshold of 1e-14 C at C = 1: SMO stops before taking any step
-    model = svm_train_smo(1e15 * np.array([[1.0, 0.5], [0.5, 1.0]]), [1, -1])
+    # the first pair step would move alpha by 2, which snaps to 0 under the
+    # snap threshold of 1e-12 C = 1e8 at C = 1e20: a step of 0 is under the
+    # stall threshold, so SMO stops before taking any step
+    model = svm_train_smo(np.array([[1.0, 0.5], [0.5, 1.0]]), [1, -1], C=1e20)
     assert not model.converged and model.n_iter == 0
     assert model.kkt_residual == 2.0
     assert model.alphas.tobytes() == np.zeros(2).tobytes()
     assert not model.psd_warning
 
 
+def test_smo_steps_on_a_gram_of_large_entries():
+    # the first pair step moves alpha by 2 / 1e15 = 2e-15, above both
+    # thresholds, which are relative to C / max(1, max K_ii) = 1e-15, so it
+    # is taken and reaches the optimum
+    model = svm_train_smo(1e15 * np.array([[1.0, 0.5], [0.5, 1.0]]), [1, -1])
+    assert model.converged and model.n_iter == 1
+    assert model.kkt_residual == 0.0
+    assert model.alphas.tolist() == [2e-15, 2e-15]
+
+
 def test_smo_takes_steps_in_a_tiny_box():
-    # the stall threshold is 1e-14 C: an absolute 1e-14 stopped every box
-    # narrower than that before its first pair step
+    # the stall threshold is 1e-14 C on this Gram, whose K_ii are 1: an
+    # absolute 1e-14 stopped every box narrower than that before its first
+    # pair step
     rng = np.random.default_rng(0)
     X = rng.uniform(-0.3, 0.3, size=(40, 5))
     y = np.where(X[:, 0] > 0, 1, -1)
@@ -694,14 +706,21 @@ def test_ovr_smo_decision_matches_manual_kernel_rows():
     KernelSpec("geodesic", lam=0.3, q=2.0),
     KernelSpec("euclidean_rbf", lam=1.5),
     KernelSpec("linear"),
+    None,
 ])
 def test_ovr_decision_on_kernel_rows_is_the_decision_on_points(spec):
     # the kernel route used to take point rows and build their kernel rows
     # itself, by the expressions below; decided from the rows the caller
-    # builds, every score is bitwise what it was
+    # builds, every score is bitwise what it was. The linear route (spec
+    # None) decides on the point rows, bitwise by its own expression
     rng = np.random.default_rng(47)
     pts, labels = ball_blobs(rng, [(0.4, 0.0), (-0.2, 0.35), (-0.2, -0.35)], per_class=8)
     queries = rng.uniform(-0.4, 0.4, size=(7, 2))
+    if spec is None:
+        model = ovr_train(pts, labels, LinearPrimalConfig())
+        before = np.stack([queries @ m.weights + m.bias for m in model.models], axis=1)
+        assert ovr_decision(model, queries).tobytes() == before.tobytes()
+        return
     model = ovr_train(gram_matrix(pts, spec), labels, SmoConfig(kernel=spec))
     if spec.kind == "geodesic":
         rows = np.exp(-spec.lam * pairwise_poincare_distance(queries, pts) ** spec.q)

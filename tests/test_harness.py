@@ -524,9 +524,9 @@ def test_svm_cell_of_a_one_class_fold_fails_on_its_classes_before_its_gram():
     # (outside the ball, for the geodesic kernel)
     X = np.array([[0.0, 3.0], [3.0, 0.0], [2.0, 2.0], [0.5, 0.0]])
     y = np.zeros(4, dtype=np.int64)
-    pairs = [(np.arange(3), np.arange(3, 4))]
+    folds = [(X[:3], y[:3], X[3:], y[3:], {})]
     with pytest.raises(ValueError, match="^one-vs-rest needs at least 2 classes$"):
-        harness._run_cell(SmoConfig(kernel=KernelSpec("geodesic")), None, X, y, pairs, {})
+        harness._run_cell(SmoConfig(kernel=KernelSpec("geodesic")), None, folds)
 
 
 def test_run_experiment_deterministic_modulo_runtime(tmp_path):
