@@ -26,11 +26,24 @@ both over groups of consecutive sequences. ``compose_batch`` composes
 several methods of one batch, and two or more of lcf, lcb and lca share
 one fold of the forward and backward readings. ``compose`` is the batch
 of one.
+
+The six ball schemes take one squared-norm pass per batch: the points'
+np.vecdot squared norms, and the ball check on them, are taken by the
+first pass that needs them (``PointBatch.squared_norms``) and read by
+every other. From there each scheme carries the squared norm, or
+c = 1 - |x|^2, of every running point from step to step: the clamp of
+the step that made a point hands it back, and only a point that naive's
+rescale moved has it taken anew. naive and the folds compute the row
+of every step up front and gather those rows, with their norms, a block
+of whole steps at a time, within STEP_BYTES of points: no step gathers
+on its own, and the batch is never copied whole.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -50,7 +63,8 @@ __all__ = [
 ]
 
 # emean and the binary-tree schemes compose consecutive sequences with up to
-# this many bytes of points at a time, which bounds their temporaries
+# this many bytes of points at a time, and naive and the folds gather their
+# step rows in blocks of up to this many bytes, which bounds their temporaries
 STEP_BYTES = 256 * 1024
 
 # the naive scheme's running sum is multiplied by this whenever its norm
@@ -63,25 +77,49 @@ class PointBatch:
     """Point sequences packed back to back, validated once on construction.
 
     Sequence i is ``points[starts[i] : starts[i] + lengths[i]]``; the
-    points are point rows, and every sequence has at least one of them.
-    With no lengths, the points are one sequence. Build a batch of many
-    sequences from their ``np.concatenate`` and their lengths.
+    points are C-contiguous point rows, and every sequence has at least
+    one of them. With no lengths, the points are one sequence. Build a
+    batch of many sequences from their ``np.concatenate`` and their
+    lengths. The points must not change once the batch is built: they
+    are checked once, and their squared norms are kept once taken.
     """
 
     points: np.ndarray
     lengths: np.ndarray | None = None
     starts: np.ndarray = field(init=False)
+    # the points' squared norms, once squared_norms has taken and checked them
+    _n2: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        pts = _rows(self.points, "point sequence")
-        lengths = np.asarray([pts.shape[0]] if self.lengths is None else self.lengths)
+        # C order: a row's np.vecdot then sums as the gathered rows' do
+        pts = np.ascontiguousarray(_rows(self.points, "point sequence"))
+        if self.lengths is None:
+            # one sequence of every point, which only an empty array can break
+            lengths, positive = np.array([pts.shape[0]]), pts.shape[0] > 0
+        else:
+            lengths = np.asarray(self.lengths)
+            positive = (lengths.ndim == 1 and lengths.dtype.kind in "iu" and lengths.size > 0
+                        and lengths.min() > 0)
+        if not positive:
+            raise ValueError("a batch needs one or more sequences, each of positive length")
+        if self.lengths is None:
+            starts = np.zeros(1, dtype=lengths.dtype)
+        elif lengths.sum() != pts.shape[0]:
+            raise ValueError("sequence lengths must sum to the point count")
+        else:
+            starts = np.cumsum(lengths) - lengths
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "lengths", lengths)
-        if lengths.ndim != 1 or lengths.dtype.kind not in "iu" or lengths.size == 0 or lengths.min() < 1:
-            raise ValueError("a batch needs one or more sequences, each of positive length")
-        if lengths.sum() != pts.shape[0]:
-            raise ValueError("sequence lengths must sum to the point count")
-        object.__setattr__(self, "starts", np.cumsum(lengths) - lengths)
+        object.__setattr__(self, "starts", starts)
+
+    def squared_norms(self, caller: str) -> np.ndarray:
+        """np.vecdot(p, p) of every point, which must lie strictly inside
+        the unit ball (``caller`` names who asks, in the error). Taken and
+        checked on the first call and kept, so every pass over the batch
+        reads the same values."""
+        if self._n2 is None:
+            object.__setattr__(self, "_n2", _inside(self.points, caller))
+        return self._n2
 
 
 def _groups(batch: PointBatch):
@@ -166,58 +204,104 @@ def _emean(batch: PointBatch) -> np.ndarray:
 # batches need no second validation and no copy of the points.
 
 
-def _by_length(lengths: np.ndarray):
-    """Longest-first order, and how many sequences are longer than k for k = 1.."""
+def _lockstep(lengths: np.ndarray, first: np.ndarray, stride: np.ndarray):
+    """How a fold steps through sequences read from row ``first`` by
+    ``stride``: their longest-first order; how many of them take step k,
+    for k = 1, 2, ..., which are the first ones in that order, those
+    longer than k; and the rows that every step reads, back to back by
+    step: step k reads row first + k stride of each of them."""
+    if lengths.size == 1 or lengths.min() == lengths.max():
+        # one length, as of a batch of one and of its two readings: no sort
+        steps = np.arange(1, lengths[0])
+        rows = first + stride * steps[:, None]
+        return np.arange(lengths.size), [lengths.size] * steps.size, rows.ravel()
     order = np.argsort(-lengths, kind="stable")
+    first, stride = first[order], stride[order]
     longest = int(lengths[order[0]])
     active = np.searchsorted(-lengths[order], -np.arange(1, longest), side="left")
-    return order, active.tolist()
+    # every step row's step k and its sequence's place j in the order
+    k = np.repeat(np.arange(1, longest), active)
+    j = np.arange(k.size) - np.repeat(np.cumsum(active) - active, active)
+    return order, active.tolist(), first[j] + k * stride[j]
 
 
-def _sums(batch: PointBatch):
-    """Left-folded Mobius sums in lockstep, with per-sequence overflow counts."""
-    order, active = _by_length(batch.lengths)
+def _steps(rows, active, points, values):
+    """(k, points, values) of each step k = 1, 2, ... of a fold, which reads
+    the next active[k - 1] of ``rows``: those rows of ``points`` and of the
+    per-point ``values``. They are gathered a block of whole steps at a
+    time, a block of at most STEP_BYTES of points unless one step alone
+    is more, so no step gathers and the batch is never copied whole."""
+    budget = max(1, STEP_BYTES // (8 * points.shape[1]))
+    ends = list(itertools.accumulate(active))
+    hi = 0
+    for k, end in enumerate(ends, start=1):
+        start = end - active[k - 1]
+        if end > hi:
+            lo, hi = start, ends[max(k, bisect.bisect_right(ends, start + budget)) - 1]
+            block, block_values = points[rows[lo:hi]], values[rows[lo:hi]]
+        yield k, block[start - lo : end - lo], block_values[start - lo : end - lo]
+
+
+def _sums(batch: PointBatch, n2: np.ndarray):
+    """Left-folded Mobius sums in lockstep, their squared norms, and
+    per-sequence overflow counts; ``n2`` holds the points' squared norms.
+    A sum's squared norm is carried from step to step, and taken anew only
+    for a sum that the rescale moved."""
+    order, active, rows = _lockstep(batch.lengths, *_reading(batch, False))
     starts = batch.starts[order]
-    acc = batch.points[starts]
+    acc, acc_n2 = batch.points[starts], n2[starts]
+    sums, sums_n2 = np.empty_like(acc), np.empty_like(acc_n2)
     overflows = np.zeros(starts.size, dtype=np.int64)
 
-    def rescale(m, norms):
-        over = norms >= MAX_NORM
+    def rescale(running, running_n2):
+        over = np.sqrt(running_n2) >= MAX_NORM
         if np.count_nonzero(over):
-            acc[:m][over] *= OVERFLOW_RESCALE
-            overflows[:m] += over
+            running[over] *= OVERFLOW_RESCALE
+            overflows[: len(running)] += over
+            moved = running[over]
+            running_n2[over] = np.vecdot(moved, moved)
 
-    rescale(starts.size, np.sqrt(np.vecdot(acc, acc)))
-    for k, m in enumerate(active, start=1):
-        # _add hands back the norms its clamp took of the rows it returns
-        acc[:m], norms = _add(acc[:m], batch.points[starts[:m] + k])
-        rescale(m, norms)
-    sums = np.empty_like(acc)
-    sums[order] = acc
+    rescale(acc, acc_n2)
+    for _, P, P_n2 in _steps(rows, active, batch.points, n2):
+        m = len(P)
+        if m < len(acc):
+            # the sequences from place m on are done: their sums leave the fold
+            done = order[m : len(acc)]
+            sums[done], sums_n2[done] = acc[m:], acc_n2[m:]
+            acc, acc_n2 = acc[:m], acc_n2[:m]
+        acc, acc_n2 = _add(acc, P, acc_n2, P_n2)
+        rescale(acc, acc_n2)
+    sums[order[: len(acc)]], sums_n2[order[: len(acc)]] = acc, acc_n2
     counts = np.empty_like(overflows)
     counts[order] = overflows
-    return sums, counts
+    return sums, sums_n2, counts
 
 
-def _naive(batch: PointBatch) -> np.ndarray:
-    sums, _ = _sums(batch)
-    return _scale(1.0 / batch.lengths, sums)
+def _naive(batch: PointBatch, n2: np.ndarray) -> np.ndarray:
+    sums, sums_n2, _ = _sums(batch, n2)
+    return _scale(1.0 / batch.lengths, sums, sums_n2)
 
 
-def _fold(points, first, stride, lengths) -> np.ndarray:
+def _fold(points, c, first, stride, lengths):
     """lcf in lockstep over sequences read from row ``first`` by ``stride``
-    (+1 forward, -1 backward): step k moves every sequence longer than k
-    from its running centroid c_k to M(c_k, x_(k+1); k, 1), the point
-    1/(k+1) of the way to x_(k+1)."""
-    order, active = _by_length(lengths)
-    first, stride = first[order], stride[order]
-    acc = points[first]
-    for k, m in enumerate(active, start=1):
-        rows = first[:m] + k * stride[:m]
-        acc[:m] = _geodesic(acc[:m], points[rows], 1.0 / (k + 1))
-    out = np.empty_like(acc)
-    out[order] = acc
-    return out
+    (+1 forward, -1 backward), with the c = 1 - |x|^2 of its rows; ``c``
+    holds the points' c. Step k moves every sequence longer than k from
+    its running centroid c_k to M(c_k, x_(k+1); k, 1), the point 1/(k+1)
+    of the way to x_(k+1), and carries its c from the step's clamp."""
+    order, active, rows = _lockstep(lengths, first, stride)
+    heads = first[order]
+    acc, c_acc = points[heads], c[heads]
+    out, c_out = np.empty_like(acc), np.empty_like(c_acc)
+    for k, P, c_p in _steps(rows, active, points, c):
+        m = len(P)
+        if m < len(acc):
+            # the sequences from place m on are done: their points leave the fold
+            done = order[m : len(acc)]
+            out[done], c_out[done] = acc[m:], c_acc[m:]
+            acc, c_acc = acc[:m], c_acc[:m]
+        acc, c_acc = _geodesic(acc, P, 1.0 / (k + 1), c_acc, c_p)
+    out[order[: len(acc)]], c_out[order[: len(acc)]] = acc, c_acc
+    return out, c_out
 
 
 def _reading(batch: PointBatch, backward: bool):
@@ -228,16 +312,18 @@ def _reading(batch: PointBatch, backward: bool):
     return batch.starts, ones
 
 
-def _folds(batch: PointBatch, methods) -> list:
+def _folds(batch: PointBatch, n2: np.ndarray, methods) -> list:
     """The blocks of ``methods``, some of lcf, lcb and lca, from one fold.
     lcf or lcb alone folds its own reading. Otherwise the forward and the
     backward reading of every sequence run as one fold over twice the
     rows, and lca is the midpoint of its two halves."""
+    c = 1.0 - n2
     if len(methods) == 1 and "lca" not in methods:
-        return [_fold(batch.points, *_reading(batch, "lcb" in methods), batch.lengths)]
+        return [_fold(batch.points, c, *_reading(batch, "lcb" in methods), batch.lengths)[0]]
     (f_first, f_stride), (b_first, b_stride) = _reading(batch, False), _reading(batch, True)
-    folds = _fold(
+    folds, c_folds = _fold(
         batch.points,
+        c,
         np.concatenate([f_first, b_first]),
         np.concatenate([f_stride, b_stride]),
         np.concatenate([batch.lengths, batch.lengths]),
@@ -245,19 +331,19 @@ def _folds(batch: PointBatch, methods) -> list:
     b = batch.lengths.size
     blocks = {"lcf": folds[:b], "lcb": folds[b:]}
     if "lca" in methods:
-        blocks["lca"] = _geodesic(blocks["lcf"], blocks["lcb"], 0.5)
+        blocks["lca"] = _geodesic(folds[:b], folds[b:], 0.5, c_folds[:b], c_folds[b:])[0]
     return [blocks[m] for m in methods]
 
 
-def _tree(vals, starts, lengths) -> np.ndarray:
+def _tree(vals, c, starts, lengths) -> np.ndarray:
     """fnw in lockstep, one step per tree level across all sequences.
 
     A node over rows lo..lo+n-1 (n >= 2) splits at half = floor(n/2). It
     steps from its left child's centroid by (n - half) / n, the right
     child's share of its n points, and leaves its centroid in row lo of
-    ``vals``, where its parent reads it. The levels are enumerated from the
-    roots down and stepped deepest first, so both children of a node are
-    done before it.
+    ``vals``, and its c = 1 - |x|^2 in row lo of ``c``, where its parent
+    reads them. The levels are enumerated from the roots down and stepped
+    deepest first, so both children of a node are done before it.
     """
     lo, size = starts[lengths > 1], lengths[lengths > 1]
     levels = []
@@ -269,37 +355,40 @@ def _tree(vals, starts, lengths) -> np.ndarray:
         size = np.concatenate([half[left], (size - half)[right]])
     for lo, size in reversed(levels):
         half = size // 2
-        vals[lo] = _geodesic(vals[lo], vals[lo + half], (size - half) / size)
+        hi = lo + half
+        vals[lo], c[lo] = _geodesic(vals[lo], vals[hi], (size - half) / size, c[lo], c[hi])
     return vals[starts]
 
 
-def _trees(batch: PointBatch, first, stride) -> np.ndarray:
+def _trees(batch: PointBatch, c: np.ndarray, first, stride) -> np.ndarray:
     """fnw of every sequence read from row ``first`` by ``stride``, a group of
-    ``_groups`` at a time: a tree works on a copy of its group's points."""
+    ``_groups`` at a time: a tree works on a copy of its group's points and
+    of their c = 1 - |x|^2, which ``c`` holds."""
     starts, lengths = batch.starts, batch.lengths
     out = np.empty((lengths.size, batch.points.shape[1]))
     for i, j, lo, hi in _groups(batch):
         seq = np.repeat(np.arange(i, j), lengths[i:j])
         rows = first[seq] + stride[seq] * (np.arange(lo, hi) - starts[seq])
-        out[i:j] = _tree(batch.points[rows], starts[i:j] - lo, lengths[i:j])
+        out[i:j] = _tree(batch.points[rows], c[rows], starts[i:j] - lo, lengths[i:j])
     return out
 
 
 def _alone(scheme):
     """A scheme that composes one method as a pass: a list of its one block."""
-    return lambda batch, methods: [scheme(batch)]
+    return lambda batch, n2, methods: [scheme(batch, n2)]
 
 
-# every method's pass, called as pass(batch, methods) for the methods it
-# serves; ``_passes`` groups the methods that name the same one
+# every method's pass, called as pass(batch, n2, methods) for the methods it
+# serves, with the batch's squared norms (None for emean alone); ``_passes``
+# groups the methods that name the same one
 _SCHEMES = {
-    "emean": _alone(_emean),
+    "emean": _alone(lambda batch, n2: _emean(batch)),
     "naive": _alone(_naive),
     "lcf": _folds,
     "lcb": _folds,
     "lca": _folds,
-    "fnw": _alone(lambda batch: _trees(batch, *_reading(batch, False))),
-    "bnw": _alone(lambda batch: _trees(batch, *_reading(batch, True))),
+    "fnw": _alone(lambda batch, n2: _trees(batch, 1.0 - n2, *_reading(batch, False))),
+    "bnw": _alone(lambda batch, n2: _trees(batch, 1.0 - n2, *_reading(batch, True))),
 }
 
 METHODS = tuple(_SCHEMES)
@@ -369,11 +458,10 @@ def compose_batch(methods, batch: PointBatch) -> dict:
         # an unhashable method name misses the cache; the rule refuses it
         _check_methods(methods)
         raise
-    if label is not None:
-        _inside(batch.points, label)
+    n2 = None if label is None else batch.squared_norms(label)
     blocks = {}
     for group in passes:
-        blocks.update(zip(group, _SCHEMES[group[0]](batch, group)))
+        blocks.update(zip(group, _SCHEMES[group[0]](batch, n2, group)))
     # a one-point sequence composes to that point, bit for bit: fsum would
     # turn its -0.0 coordinates into 0.0, and naive's rescale could move it
     single = batch.lengths == 1
@@ -398,6 +486,5 @@ def mobius_sum(points):
     the unit ball.
     """
     batch = PointBatch(points)
-    _inside(batch.points, "mobius_sum")
-    sums, counts = _sums(batch)
+    sums, _, counts = _sums(batch, batch.squared_norms("mobius_sum"))
     return sums[0], int(counts[0])

@@ -27,7 +27,12 @@ the floor is the rounding of 1 - |u|^2 at the point nearer the boundary,
 a relative error of about (dim + 2) eps / (1 - |u|^2). Each Mobius
 operation has one row-wise implementation over (B, d) row stacks, and
 point arrays pass one rule, _rows: finite float64 (n, d) rows, d >= 1,
-a 1-D vector as one row; the Mobius functions take 1-D vectors.
+a 1-D vector as one row; the Mobius functions take 1-D vectors. The row
+kernels take the norms of their input rows as arguments, as the
+np.vecdot squared norms |x|^2 (Mobius addition and scaling) or as
+c = 1 - |x|^2 (the geodesic step), and hand back those of their results,
+which the clamp (_clamp_norms) returns with the rows it has checked: a
+fold takes each norm once, where it makes the point.
 All computation is in float64; the operators compound rounding error and
 32-bit floats do not survive deep compositions.
 """
@@ -92,7 +97,7 @@ def _inside(X: np.ndarray, name: str) -> np.ndarray:
     row it keeps is accepted.
     """
     n2 = np.vecdot(X, X)
-    if np.any(n2 >= 1.0):
+    if np.count_nonzero(n2 >= 1.0):
         raise ValueError(f"{name} requires points strictly inside the unit ball")
     return n2
 
@@ -102,55 +107,64 @@ def _inside(X: np.ndarray, name: str) -> np.ndarray:
 # and composition checks a whole batch once before folding it. A row's result
 # depends on that row alone, and inner products go through np.vecdot (the
 # same BLAS dot as 1-D np.dot), so a batch of one gives bitwise the rows of a
-# batch of many.
+# batch of many. A norm passed in must be the np.vecdot one of its row, bit
+# for bit: then a step gives the bits it would give taking the norm itself.
 
 
 def _clamp_norms(X: np.ndarray):
     """X with every row of norm >= 1 pulled back to norm MAX_NORM (a row whose
-    squared norm overflowed keeps its direction), the sqrt(vecdot) norms of
-    its returned rows, and the mask of the rows it pulled back."""
-    n = np.sqrt(np.vecdot(X, X))
-    over = n >= 1.0
+    squared norm overflowed keeps its direction), the np.vecdot squared
+    norms of its returned rows, and the mask of the rows it pulled back.
+
+    sqrt(n2) >= 1 holds exactly where n2 >= 1, so the mask is taken from
+    the squared norms; a caller that needs 1 - |x|^2 of the rows, as the
+    next geodesic or Mobius step does, takes it from them.
+    """
+    n2 = np.vecdot(X, X)
+    over = n2 >= 1.0
     # count_nonzero: ndarray.any costs several times more on small arrays
     if np.count_nonzero(over):
-        if np.count_nonzero(inf := np.isinf(n)):
+        if np.count_nonzero(inf := np.isinf(n2)):
             # by its largest |coordinate|, on a copy; an all-zero row would give 0/0
             X = np.divide(X, np.abs(X).max(axis=1, keepdims=True), out=X.copy(), where=inf[:, None])
-            n = np.sqrt(np.vecdot(X, X))
+            n2 = np.vecdot(X, X)
         # x * 1.0 is x, so the rows kept keep their bits
-        X = X * (MAX_NORM / np.where(over, n, MAX_NORM))[:, None]
+        X = X * (MAX_NORM / np.where(over, np.sqrt(n2), MAX_NORM))[:, None]
         # a pulled-back row's norm is MAX_NORM only to rounding
-        n = np.where(over, np.sqrt(np.vecdot(X, X)), n)
-    return X, n, over
+        n2 = np.where(over, np.vecdot(X, X), n2)
+    return X, n2, over
 
 
-def _add(A: np.ndarray, B: np.ndarray):
-    """Rows of A (+) B, clamped, and their norms."""
+def _add(A: np.ndarray, B: np.ndarray, na2: np.ndarray, nb2: np.ndarray):
+    """Rows of A (+) B, clamped, and their squared norms, given the squared
+    norms na2 and nb2 of the rows of A and B."""
     dot2 = 2.0 * np.vecdot(A, B)[:, None]
-    na2 = np.vecdot(A, A)[:, None]
-    nb2 = np.vecdot(B, B)[:, None]
+    na2 = na2[:, None]
+    nb2 = nb2[:, None]
     # 1 + (2<a,b> + |b|^2) in this order: (1 + 2<a,b>) + |b|^2 rounds differently
     num = (1.0 + (dot2 + nb2)) * A + (1.0 - na2) * B
     den = 1.0 + dot2 + na2 * nb2
     return _clamp_norms(num / den)[:2]
 
 
-def _scale(r, X: np.ndarray) -> np.ndarray:
+def _scale(r, X: np.ndarray, n2: np.ndarray) -> np.ndarray:
+    """Rows of r (*) X, clamped, given the squared norms n2 of the rows of X."""
     # r is a scalar or one factor per row, and the rows lie inside the ball:
     # a squared norm below 1 has a correctly rounded sqrt of at most
     # 1 - 2^-53, whose artanh is finite
-    n = np.sqrt(np.vecdot(X, X))
+    n = np.sqrt(n2)
     mag = np.tanh(r * np.arctanh(n))
     # x/|x| has a removable singularity at the origin, which maps to itself
     return _clamp_norms((mag / np.where(n > 0.0, n, 1.0))[:, None] * X)[0]
 
 
-def _geodesic(A: np.ndarray, B: np.ndarray, t) -> np.ndarray:
-    """Rows of a (+) ((-a (+) b) (*) t), for rows inside the ball; t is a
-    scalar or one fraction per row.
+def _geodesic(A: np.ndarray, B: np.ndarray, t, c_a: np.ndarray, c_b: np.ndarray):
+    """Rows of a (+) ((-a (+) b) (*) t), for rows inside the ball, and their
+    c = 1 - |x|^2; t is a scalar or one fraction per row, and c_a and c_b
+    are 1 - np.vecdot(x, x) of the rows of A and of B.
 
-    With D = b - a, c_a = 1 - |a|^2, c_b = 1 - |b|^2 and the half distance
-    h = asinh(x), x = sqrt(|D|^2 / (c_a c_b)), the step is
+    With D = b - a and the half distance h = asinh(x),
+    x = sqrt(|D|^2 / (c_a c_b)), the step is
 
         a + (beta D - gamma a) / (alpha + beta + gamma)
         alpha = sinh(2 (1 - t) h) / c_a,  beta = sinh(2 t h) / c_b,
@@ -164,11 +178,11 @@ def _geodesic(A: np.ndarray, B: np.ndarray, t) -> np.ndarray:
     whose denominator shrinks like c_a^2 while its terms stay of order 1.
     What is left is the rounding of 1 - |a|^2 and 1 - |b|^2, a relative
     error of about dim eps / c that moves the result by about
-    (1 - |m|^2) dim eps ((1 - t) / c_a + t / c_b).
+    (1 - |m|^2) dim eps ((1 - t) / c_a + t / c_b). The c returned is 1
+    minus the squared norm that the clamp takes of each row, so a fold
+    carries c from step to step and never takes a norm twice.
     """
     D = B - A
-    c_a = 1.0 - np.vecdot(A, A)
-    c_b = 1.0 - np.vecdot(B, B)
     x = np.sqrt(np.vecdot(D, D) / (c_a * c_b))
     h = np.arcsinh(x)
     th = t * h
@@ -179,7 +193,8 @@ def _geodesic(A: np.ndarray, B: np.ndarray, t) -> np.ndarray:
     # all three weights are 0 only where b = a, whose step is a; elsewhere
     # beta or alpha is at least sinh(h), far above the smallest normal
     den = np.maximum(alpha + beta + gamma, _TINY)
-    return _clamp_norms((1.0 - gamma / den)[:, None] * A + (beta / den)[:, None] * D)[0]
+    X, n2, _ = _clamp_norms((1.0 - gamma / den)[:, None] * A + (beta / den)[:, None] * D)
+    return X, 1.0 - n2
 
 
 def mobius_add(a, b) -> np.ndarray:
@@ -193,7 +208,9 @@ def mobius_add(a, b) -> np.ndarray:
     B = _as_vector(b, "b")
     _same_width(A, B)
     _inside(np.concatenate([A, B]), "mobius_add")
-    return _add(A, B)[0][0]
+    # the norms of a and b as given: a strided vector's np.vecdot can round
+    # otherwise than that of its copy in the concatenation
+    return _add(A, B, np.vecdot(A, A), np.vecdot(B, B))[0][0]
 
 
 def mobius_neg(a) -> np.ndarray:
@@ -210,8 +227,7 @@ def mobius_scale(r: float, x) -> np.ndarray:
     if not math.isfinite(r):
         raise ValueError(f"scalar r must be finite, got {r}")
     X = _as_vector(x, "x")
-    _inside(X, "mobius_scale")
-    return _scale(r, X)[0]
+    return _scale(r, X, _inside(X, "mobius_scale"))[0]
 
 
 def geodesic_point(a, b, t: float) -> np.ndarray:
@@ -231,7 +247,8 @@ def geodesic_point(a, b, t: float) -> np.ndarray:
         return A[0].copy()
     if t == 1.0:
         return B[0].copy()
-    return _geodesic(A, B, t)[0]
+    # 1 - |x|^2 of a and b as given, as in mobius_add
+    return _geodesic(A, B, t, 1.0 - np.vecdot(A, A), 1.0 - np.vecdot(B, B))[0][0]
 
 
 def midpoint(a, b) -> np.ndarray:

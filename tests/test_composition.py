@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import tracemalloc
@@ -316,14 +317,33 @@ def test_compose_checks_each_point_once(monkeypatch):
         return real(X, name)
 
     monkeypatch.setattr(composition, "_rows", rows)
+    # and every ball scheme reads the squared norms of one ball check
+    checked = []
+    real_inside = composition._inside
+
+    def inside(X, name):
+        checked.append(name)
+        return real_inside(X, name)
+
+    monkeypatch.setattr(composition, "_inside", inside)
     seq = random_points(np.random.default_rng(16), 5, 3)
     for method in METHODS:
         calls.clear()
+        checked.clear()
         compose(method, seq)
         assert len(calls) == 1, (method, calls)
+        assert checked == ([] if method == "emean" else [f"composition method {method!r}"])
     calls.clear()
+    checked.clear()
     mobius_sum(seq)
     assert len(calls) == 1, calls
+    assert checked == ["mobius_sum"]
+    # a batch is checked once, whatever its passes and however often it is composed
+    batch = batch_of([seq, seq[:2]])
+    checked.clear()
+    compose_batch(METHODS, batch)
+    compose_batch(("lca", "naive"), batch)
+    assert checked == ["composition method 'naive'"]
 
 
 # ------------------------------------------- batched vs per-document reference
@@ -411,6 +431,146 @@ def test_batch_of_one_equals_full_batch_bitwise():
             assert gyroball._clamp_norms(full)[0].tobytes() == full.tobytes(), method
 
 
+# ----------------------------------- carried squared norms vs recomputed norms
+
+
+def clamped(X, step, seen):
+    """X through the clamp, counting in ``seen[step]`` the rows it pulled back."""
+    X, _, over = gyroball._clamp_norms(X)
+    seen[step] += int(over.sum())
+    return X
+
+
+def recomputed_geodesic(A, B, t, seen):
+    """The geodesic step's expressions, with 1 - |x|^2 of both rows taken by
+    np.vecdot at every step, where composition carries it from step to step."""
+    D = B - A
+    c_a = 1.0 - np.vecdot(A, A)
+    c_b = 1.0 - np.vecdot(B, B)
+    x = np.sqrt(np.vecdot(D, D) / (c_a * c_b))
+    h = np.arcsinh(x)
+    th = t * h
+    uh = h - th
+    alpha = np.sinh(2.0 * uh) / c_a
+    beta = np.sinh(2.0 * th) / c_b
+    gamma = 2.0 * x * np.sinh(th) * np.sinh(uh)
+    den = np.maximum(alpha + beta + gamma, np.finfo(np.float64).tiny)
+    return clamped((1.0 - gamma / den)[:, None] * A + (beta / den)[:, None] * D, "geodesic", seen)
+
+
+def recomputed_add(A, B, seen):
+    """Mobius addition's expressions, with both squared norms taken by np.vecdot."""
+    dot2 = 2.0 * np.vecdot(A, B)[:, None]
+    na2 = np.vecdot(A, A)[:, None]
+    nb2 = np.vecdot(B, B)[:, None]
+    num = (1.0 + (dot2 + nb2)) * A + (1.0 - na2) * B
+    den = 1.0 + dot2 + na2 * nb2
+    return clamped(num / den, "add", seen)
+
+
+def recomputed_sum(rows, seen):
+    """naive's running Mobius sum of (1, d) rows and its overflow count, with
+    the norm that the rescale tests taken anew after every step."""
+    count = 0
+    for i, row in enumerate(rows):
+        acc = row if i == 0 else recomputed_add(acc, row, seen)
+        if np.sqrt(np.vecdot(acc, acc))[0] >= composition.MAX_NORM:
+            acc = acc * composition.OVERFLOW_RESCALE
+            count += 1
+    seen["rescale"] += count
+    return acc, count
+
+
+def recomputed(method, seq, seen):
+    """One sequence composed step by step on (1, d) rows, every squared norm
+    taken anew from the row it belongs to."""
+    rows = [seq[i : i + 1] for i in range(len(seq))]
+
+    def fold(rows):
+        acc = rows[0]
+        for k, row in enumerate(rows[1:], start=1):
+            acc = recomputed_geodesic(acc, row, 1.0 / (k + 1), seen)
+        return acc
+
+    def tree(rows):
+        n, half = len(rows), len(rows) // 2
+        if n == 1:
+            return rows[0]
+        return recomputed_geodesic(tree(rows[:half]), tree(rows[half:]), (n - half) / n, seen)
+
+    if len(rows) == 1:
+        return seq[0]
+    if method == "emean":
+        return np.array([math.fsum(col) for col in seq.T]) / len(seq)
+    if method == "naive":
+        acc, _ = recomputed_sum(rows, seen)
+        n = np.sqrt(np.vecdot(acc, acc))
+        mag = np.tanh(1.0 / len(rows) * np.arctanh(n))
+        return clamped((mag / np.where(n > 0.0, n, 1.0))[:, None] * acc, "scale", seen)[0]
+    return {
+        "lcf": lambda: fold(rows),
+        "lcb": lambda: fold(rows[::-1]),
+        "lca": lambda: recomputed_geodesic(fold(rows), fold(rows[::-1]), 0.5, seen),
+        "fnw": lambda: tree(rows),
+        "bnw": lambda: tree(rows[::-1]),
+    }[method]()[0]
+
+
+def boundary_docs(rng, dim):
+    """Points at norm 1 - 1e-6; points at the largest squared norm below 1,
+    in directions 1e-15 apart, whose geodesic and Mobius steps can round
+    onto the sphere, so that the clamp pulls them back; nearly collinear
+    points at norm 0.999, whose running Mobius sum reaches MAX_NORM, so
+    that naive's rescale fires; and interior points, alone and mixed."""
+
+    def directions(n, around, spread):
+        u = around + spread * rng.normal(size=(n, dim))
+        return u / np.linalg.norm(u, axis=1, keepdims=True)
+
+    docs = []
+    for n in (1, 2, 3, 8, 21, 40):
+        edge = directions(100 * n, rng.normal(size=dim), 1e-15) * (1.0 - 2.0**-53)
+        kinds = [
+            directions(n, 0.0, 1.0) * (1.0 - 1e-6),
+            edge[np.vecdot(edge, edge) == np.nextafter(1.0, 0.0)][:n],
+            directions(n, np.eye(dim)[0], 0.05) * 0.999,
+            random_points(rng, n, dim),
+        ]
+        assert all(len(doc) == n for doc in kinds)
+        docs += kinds + [rng.permutation(np.concatenate(kinds))]
+    return docs
+
+
+@pytest.mark.parametrize("dim", [2, 50])
+def test_carried_norms_match_norms_recomputed_at_every_step(dim):
+    rng = np.random.default_rng(26)
+    docs = boundary_docs(rng, dim)
+    seen = collections.Counter()
+    want = {m: np.stack([recomputed(m, doc, seen) for doc in docs]) for m in METHODS}
+    # the documents reach naive's rescale and the pull-backs of its Mobius
+    # steps; in the plane, where a rounded step reaches the sphere more
+    # often, those of the geodesic steps too
+    assert seen["add"] and seen["rescale"] and (dim > 2 or seen["geodesic"]), seen
+    for method in METHODS:
+        for i, doc in enumerate(docs):
+            # in C order, in Fortran order, and as a strided view: a batch
+            # keeps its points in C order, whose np.vecdot sums as the
+            # rows' recomputed here do
+            for points in (doc, np.asfortranarray(doc), np.repeat(doc, 2, axis=1)[:, ::2]):
+                assert compose(method, points).tobytes() == want[method][i].tobytes(), (method, i)
+    for i, doc in enumerate(docs):
+        got_sum, got_count = mobius_sum(doc)
+        want_sum, want_count = recomputed_sum([doc[j : j + 1] for j in range(len(doc))], seen)
+        assert (got_sum.tobytes(), got_count) == (want_sum[0].tobytes(), want_count), i
+    # ragged batches, every document and a shuffled half of them, and a
+    # batch of documents of one length
+    one_length = [i for i, doc in enumerate(docs) if len(doc) == 8]
+    for pick in (np.arange(len(docs)), rng.permutation(len(docs))[: len(docs) // 2], one_length):
+        blocks = compose_batch(METHODS, batch_of([docs[i] for i in pick]))
+        for method in METHODS:
+            assert blocks[method].tobytes() == want[method][pick].tobytes(), method
+
+
 def test_shared_fold_blocks_equal_one_method_blocks_bitwise():
     # every mix of the folds with the other methods, in two request orders:
     # each block is the one-method block, byte for byte
@@ -434,9 +594,9 @@ def test_shared_fold_runs_once(monkeypatch):
     folded = []
     real = composition._fold
 
-    def fold(points, first, stride, lengths):
+    def fold(points, c, first, stride, lengths):
         folded.append(lengths.size)
-        return real(points, first, stride, lengths)
+        return real(points, c, first, stride, lengths)
 
     monkeypatch.setattr(composition, "_fold", fold)
     for methods, rows in [(("lcf",), 3), (("lca",), 6), (("lcb", "lcf"), 6),
@@ -478,6 +638,39 @@ def test_tree_groups_match_one_group(monkeypatch):
     monkeypatch.setattr(composition, "STEP_BYTES", 10**9)
     for method, rows in grouped.items():
         assert np.array_equal(compose_batch((method,), batch)[method], rows), method
+
+
+@pytest.mark.parametrize("step_rows", [1, 10, 10**9 // 40])
+def test_fold_step_blocks_match_one_block(monkeypatch, step_rows):
+    # the folds and naive gather their step rows a block of whole steps at a
+    # time, each block at most STEP_BYTES of points unless one step is more;
+    # blocks of one row, of ten, or one block for the batch give the same rows
+    rng = np.random.default_rng(27)
+    batch = batch_of(ragged_batch(rng, rng.integers(1, 30, size=25), 5) + edge_docs(rng))
+    methods = [("naive",), ("lcf",), ("lcb",), ("lca",), ("lcf", "lcb", "lca")]
+    monkeypatch.setattr(composition, "STEP_BYTES", 10**9)
+    whole = [compose_batch(group, batch) for group in methods]
+    monkeypatch.setattr(composition, "STEP_BYTES", step_rows * 5 * 8)
+    for group, blocks in zip(methods, whole):
+        for method, rows in compose_batch(group, batch).items():
+            assert rows.tobytes() == blocks[method].tobytes(), (group, method)
+
+
+def test_fold_peak_memory_holds_no_copy_of_the_batch():
+    # a fold or naive gathers its step rows a block at a time; beside its
+    # per-point bookkeeping (one index and one float per point and reading)
+    # it never holds a copy of the batch's points
+    rng = np.random.default_rng(28)
+    points = random_points(rng, 6000, 256)
+    for methods in [("naive",), ("lcf",), ("lcb",), ("lcf", "lcb", "lca")]:
+        batch = PointBatch(points, [3000, 2000, 1000])
+        tracemalloc.start()
+        try:
+            compose_batch(methods, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < points.nbytes / 4, (methods, peak, points.nbytes)
 
 
 def test_point_batch_validation():

@@ -443,13 +443,31 @@ def test_run_experiment_folds_once(tmp_path, monkeypatch, methods, rows):
     folded = []
     real = composition._fold
 
-    def fold(points, first, stride, lengths):
+    def fold(points, c, first, stride, lengths):
         folded.append(lengths.size)
-        return real(points, first, stride, lengths)
+        return real(points, c, first, stride, lengths)
 
     monkeypatch.setattr(composition, "_fold", fold)
     run_experiment(full_config(emb, cor, methods=methods))
     assert folded == [rows]
+
+
+def test_run_experiment_checks_the_batch_once(tmp_path, monkeypatch):
+    # the seven methods compose in four ball passes (naive, the folds, fnw,
+    # bnw); all of them read the squared norms that one check of the
+    # batch's 48 points took
+    emb, cor = tiny_files(tmp_path)
+    checked = []
+    real = composition._inside
+
+    def inside(X, name):
+        checked.append(len(X))
+        return real(X, name)
+
+    monkeypatch.setattr(composition, "_inside", inside)
+    results = run_experiment(full_config(emb, cor, methods=composition.METHODS))
+    assert not results.errors
+    assert checked == [12 * 4]
 
 
 def test_run_experiment_computes_one_test_by_train_matrix_per_fold(tmp_path, monkeypatch):
