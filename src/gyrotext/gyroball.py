@@ -25,14 +25,15 @@ and is evaluated in the asinh form, with |u-v|^2 summed from actual
 coordinate differences, so nearby points lose nothing to cancellation;
 the floor is the rounding of 1 - |u|^2 at the point nearer the boundary,
 a relative error of about (dim + 2) eps / (1 - |u|^2). Each Mobius
-operation has one row-wise implementation over (B, d) row stacks, and
-point arrays pass one rule, _rows: finite float64 (n, d) rows, d >= 1,
-a 1-D vector as one row; the Mobius functions take 1-D vectors. The row
-kernels take the norms of their input rows as arguments, as the
-np.vecdot squared norms |x|^2 (Mobius addition and scaling) or as
-c = 1 - |x|^2 (the geodesic step), and hand back those of their results,
-which the clamp (_clamp_norms) returns with the rows it has checked: a
-fold takes each norm once, where it makes the point.
+operation has one row-wise implementation, which takes a (B, d) row stack
+or one (d,) row, and point arrays pass one rule, _rows: finite float64
+(n, d) rows, d >= 1, a 1-D vector as one row; the Mobius functions take
+1-D vectors. The row kernels take the norms of their input rows as
+arguments, as the np.vecdot squared norms |x|^2 (Mobius addition and
+scaling) or as c = 1 - |x|^2 (the geodesic step), one per row or a numpy
+scalar for one (d,) row, and hand back those of their results, which the
+clamp (_clamp_norms) returns with the rows it has checked: a fold takes
+each norm once, where it makes the point.
 All computation is in float64; the operators compound rounding error and
 32-bit floats do not survive deep compositions.
 """
@@ -109,6 +110,17 @@ def _inside(X: np.ndarray, name: str) -> np.ndarray:
 # same BLAS dot as 1-D np.dot), so a batch of one gives bitwise the rows of a
 # batch of many. A norm passed in must be the np.vecdot one of its row, bit
 # for bit: then a step gives the bits it would give taking the norm itself.
+# Each also takes one (d,) row, its norms and per-row values numpy scalars:
+# the same ufuncs on them give bitwise the row of the (1, d) stack, at a
+# fraction of the per-call cost that dominates a stack of one. math's
+# functions would not: their sinh, asinh, tanh and atanh may round otherwise.
+
+
+def _col(v):
+    """Per-row values v as a column that broadcasts against the rows; the
+    0-d value of one (d,) row as it is. ``v.ndim``, not np.ndim(v): the
+    attribute costs the stack path nothing measurable."""
+    return v[:, None] if v.ndim else v
 
 
 def _clamp_norms(X: np.ndarray):
@@ -126,10 +138,10 @@ def _clamp_norms(X: np.ndarray):
     if np.count_nonzero(over):
         if np.count_nonzero(inf := np.isinf(n2)):
             # by its largest |coordinate|, on a copy; an all-zero row would give 0/0
-            X = np.divide(X, np.abs(X).max(axis=1, keepdims=True), out=X.copy(), where=inf[:, None])
+            X = np.divide(X, np.abs(X).max(axis=-1, keepdims=True), out=X.copy(), where=_col(inf))
             n2 = np.vecdot(X, X)
         # x * 1.0 is x, so the rows kept keep their bits
-        X = X * (MAX_NORM / np.where(over, np.sqrt(n2), MAX_NORM))[:, None]
+        X = X * _col(MAX_NORM / np.where(over, np.sqrt(n2), MAX_NORM))
         # a pulled-back row's norm is MAX_NORM only to rounding
         n2 = np.where(over, np.vecdot(X, X), n2)
     return X, n2, over
@@ -138,9 +150,9 @@ def _clamp_norms(X: np.ndarray):
 def _add(A: np.ndarray, B: np.ndarray, na2: np.ndarray, nb2: np.ndarray):
     """Rows of A (+) B, clamped, and their squared norms, given the squared
     norms na2 and nb2 of the rows of A and B."""
-    dot2 = 2.0 * np.vecdot(A, B)[:, None]
-    na2 = na2[:, None]
-    nb2 = nb2[:, None]
+    dot2 = _col(2.0 * np.vecdot(A, B))
+    na2 = _col(na2)
+    nb2 = _col(nb2)
     # 1 + (2<a,b> + |b|^2) in this order: (1 + 2<a,b>) + |b|^2 rounds differently
     num = (1.0 + (dot2 + nb2)) * A + (1.0 - na2) * B
     den = 1.0 + dot2 + na2 * nb2
@@ -155,7 +167,7 @@ def _scale(r, X: np.ndarray, n2: np.ndarray) -> np.ndarray:
     n = np.sqrt(n2)
     mag = np.tanh(r * np.arctanh(n))
     # x/|x| has a removable singularity at the origin, which maps to itself
-    return _clamp_norms((mag / np.where(n > 0.0, n, 1.0))[:, None] * X)[0]
+    return _clamp_norms(_col(mag / np.where(n > 0.0, n, 1.0)) * X)[0]
 
 
 def _geodesic(A: np.ndarray, B: np.ndarray, t, c_a: np.ndarray, c_b: np.ndarray):
@@ -193,7 +205,7 @@ def _geodesic(A: np.ndarray, B: np.ndarray, t, c_a: np.ndarray, c_b: np.ndarray)
     # all three weights are 0 only where b = a, whose step is a; elsewhere
     # beta or alpha is at least sinh(h), far above the smallest normal
     den = np.maximum(alpha + beta + gamma, _TINY)
-    X, n2, _ = _clamp_norms((1.0 - gamma / den)[:, None] * A + (beta / den)[:, None] * D)
+    X, n2, _ = _clamp_norms(_col(1.0 - gamma / den) * A + _col(beta / den) * D)
     return X, 1.0 - n2
 
 

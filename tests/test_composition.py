@@ -418,17 +418,56 @@ def edge_docs(rng):
 
 
 def test_batch_of_one_equals_full_batch_bitwise():
-    docs = edge_docs(np.random.default_rng(22))
+    # a text composed alone steps as (d,) vectors, and inside a batch as a
+    # row of a stack: both give the same bits under every method, and
+    # mobius_sum the same sum and overflow count, for texts of 1, 2 and 3
+    # points, origin-only texts, and boundary texts that fire naive's rescale
+    rng = np.random.default_rng(22)
+    docs = edge_docs(rng) + [np.zeros((3, 5))]
+    for n in (2, 3, 8):
+        u = np.eye(5)[0] + 0.05 * rng.normal(size=(n, 5))
+        docs.append(u / np.linalg.norm(u, axis=1, keepdims=True) * 0.999)
     batch = batch_of(docs)
     for method in METHODS:
         full = compose_batch((method,), batch)[method]
         for i, doc in enumerate(docs):
             one = compose(method, doc)
-            assert np.array_equal(one, full[i]), (method, i)
+            assert one.tobytes() == full[i].tobytes(), (method, i)
             assert np.linalg.norm(one) < 1.0, (method, i)
         if method != "emean":
             # the ball schemes' rows are already inside the clamp radius
             assert gyroball._clamp_norms(full)[0].tobytes() == full.tobytes(), method
+    sums, _, counts = composition._sums(batch, batch.squared_norms("mobius_sum"))
+    for i, doc in enumerate(docs):
+        total, count = mobius_sum(doc)
+        assert (total.tobytes(), count) == (sums[i].tobytes(), counts[i]), i
+    assert counts[-2:].min() > 0 and counts[-3] == 0, counts
+
+
+def test_one_sequence_steps_as_vectors(monkeypatch):
+    # compose and mobius_sum fold one text as (d,) vectors, with no lockstep
+    # order: the vector path cannot fall back to a stack of one unseen
+    rng = np.random.default_rng(30)
+    stepped = []
+    real = composition._lockstep
+
+    def lockstep(lengths, first, stride):
+        stepped.append(lengths.size)
+        return real(lengths, first, stride)
+
+    monkeypatch.setattr(composition, "_lockstep", lockstep)
+    docs = [random_points(rng, n, 4) for n in (1, 2, 7)]
+    for doc in docs:
+        # every result is a new array, a one-point text's too
+        for method in METHODS:
+            assert not np.shares_memory(compose(method, doc), doc), method
+        for block in compose_batch(METHODS, PointBatch(doc)).values():
+            assert not np.shares_memory(block, doc)
+        assert not np.shares_memory(mobius_sum(doc)[0], doc)
+    assert stepped == []
+    # a batch of two steps in lockstep, lcf and lcb in one shared fold
+    compose_batch(("naive", "lcf", "lcb"), batch_of(docs[1:]))
+    assert stepped == [2, 4]
 
 
 # ----------------------------------- carried squared norms vs recomputed norms
@@ -671,6 +710,23 @@ def test_fold_peak_memory_holds_no_copy_of_the_batch():
         finally:
             tracemalloc.stop()
         assert peak < points.nbytes / 4, (methods, peak, points.nbytes)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.uint64])
+def test_unsigned_lengths_compose_as_int64(dtype):
+    rng = np.random.default_rng(31)
+    lengths = [3, 1, 5, 5, 2]
+    points = random_points(rng, sum(lengths), 4)
+    want = compose_batch(METHODS, PointBatch(points, np.array(lengths, dtype=np.int64)))
+    batch = PointBatch(points, np.array(lengths, dtype=dtype))
+    assert batch.lengths.dtype == np.int64 and batch.starts.tolist() == [0, 3, 4, 9, 14]
+    got = compose_batch(METHODS, batch)
+    for method in METHODS:
+        assert got[method].tobytes() == want[method].tobytes(), method
+    if dtype == np.uint64:
+        # 2^64 - 1 and 17 sum to 16 in uint64; as int64 the first is -1
+        with pytest.raises(ValueError, match="one or more sequences"):
+            PointBatch(points, np.array([2**64 - 1, 17], dtype=dtype))
 
 
 def test_point_batch_validation():

@@ -266,6 +266,54 @@ def test_clamp_norms_reports_exactly_the_rows_it_pulled_back():
     assert np.all(np.sqrt(n2) < 1.0) and out[3, 0] == -out[3, 1] > 0.7
 
 
+@pytest.mark.parametrize("dim", [2, 50])
+def test_row_kernels_take_one_vector_as_the_row_of_a_stack_of_one(monkeypatch, dim):
+    # one (d,) row with numpy-scalar norms gives bitwise the row, and the
+    # norms, of the (1, d) stack: the clamp of a kept row, the origin, rows
+    # at norm 1 and just beyond (pulled back), and a row whose squared norm
+    # overflows; and add, scale and geodesic steps between interior points,
+    # points at 1 - 1e-6, and points at the largest squared norm below 1 a
+    # hair apart, whose steps the clamp pulls back
+    rng = np.random.default_rng(63)
+    pulled = {1: 0, 2: 0}
+    real = gyroball._clamp_norms
+
+    def clamp(X):
+        out = real(X)
+        pulled[X.ndim] += int(np.count_nonzero(out[2]))
+        return out
+
+    monkeypatch.setattr(gyroball, "_clamp_norms", clamp)
+
+    def same(one, stack):
+        for v, s in zip(one, stack):
+            assert np.ndim(v) == np.ndim(s) - 1
+            assert np.asarray(v).tobytes() == s[0].tobytes()
+
+    u = random_ball(rng, dim, 1.0)
+    u /= np.linalg.norm(u)
+    with np.errstate(over="ignore"):
+        for x in (0.5 * u, np.zeros(dim), np.eye(dim)[0], u * (1.0 + 1e-12), np.full(dim, 1e200)):
+            same(gyroball._clamp_norms(x), gyroball._clamp_norms(x[None]))
+    assert pulled[1] == pulled[2] == 3
+    edge = u + 1e-15 * rng.normal(size=(400, dim))
+    edge *= ((1.0 - 2.0**-53) / np.linalg.norm(edge, axis=1))[:, None]
+    edge = edge[np.vecdot(edge, edge) == np.nextafter(1.0, 0.0)][:40]
+    far = rng.normal(size=(20, dim))
+    far *= ((1.0 - 1e-6) / np.linalg.norm(far, axis=1))[:, None]
+    points = np.concatenate([[random_ball(rng, dim) for _ in range(20)], far, edge])
+    n2 = np.vecdot(points, points)
+    for i, j in rng.integers(0, len(points), size=(300, 2)):
+        a, b, A, B = points[i], points[j], points[i : i + 1], points[j : j + 1]
+        same(gyroball._add(a, b, n2[i], n2[j]), gyroball._add(A, B, n2[i : i + 1], n2[j : j + 1]))
+        t = rng.uniform()
+        same(gyroball._geodesic(a, b, t, 1.0 - n2[i], 1.0 - n2[j]),
+             gyroball._geodesic(A, B, t, 1.0 - n2[i : i + 1], 1.0 - n2[j : j + 1]))
+        r = 1.0 / rng.integers(1, 50)
+        same([gyroball._scale(r, a, n2[i])], [gyroball._scale(r, A, n2[i : i + 1])])
+    assert pulled[1] == pulled[2] > 3, pulled
+
+
 def test_distance_accepts_every_row_the_clamp_keeps():
     # directions scaled to norm 1 - 2^-53: the clamp keeps a row whose
     # sqrt(vecdot) norm rounds below 1, and the distance must then accept it,
