@@ -26,10 +26,10 @@ on numpy-scalar norms instead, with no sort and no gather: the same bits
 as its row of a stack, for well under half the per-call cost. The trees
 take one step per tree level and emean a fixed number of calls, both over
 groups of consecutive sequences. ``compose_batch`` composes several
-methods of one batch, and in a batch of many sequences two or more of
-lcf, lcb and lca share one fold of the forward and backward readings; a
-batch of one folds its two readings apart, as vectors, and lca is their
-midpoint. ``compose`` is the batch of one.
+methods of one batch: lcf, lcb and lca share one fold of the readings
+they need, forward, backward or both, which in a batch of one are
+vector folds apart, and lca is the midpoint of the two. ``compose`` is
+the batch of one.
 
 The six ball schemes take one squared-norm pass per batch: the points'
 np.vecdot squared norms, and the ball check on them, are taken by the
@@ -37,17 +37,14 @@ first pass that needs them (``PointBatch.squared_norms``) and read by
 every other. From there each scheme carries the squared norm, or
 c = 1 - |x|^2, of every running point from step to step: the clamp of
 the step that made a point hands it back, and only a point that naive's
-rescale moved has it taken anew. naive and the folds compute the row
-of every step of a batch of many up front and gather those rows, with
-their norms, a block of whole steps at a time, within STEP_BYTES of
-points: no step gathers on its own, and the batch is never copied whole.
+rescale moved has it taken anew. In a batch of many, each step of naive
+and the folds gathers the rows it reads, with their norms, and writes
+its running points back in place: the batch is never copied whole.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -67,8 +64,7 @@ __all__ = [
 ]
 
 # emean and the binary-tree schemes compose consecutive sequences with up to
-# this many bytes of points at a time, and naive and the folds gather their
-# step rows in blocks of up to this many bytes, which bounds their temporaries
+# this many bytes of points at a time, which bounds their temporaries
 STEP_BYTES = 256 * 1024
 
 # the naive scheme's running sum is multiplied by this whenever its norm
@@ -113,7 +109,8 @@ class PointBatch:
             raise ValueError("a batch needs one or more sequences, each of positive length")
         if self.lengths is None:
             starts = np.zeros(1, dtype=lengths.dtype)
-        elif lengths.sum() != pts.shape[0]:
+        elif lengths.max() > pts.shape[0] or lengths.sum() != pts.shape[0]:
+            # a length above the point count is refused before the sum can wrap
             raise ValueError("sequence lengths must sum to the point count")
         else:
             starts = np.cumsum(lengths) - lengths
@@ -213,37 +210,14 @@ def _emean(batch: PointBatch) -> np.ndarray:
 # batches need no second validation and no copy of the points.
 
 
-def _lockstep(lengths: np.ndarray, first: np.ndarray, stride: np.ndarray):
-    """How a fold steps through sequences read from row ``first`` by
-    ``stride``: their longest-first order; how many of them take step k,
-    for k = 1, 2, ..., which are the first ones in that order, those
-    longer than k; and the rows that every step reads, back to back by
-    step: step k reads row first + k stride of each of them."""
+def _lockstep(lengths: np.ndarray):
+    """How a fold steps through sequences of these lengths: their
+    longest-first order, and how many of them take step k, for k = 1, 2,
+    ..., which are the first ones in that order, those longer than k."""
     order = np.argsort(-lengths, kind="stable")
-    first, stride = first[order], stride[order]
     longest = int(lengths[order[0]])
     active = np.searchsorted(-lengths[order], -np.arange(1, longest), side="left")
-    # every step row's step k and its sequence's place j in the order
-    k = np.repeat(np.arange(1, longest), active)
-    j = np.arange(k.size) - np.repeat(np.cumsum(active) - active, active)
-    return order, active.tolist(), first[j] + k * stride[j]
-
-
-def _steps(rows, active, points, values):
-    """(k, points, values) of each step k = 1, 2, ... of a fold, which reads
-    the next active[k - 1] of ``rows``: those rows of ``points`` and of the
-    per-point ``values``. They are gathered a block of whole steps at a
-    time, a block of at most STEP_BYTES of points unless one step alone
-    is more, so no step gathers and the batch is never copied whole."""
-    budget = max(1, STEP_BYTES // (8 * points.shape[1]))
-    ends = list(itertools.accumulate(active))
-    hi = 0
-    for k, end in enumerate(ends, start=1):
-        start = end - active[k - 1]
-        if end > hi:
-            lo, hi = start, ends[max(k, bisect.bisect_right(ends, start + budget)) - 1]
-            block, block_values = points[rows[lo:hi]], values[rows[lo:hi]]
-        yield k, block[start - lo : end - lo], block_values[start - lo : end - lo]
+    return order, active.tolist()
 
 
 def _sums(batch: PointBatch, n2: np.ndarray):
@@ -251,33 +225,26 @@ def _sums(batch: PointBatch, n2: np.ndarray):
     per-sequence overflow counts; ``n2`` holds the points' squared norms.
     A sum's squared norm is carried from step to step, and taken anew only
     for a sum that the rescale moved."""
-    order, active, rows = _lockstep(batch.lengths, *_reading(batch, False))
+    order, active = _lockstep(batch.lengths)
     starts = batch.starts[order]
     acc, acc_n2 = batch.points[starts], n2[starts]
-    sums, sums_n2 = np.empty_like(acc), np.empty_like(acc_n2)
     overflows = np.zeros(starts.size, dtype=np.int64)
 
-    def rescale(running, running_n2):
-        over = np.sqrt(running_n2) >= MAX_NORM
+    def rescale(m):
+        over = np.sqrt(acc_n2[:m]) >= MAX_NORM
         if np.count_nonzero(over):
-            running[over] *= OVERFLOW_RESCALE
-            overflows[: len(running)] += over
-            moved = running[over]
-            running_n2[over] = np.vecdot(moved, moved)
+            acc[:m][over] *= OVERFLOW_RESCALE
+            overflows[:m] += over
+            moved = acc[:m][over]
+            acc_n2[:m][over] = np.vecdot(moved, moved)
 
-    rescale(acc, acc_n2)
-    for _, P, P_n2 in _steps(rows, active, batch.points, n2):
-        m = len(P)
-        if m < len(acc):
-            # the sequences from place m on are done: their sums leave the fold
-            done = order[m : len(acc)]
-            sums[done], sums_n2[done] = acc[m:], acc_n2[m:]
-            acc, acc_n2 = acc[:m], acc_n2[:m]
-        acc, acc_n2 = _add(acc, P, acc_n2, P_n2)
-        rescale(acc, acc_n2)
-    sums[order[: len(acc)]], sums_n2[order[: len(acc)]] = acc, acc_n2
-    counts = np.empty_like(overflows)
-    counts[order] = overflows
+    rescale(starts.size)
+    for k, m in enumerate(active, start=1):
+        rows = starts[:m] + k
+        acc[:m], acc_n2[:m] = _add(acc[:m], batch.points[rows], acc_n2[:m], n2[rows])
+        rescale(m)
+    sums, sums_n2, counts = np.empty_like(acc), np.empty_like(acc_n2), np.empty_like(overflows)
+    sums[order], sums_n2[order], counts[order] = acc, acc_n2, overflows
     return sums, sums_n2, counts
 
 
@@ -309,19 +276,14 @@ def _fold(points, c, first, stride, lengths):
     holds the points' c. Step k moves every sequence longer than k from
     its running centroid c_k to M(c_k, x_(k+1); k, 1), the point 1/(k+1)
     of the way to x_(k+1), and carries its c from the step's clamp."""
-    order, active, rows = _lockstep(lengths, first, stride)
-    heads = first[order]
-    acc, c_acc = points[heads], c[heads]
+    order, active = _lockstep(lengths)
+    first, stride = first[order], stride[order]
+    acc, c_acc = points[first], c[first]
+    for k, m in enumerate(active, start=1):
+        rows = first[:m] + k * stride[:m]
+        acc[:m], c_acc[:m] = _geodesic(acc[:m], points[rows], 1.0 / (k + 1), c_acc[:m], c[rows])
     out, c_out = np.empty_like(acc), np.empty_like(c_acc)
-    for k, P, c_p in _steps(rows, active, points, c):
-        m = len(P)
-        if m < len(acc):
-            # the sequences from place m on are done: their points leave the fold
-            done = order[m : len(acc)]
-            out[done], c_out[done] = acc[m:], c_acc[m:]
-            acc, c_acc = acc[:m], c_acc[:m]
-        acc, c_acc = _geodesic(acc, P, 1.0 / (k + 1), c_acc, c_p)
-    out[order[: len(acc)]], c_out[order[: len(acc)]] = acc, c_acc
+    out[order], c_out[order] = acc, c_acc
     return out, c_out
 
 
@@ -344,36 +306,28 @@ def _reading(batch: PointBatch, backward: bool):
 
 
 def _folds(batch: PointBatch, n2: np.ndarray, methods) -> list:
-    """The blocks of ``methods``, some of lcf, lcb and lca; lca is the
-    midpoint of lcf and lcb. One sequence folds each reading it needs on
-    its own, as vectors: two vector folds cost less than one fold of two
-    rows. In a batch of many, lcf or lcb alone folds its own reading, and
-    otherwise the forward and the backward reading of every sequence run
-    as one fold over twice the rows."""
+    """The blocks of ``methods``, some of lcf, lcb and lca, from the
+    readings they need: forward for lcf, backward for lcb, both for lca,
+    the midpoint of the two. A batch of many folds those readings of
+    every sequence as one fold over their rows; one sequence folds each
+    apart, as vectors, since two vector folds cost less than one fold of
+    two rows."""
     c = 1.0 - n2
+    names = [m for m in ("lcf", "lcb") if m in methods or "lca" in methods]
     if batch.lengths.size == 1:
-        readings = {"lcf": (batch.points, c), "lcb": (batch.points[::-1], c[::-1])}
-        composed = {m: _vector_fold(*readings[m]) for m in readings
-                    if m in methods or "lca" in methods}
-        if "lca" in methods:
-            (f, c_f), (r, c_r) = composed["lcf"], composed["lcb"]
-            composed["lca"] = _geodesic(f, r, 0.5, c_f, c_r)
-        return [composed[m][0][None] for m in methods]
-    if len(methods) == 1 and "lca" not in methods:
-        return [_fold(batch.points, c, *_reading(batch, "lcb" in methods), batch.lengths)[0]]
-    (f_first, f_stride), (b_first, b_stride) = _reading(batch, False), _reading(batch, True)
-    folds, c_folds = _fold(
-        batch.points,
-        c,
-        np.concatenate([f_first, b_first]),
-        np.concatenate([f_stride, b_stride]),
-        np.concatenate([batch.lengths, batch.lengths]),
-    )
-    b = batch.lengths.size
-    blocks = {"lcf": folds[:b], "lcb": folds[b:]}
+        flip = {"lcf": slice(None), "lcb": slice(None, None, -1)}
+        folds = {m: _vector_fold(batch.points[flip[m]], c[flip[m]]) for m in names}
+    else:
+        n = len(names)
+        first, stride = zip(*(_reading(batch, m == "lcb") for m in names))
+        out, c_out = _fold(batch.points, c, np.concatenate(first), np.concatenate(stride),
+                           np.tile(batch.lengths, n))
+        folds = dict(zip(names, zip(np.split(out, n), np.split(c_out, n))))
     if "lca" in methods:
-        blocks["lca"] = _geodesic(folds[:b], folds[b:], 0.5, c_folds[:b], c_folds[b:])[0]
-    return [blocks[m] for m in methods]
+        (f, c_f), (r, c_r) = folds["lcf"], folds["lcb"]
+        folds["lca"] = _geodesic(f, r, 0.5, c_f, c_r)
+    # a vector's block is its one row
+    return [folds[m][0].reshape(-1, batch.points.shape[1]) for m in methods]
 
 
 def _tree(vals, c, starts, lengths) -> np.ndarray:

@@ -451,9 +451,9 @@ def test_one_sequence_steps_as_vectors(monkeypatch):
     stepped = []
     real = composition._lockstep
 
-    def lockstep(lengths, first, stride):
+    def lockstep(lengths):
         stepped.append(lengths.size)
-        return real(lengths, first, stride)
+        return real(lengths)
 
     monkeypatch.setattr(composition, "_lockstep", lockstep)
     docs = [random_points(rng, n, 4) for n in (1, 2, 7)]
@@ -679,26 +679,10 @@ def test_tree_groups_match_one_group(monkeypatch):
         assert np.array_equal(compose_batch((method,), batch)[method], rows), method
 
 
-@pytest.mark.parametrize("step_rows", [1, 10, 10**9 // 40])
-def test_fold_step_blocks_match_one_block(monkeypatch, step_rows):
-    # the folds and naive gather their step rows a block of whole steps at a
-    # time, each block at most STEP_BYTES of points unless one step is more;
-    # blocks of one row, of ten, or one block for the batch give the same rows
-    rng = np.random.default_rng(27)
-    batch = batch_of(ragged_batch(rng, rng.integers(1, 30, size=25), 5) + edge_docs(rng))
-    methods = [("naive",), ("lcf",), ("lcb",), ("lca",), ("lcf", "lcb", "lca")]
-    monkeypatch.setattr(composition, "STEP_BYTES", 10**9)
-    whole = [compose_batch(group, batch) for group in methods]
-    monkeypatch.setattr(composition, "STEP_BYTES", step_rows * 5 * 8)
-    for group, blocks in zip(methods, whole):
-        for method, rows in compose_batch(group, batch).items():
-            assert rows.tobytes() == blocks[method].tobytes(), (group, method)
-
-
 def test_fold_peak_memory_holds_no_copy_of_the_batch():
-    # a fold or naive gathers its step rows a block at a time; beside its
-    # per-point bookkeeping (one index and one float per point and reading)
-    # it never holds a copy of the batch's points
+    # a fold or naive gathers each step's rows as it takes the step; beside
+    # its per-point bookkeeping (one float per point) it never holds a copy
+    # of the batch's points
     rng = np.random.default_rng(28)
     points = random_points(rng, 6000, 256)
     for methods in [("naive",), ("lcf",), ("lcb",), ("lcf", "lcb", "lca")]:
@@ -710,6 +694,29 @@ def test_fold_peak_memory_holds_no_copy_of_the_batch():
         finally:
             tracemalloc.stop()
         assert peak < points.nbytes / 4, (methods, peak, points.nbytes)
+
+
+def test_compose_batch_writes_nothing_into_a_batch_of_many():
+    # naive's rescale and the folds' steps write their running points back
+    # in place: into gathered copies, never into the batch's read-only
+    # points or its kept squared norms, and no block is a view of the points
+    rng = np.random.default_rng(21)
+    docs = []
+    for n in (1, 2, 5, 17, 40):
+        rows = np.array([1.0, 0.0, 0.0]) + 0.05 * rng.normal(size=(n, 3))
+        docs.append(rows / np.linalg.norm(rows, axis=1, keepdims=True) * 0.999)
+    points = np.concatenate(docs)
+    before = points.tobytes()
+    points.setflags(write=False)
+    batch = PointBatch(points, [len(doc) for doc in docs])
+    n2 = batch.squared_norms("test").copy()
+    blocks = compose_batch(METHODS, batch)
+    assert batch.points.tobytes() == before
+    assert batch.squared_norms("test").tobytes() == n2.tobytes()
+    for method, block in blocks.items():
+        assert not np.shares_memory(block, batch.points), method
+    # the rescale fired
+    assert composition._sums(batch, n2)[2].sum() > 0
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.uint64])
@@ -740,6 +747,10 @@ def test_point_batch_validation():
     for lengths in ([2], [], [3, 0], [4, -1], [[3]]):
         with pytest.raises(ValueError):
             PointBatch(pts, lengths)
+    # these int64 lengths sum to 16, and their partial sums wrap; a length
+    # above the point count is refused before any of them is taken
+    with pytest.raises(ValueError, match="sum to the point count"):
+        PointBatch(np.zeros((16, 2)), [2**62] * 4 + [16])
     # lengths go through np.asarray: a list of ints builds, float lengths
     # get the batch's own error
     listed = PointBatch(pts, [3])
