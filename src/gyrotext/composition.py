@@ -25,11 +25,14 @@ sequence, as ``compose`` and ``mobius_sum`` make, steps as a (d,) vector
 on numpy-scalar norms instead, with no sort and no gather: the same bits
 as its row of a stack, for well under half the per-call cost. The trees
 take one step per tree level and emean a fixed number of calls, both over
-groups of consecutive sequences. ``compose_batch`` composes several
-methods of one batch: lcf, lcb and lca share one fold of the readings
-they need, forward, backward or both, which in a batch of one are
-vector folds apart, and lca is the midpoint of the two. ``compose`` is
-the batch of one.
+groups of consecutive sequences. One short sequence takes its tree as
+n - 1 vector steps instead, and one small sequence its emean as
+``math.fsum`` of each column, below the cuts where those cost less than
+a pass's fixed bookkeeping (``_VECTOR_TREE_POINTS``, ``_FSUM_ENTRIES``).
+``compose_batch`` composes several methods of one batch: lcf, lcb and
+lca share one fold of the readings they need, forward, backward or both,
+which in a batch of one are vector folds apart, and lca is the midpoint
+of the two. ``compose`` is the batch of one.
 
 The six ball schemes take one squared-norm pass per batch: the points'
 np.vecdot squared norms, and the ball check on them, are taken by the
@@ -66,6 +69,23 @@ __all__ = [
 # emean and the binary-tree schemes compose consecutive sequences with up to
 # this many bytes of points at a time, which bounds their temporaries
 STEP_BYTES = 256 * 1024
+
+# One sequence of fewer points than this composes by fnw and bnw as a tree
+# of (d,) vector steps, a longer one by the lockstep tree. The vector tree
+# takes n - 1 steps of about 6.5 us; the lockstep tree takes one stacked
+# step per level, about 30 us with the level's bookkeeping, and 12 us more,
+# so 6.5 (n - 1) < 12 + 30 ceil(log2 n) holds for n up to 25 (at d = 5 to
+# 300 alike: a step's per-call cost outweighs its d coordinates).
+_VECTOR_TREE_POINTS = 26
+
+# One sequence of at most this many coordinates takes emean as math.fsum of
+# each column. That costs about 0.035 us a coordinate (the list and the
+# sum), where the extraction pass costs about 35 us, nearly all of it its
+# ~30 numpy calls' fixed cost: 35 / 0.035 = 1,000 coordinates, which is 20
+# points at d = 50 and 3 at d = 300. At d = 300 the two are about even
+# below the cut (some 80 us each): fsum's cost per column, and the pass's
+# per coordinate, are no longer small there.
+_FSUM_ENTRIES = 1000
 
 # the naive scheme's running sum is multiplied by this whenever its norm
 # reaches MAX_NORM, so that the next Mobius addition stays defined
@@ -146,11 +166,20 @@ def _groups(batch: PointBatch):
 def _emean(batch: PointBatch) -> np.ndarray:
     """Coordinate mean: ``math.fsum`` of each coordinate over the sequence,
     divided by its length, bit for bit, so exactly permutation-invariant.
+    One sequence of at most _FSUM_ENTRIES coordinates takes ``math.fsum``
+    itself, column by column; every other batch, ``_extraction``."""
+    if batch.lengths.size == 1 and batch.points.size <= _FSUM_ENTRIES:
+        n = len(batch.points)
+        return np.array([[math.fsum(col) / n for col in batch.points.T.tolist()]])
+    return _extraction(batch)
 
-    One pass per group of ``_groups``, column by column, by the extraction
-    of Rump, Ogita & Oishi 2008 (Accurate floating-point summation, part I,
-    Lemma 3.2). Let u = 2^-53, m the group's longest sequence, 2^e above
-    the column's largest |x|, and sigma = 2^(ceil(log2(m + 2)) + e).
+
+def _extraction(batch: PointBatch) -> np.ndarray:
+    """``_emean`` of every sequence, in one pass per group of ``_groups``,
+    column by column, by the extraction of Rump, Ogita & Oishi 2008
+    (Accurate floating-point summation, part I, Lemma 3.2). Let u = 2^-53,
+    m the group's longest sequence, 2^e above the column's largest |x|, and
+    sigma = 2^(ceil(log2(m + 2)) + e).
 
     - Heads. Each x splits exactly into a head q = (x + sigma) - sigma and
       a tail x - q with |x - q| <= u sigma. Every head is a multiple of
@@ -355,6 +384,21 @@ def _tree(vals, c, starts, lengths) -> np.ndarray:
     return vals[starts]
 
 
+def _vector_tree(points, c, lo: int, n: int):
+    """fnw of the n points from row ``lo`` on, in reading order, stepped as
+    (d,) vectors on the numpy scalars of their ``c``: its point and that c.
+    Each node steps as ``_tree``'s does, from its left child's centroid by
+    (n - half) / n, so the bits are those of its row in ``_tree``. A
+    module-level function, not a closure: a recursive closure is a
+    reference cycle, which would keep the points until the cyclic GC ran."""
+    if n == 1:
+        return points[lo], c[lo]
+    half = n // 2
+    a, c_a = _vector_tree(points, c, lo, half)
+    b, c_b = _vector_tree(points, c, lo + half, n - half)
+    return _geodesic(a, b, (n - half) / n, c_a, c_b)
+
+
 def _trees(batch: PointBatch, c: np.ndarray, first, stride) -> np.ndarray:
     """fnw of every sequence read from row ``first`` by ``stride``, a group of
     ``_groups`` at a time: a tree works on a copy of its group's points and
@@ -366,6 +410,18 @@ def _trees(batch: PointBatch, c: np.ndarray, first, stride) -> np.ndarray:
         rows = first[seq] + stride[seq] * (np.arange(lo, hi) - starts[seq])
         out[i:j] = _tree(batch.points[rows], c[rows], starts[i:j] - lo, lengths[i:j])
     return out
+
+
+def _fnw(batch: PointBatch, n2: np.ndarray, backward: bool) -> np.ndarray:
+    """fnw of every sequence, read forward or backward (bnw). One sequence
+    shorter than _VECTOR_TREE_POINTS steps as a vector tree."""
+    c = 1.0 - n2
+    if batch.lengths.size == 1 and len(batch.points) < _VECTOR_TREE_POINTS:
+        flip = slice(None, None, -1) if backward else slice(None)
+        point, _ = _vector_tree(batch.points[flip], c[flip], 0, len(batch.points))
+        # a copy: a one-point sequence's point is the caller's row
+        return np.array(point, ndmin=2)
+    return _trees(batch, c, *_reading(batch, backward))
 
 
 def _alone(scheme):
@@ -382,8 +438,8 @@ _SCHEMES = {
     "lcf": _folds,
     "lcb": _folds,
     "lca": _folds,
-    "fnw": _alone(lambda batch, n2: _trees(batch, 1.0 - n2, *_reading(batch, False))),
-    "bnw": _alone(lambda batch, n2: _trees(batch, 1.0 - n2, *_reading(batch, True))),
+    "fnw": _alone(lambda batch, n2: _fnw(batch, n2, False)),
+    "bnw": _alone(lambda batch, n2: _fnw(batch, n2, True)),
 }
 
 METHODS = tuple(_SCHEMES)

@@ -1,4 +1,5 @@
 import collections
+import gc
 import itertools
 import math
 import tracemalloc
@@ -468,6 +469,101 @@ def test_one_sequence_steps_as_vectors(monkeypatch):
     # a batch of two steps in lockstep, lcf and lcb in one shared fold
     compose_batch(("naive", "lcf", "lcb"), batch_of(docs[1:]))
     assert stepped == [2, 4]
+
+
+def short_text_pools(rng, dim, size):
+    """Three pools of ``size`` points, whose first n points make a text of
+    every length n: points at 1 - 1e-6, points at the largest squared norm
+    below 1 in directions 1e-15 apart (the points whose steps can round
+    onto the sphere, where the clamp pulls them back) and interior points,
+    shuffled; those points with a last column of -0.0; and those with a
+    first column of 1e308 too, whose emean overflows in fsum at every
+    length above 1."""
+    edge = rng.normal(size=dim) + 1e-15 * rng.normal(size=(60 * size, dim))
+    edge *= ((1.0 - 2.0**-53) / np.linalg.norm(edge, axis=1))[:, None]
+    edge = edge[np.vecdot(edge, edge) == np.nextafter(1.0, 0.0)][: size // 3]
+    assert len(edge) == size // 3
+    far = random_points(rng, size // 3, dim, 1.0)
+    far *= ((1.0 - 1e-6) / np.linalg.norm(far, axis=1))[:, None]
+    inner = random_points(rng, size - 2 * (size // 3), dim)
+    mixed = rng.permutation(np.concatenate([far, edge, inner]))
+    zeros = mixed.copy()
+    zeros[:, -1] = -0.0
+    overflow = zeros.copy()
+    overflow[:, 0] = 1e308
+    return mixed, zeros, overflow
+
+
+@pytest.mark.parametrize("dim", [2, 50, 300])
+def test_short_text_vector_paths_equal_a_batch_of_many(monkeypatch, dim):
+    # one text's fnw and bnw step as a tree of (d,) vectors below
+    # _VECTOR_TREE_POINTS points, and its emean sums each column by fsum up
+    # to _FSUM_ENTRIES coordinates; every text, on both sides of each cut,
+    # composes bitwise to its row of a two-text batch, which takes the
+    # lockstep tree and the extraction pass, and to a new array
+    calls = collections.Counter()
+
+    def counted(name):
+        real = getattr(composition, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(composition, name, call)
+
+    counted("_tree")
+    counted("_extraction")
+    cuts = {"fnw": ("_tree", lambda text: len(text) >= composition._VECTOR_TREE_POINTS),
+            "bnw": ("_tree", lambda text: len(text) >= composition._VECTOR_TREE_POINTS),
+            "emean": ("_extraction", lambda text: text.size > composition._FSUM_ENTRIES)}
+    # every length from 1 to 3 points past each cut
+    tree = composition._VECTOR_TREE_POINTS + 2
+    longest = {"fnw": tree, "bnw": tree, "emean": composition._FSUM_ENTRIES // dim + 3}
+    rng = np.random.default_rng(32)
+    mixed, zeros, overflow = short_text_pools(rng, dim, max(longest.values()))
+    sides = collections.defaultdict(set)
+    for method, (name, past) in cuts.items():
+        for pool in (mixed, zeros):
+            for n in range(1, longest[method] + 1):
+                text = pool[:n]
+                calls.clear()
+                one = compose(method, text)
+                assert (calls[name] > 0) == past(text), (method, n, calls)
+                sides[method].add(past(text))
+                row = compose_batch((method,), batch_of([text, pool[:2]]))[method][0]
+                assert one.tobytes() == row.tobytes(), (method, n)
+                assert not np.shares_memory(one, text), (method, n)
+    assert all(sides[method] == {False, True} for method in cuts), sides
+    # fsum of a column of -0.0, as both routes take it
+    assert compose("emean", zeros[:5])[-1].tobytes() == np.float64(math.fsum([-0.0] * 5)).tobytes()
+    # a text whose first column overflows fsum raises fsum's OverflowError
+    # alone and in a batch, on both sides of emean's cut
+    assert compose("emean", overflow[:1]).tobytes() == overflow[0].tobytes()
+    for n in range(2, longest["emean"] + 1):
+        with pytest.raises(OverflowError):
+            compose("emean", overflow[:n])
+        with pytest.raises(OverflowError):
+            compose_batch(("emean",), batch_of([overflow[:n], zeros[:2]]))
+
+
+def test_composing_leaves_no_reference_cycle():
+    # every object a composition makes is freed by reference counting: a
+    # cycle (such as a recursive closure) would keep a text's points alive
+    # until the cyclic GC ran, between the texts a caller composes
+    rng = np.random.default_rng(33)
+    gc.collect()
+    gc.disable()
+    try:
+        for n in (1, 3, 12, 40):
+            text = random_points(rng, n, 50)
+            for method in METHODS:
+                compose(method, text)
+            mobius_sum(text)
+            compose_batch(METHODS, batch_of([text, text[:2]]))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ----------------------------------- carried squared norms vs recomputed norms

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -273,7 +274,9 @@ def test_row_kernels_take_one_vector_as_the_row_of_a_stack_of_one(monkeypatch, d
     # at norm 1 and just beyond (pulled back), and a row whose squared norm
     # overflows; and add, scale and geodesic steps between interior points,
     # points at 1 - 1e-6, and points at the largest squared norm below 1 a
-    # hair apart, whose steps the clamp pulls back
+    # hair apart, whose steps the clamp pulls back. The (d,) row takes the
+    # clamp's test and the geodesic step's floor as scalar branches: both
+    # run on both shapes, by count
     rng = np.random.default_rng(63)
     pulled = {1: 0, 2: 0}
     real = gyroball._clamp_norms
@@ -312,6 +315,40 @@ def test_row_kernels_take_one_vector_as_the_row_of_a_stack_of_one(monkeypatch, d
         r = 1.0 / rng.integers(1, 50)
         same([gyroball._scale(r, a, n2[i])], [gyroball._scale(r, A, n2[i : i + 1])])
     assert pulled[1] == pulled[2] > 3, pulled
+    # a == b: all three weights are 0, and only den's floor at _TINY keeps
+    # the step from 0 / 0 (NaN with a warning); the step is a, bit for bit.
+    # The (d,) row floors by the builtin max, the stack by np.maximum
+    floors = {"max": [0, 0], "maximum": [0, 0]}  # calls, values floored
+    real_maximum = np.maximum
+
+    def floor(branch, real_floor):
+        def call(den, tiny):
+            floors[branch][0] += 1
+            floors[branch][1] += int(np.count_nonzero(den < tiny))
+            return real_floor(den, tiny)
+
+        return call
+
+    monkeypatch.setattr(gyroball, "max", floor("max", max), raising=False)
+    monkeypatch.setattr(np, "maximum", floor("maximum", real_maximum))
+    for i in range(len(points)):
+        a, A, c = points[i], points[i : i + 1], 1.0 - n2[i : i + 1]
+        one = gyroball._geodesic(a, a.copy(), 0.5, c[0], c[0])
+        stack = gyroball._geodesic(A, A.copy(), 0.5, c, c)
+        same(one, stack)
+        assert one[0].tobytes() == a.tobytes()
+    monkeypatch.setattr(np, "maximum", real_maximum)
+    assert floors["max"] == floors["maximum"] == [len(points)] * 2, floors
+    # from a point at 1 - 1e-6 nearly all the way to a point at the largest
+    # squared norm below 1: the step rounds onto the sphere, and the clamp
+    # pulls it back
+    before = dict(pulled)
+    c_far, c_edge = 1.0 - np.vecdot(far, far), 1.0 - np.vecdot(edge, edge)
+    for i, j in itertools.product(range(len(far)), range(len(edge))):
+        same(gyroball._geodesic(far[i], edge[j], 0.99, c_far[i], c_edge[j]),
+             gyroball._geodesic(far[i : i + 1], edge[j : j + 1], 0.99,
+                                c_far[i : i + 1], c_edge[j : j + 1]))
+    assert pulled[1] - before[1] == pulled[2] - before[2] > 0, (before, pulled)
 
 
 def test_distance_accepts_every_row_the_clamp_keeps():
