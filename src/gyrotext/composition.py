@@ -22,13 +22,14 @@ the point-row rule; with no lengths the points are one sequence, so
 take one step per position over every sequence still long enough, so a
 corpus costs them about as many numpy calls as its longest document. One
 sequence, as ``compose`` and ``mobius_sum`` make, steps as a (d,) vector
-on numpy-scalar norms instead, with no sort and no gather: the same bits
-as its row of a stack, for well under half the per-call cost. The trees
-take one step per tree level and emean a fixed number of calls, both over
-groups of consecutive sequences. One short sequence takes its tree as
-n - 1 vector steps instead, and one small sequence its emean as
-``math.fsum`` of each column, below the cuts where those cost less than
-a pass's fixed bookkeeping (``_VECTOR_TREE_POINTS``, ``_FSUM_ENTRIES``).
+instead, its norms Python floats from one ``tolist()``, with no sort and
+no gather: the same bits as its row of a stack, for under a third of the
+per-call cost. The trees take one step per tree level and emean a fixed
+number of calls, both over groups of consecutive sequences. One short
+sequence takes its tree as n - 1 vector steps instead, and one small
+sequence its emean as ``math.fsum`` of each column, below the cuts where
+those cost less than a pass's fixed bookkeeping (``_VECTOR_TREE_POINTS``,
+``_FSUM_ENTRIES``).
 ``compose_batch`` composes several methods of one batch: lcf, lcb and
 lca share one fold of the readings they need, forward, backward or both,
 which in a batch of one are vector folds apart, and lca is the midpoint
@@ -71,12 +72,15 @@ __all__ = [
 STEP_BYTES = 256 * 1024
 
 # One sequence of fewer points than this composes by fnw and bnw as a tree
-# of (d,) vector steps, a longer one by the lockstep tree. The vector tree
-# takes n - 1 steps of about 6.5 us; the lockstep tree takes one stacked
-# step per level, about 30 us with the level's bookkeeping, and 12 us more,
-# so 6.5 (n - 1) < 12 + 30 ceil(log2 n) holds for n up to 25 (at d = 5 to
-# 300 alike: a step's per-call cost outweighs its d coordinates).
-_VECTOR_TREE_POINTS = 26
+# of (d,) vector steps, a longer one by the lockstep tree. At d = 50 the
+# vector tree takes n - 1 steps of about 5.2 us with the recursion; the
+# lockstep tree takes one stacked step per level, about 33 us with the
+# level's bookkeeping, and 35 us more, so 5.2 (n - 1) < 35 + 33 ceil(log2 n)
+# holds for n up to 45. The cut stays below that: at d = 5 the two trees
+# are even from about 44 points, and at 20-40 points the vector tree was
+# the faster at d = 5, 50 and 300 (a step's per-call cost outweighs its d
+# coordinates).
+_VECTOR_TREE_POINTS = 41
 
 # One sequence of at most this many coordinates takes emean as math.fsum of
 # each column. That costs about 0.035 us a coordinate (the list and the
@@ -278,16 +282,17 @@ def _sums(batch: PointBatch, n2: np.ndarray):
 
 
 def _vector_sum(points, n2):
-    """``_sums`` of one sequence, stepped as (d,) vectors on the numpy
-    scalars of ``n2``: its sum, the sum's squared norm, its overflow count."""
+    """``_sums`` of one sequence, stepped as (d,) vectors on ``n2`` as
+    floats: its sum, the sum's squared norm (a float), its overflow count."""
+    n2 = n2.tolist()
     # a copy: the rescale works in place, and the first point is the caller's
     acc, acc_n2, count = points[0].copy(), n2[0], 0
     for k in range(len(points)):
         if k:
             acc, acc_n2 = _add(acc, points[k], acc_n2, n2[k])
-        if np.sqrt(acc_n2) >= MAX_NORM:
+        if math.sqrt(acc_n2) >= MAX_NORM:
             acc *= OVERFLOW_RESCALE
-            acc_n2, count = np.vecdot(acc, acc), count + 1
+            acc_n2, count = float(acc.dot(acc)), count + 1
     return acc, acc_n2, count
 
 
@@ -318,7 +323,7 @@ def _fold(points, c, first, stride, lengths):
 
 def _vector_fold(points, c):
     """lcf of one sequence, its points in reading order, stepped as (d,)
-    vectors on the numpy scalars of its ``c``: its point and that c."""
+    vectors on the floats of its ``c``, a list: its point and that c."""
     # a copy: a one-point sequence's point must not be the caller's row
     acc, c_acc = points[0].copy(), c[0]
     for k in range(1, len(points)):
@@ -345,6 +350,7 @@ def _folds(batch: PointBatch, n2: np.ndarray, methods) -> list:
     names = [m for m in ("lcf", "lcb") if m in methods or "lca" in methods]
     if batch.lengths.size == 1:
         flip = {"lcf": slice(None), "lcb": slice(None, None, -1)}
+        c = c.tolist()
         folds = {m: _vector_fold(batch.points[flip[m]], c[flip[m]]) for m in names}
     else:
         n = len(names)
@@ -386,7 +392,7 @@ def _tree(vals, c, starts, lengths) -> np.ndarray:
 
 def _vector_tree(points, c, lo: int, n: int):
     """fnw of the n points from row ``lo`` on, in reading order, stepped as
-    (d,) vectors on the numpy scalars of their ``c``: its point and that c.
+    (d,) vectors on the floats of their ``c``, a list: its point and that c.
     Each node steps as ``_tree``'s does, from its left child's centroid by
     (n - half) / n, so the bits are those of its row in ``_tree``. A
     module-level function, not a closure: a recursive closure is a
@@ -418,7 +424,7 @@ def _fnw(batch: PointBatch, n2: np.ndarray, backward: bool) -> np.ndarray:
     c = 1.0 - n2
     if batch.lengths.size == 1 and len(batch.points) < _VECTOR_TREE_POINTS:
         flip = slice(None, None, -1) if backward else slice(None)
-        point, _ = _vector_tree(batch.points[flip], c[flip], 0, len(batch.points))
+        point, _ = _vector_tree(batch.points[flip], c.tolist()[flip], 0, len(batch.points))
         # a copy: a one-point sequence's point is the caller's row
         return np.array(point, ndmin=2)
     return _trees(batch, c, *_reading(batch, backward))

@@ -26,14 +26,14 @@ coordinate differences, so nearby points lose nothing to cancellation;
 the floor is the rounding of 1 - |u|^2 at the point nearer the boundary,
 a relative error of about (dim + 2) eps / (1 - |u|^2). Each Mobius
 operation has one row-wise implementation, which takes a (B, d) row stack
-or one (d,) row, and point arrays pass one rule, _rows: finite float64
-(n, d) rows, d >= 1, a 1-D vector as one row; the Mobius functions take
-1-D vectors. The row kernels take the norms of their input rows as
-arguments, as the np.vecdot squared norms |x|^2 (Mobius addition and
-scaling) or as c = 1 - |x|^2 (the geodesic step), one per row or a numpy
-scalar for one (d,) row, and hand back those of their results, which the
-clamp (_clamp_norms) returns with the rows it has checked: a fold takes
-each norm once, where it makes the point.
+or, on a branch of Python floats, one (d,) row, and point arrays pass one
+rule, _rows: finite float64 (n, d) rows, d >= 1, a 1-D vector as one row;
+the Mobius functions take 1-D vectors. The row kernels take the norms of
+their input rows as arguments, as the np.vecdot squared norms |x|^2
+(Mobius addition and scaling) or as c = 1 - |x|^2 (the geodesic step),
+one per row or a float for one (d,) row, and hand back those of their
+results, which the clamp (_clamp_norms) returns with the rows it has
+checked: a fold takes each norm once, where it makes the point.
 All computation is in float64; the operators compound rounding error and
 32-bit floats do not survive deep compositions.
 """
@@ -107,24 +107,18 @@ def _inside(X: np.ndarray, name: str) -> np.ndarray:
 # without validating: the public functions below check their arguments once,
 # and composition checks a whole batch once before folding it. A row's result
 # depends on that row alone, and inner products go through np.vecdot (the
-# same BLAS dot as 1-D np.dot), so a batch of one gives bitwise the rows of a
-# batch of many. A norm passed in must be the np.vecdot one of its row, bit
-# for bit: then a step gives the bits it would give taking the norm itself.
-# Each also takes one (d,) row, its norms and per-row values numpy scalars:
-# the same ufuncs on them give bitwise the row of the (1, d) stack, at a
-# fraction of the per-call cost that dominates a stack of one. math's
-# functions would not: their sinh, asinh, tanh and atanh may round otherwise.
-# Only where a stack reduces or floors its per-row values (the clamp's test
-# for rows to pull back, the geodesic step's floor) does the 0-d value take
-# a scalar branch, as _col does: np.count_nonzero or np.maximum on a numpy
-# scalar costs 0.7 us, a tenth of a whole vector step, for the same result.
-
-
-def _col(v):
-    """Per-row values v as a column that broadcasts against the rows; the
-    0-d value of one (d,) row as it is. ``v.ndim``, not np.ndim(v): the
-    attribute costs the stack path nothing measurable."""
-    return v[:, None] if v.ndim else v
+# same BLAS dot as 1-D ndarray.dot), so a batch of one gives bitwise the rows
+# of a batch of many. A norm passed in must be the np.vecdot one of its row,
+# bit for bit: then a step gives the bits it would give taking the norm itself.
+# _add, _scale and _geodesic also take one (d,) row, on a branch of its own
+# whose per-row values are Python floats: inner products by ndarray.dot,
+# square roots by math.sqrt, and sinh, asinh, tanh and atanh by numpy's on
+# a float (math's would round otherwise on 18-48% of inputs; both sqrts are
+# correctly rounded). That gives bitwise the row of the (1, d) stack at a
+# fraction of the per-call cost that dominates a stack of one: a geodesic
+# step takes about 5 us, against 7 us on numpy scalars and 18 us on a stack
+# of one. Such a row goes through the clamp, as a stack of one, only where
+# its squared norm reaches 1 (_clamp_vector).
 
 
 def _clamp_norms(X: np.ndarray):
@@ -138,47 +132,64 @@ def _clamp_norms(X: np.ndarray):
     """
     n2 = np.vecdot(X, X)
     over = n2 >= 1.0
-    # count_nonzero: ndarray.any costs several times more on small arrays;
-    # the 0-d mask of one (d,) row is its own truth value
-    if np.count_nonzero(over) if over.ndim else over:
+    # count_nonzero: ndarray.any costs several times more on small arrays
+    if np.count_nonzero(over):
         if np.count_nonzero(inf := np.isinf(n2)):
             # by its largest |coordinate|, on a copy; an all-zero row would give 0/0
-            X = np.divide(X, np.abs(X).max(axis=-1, keepdims=True), out=X.copy(), where=_col(inf))
+            X = np.divide(X, np.abs(X).max(axis=-1, keepdims=True), out=X.copy(),
+                          where=inf[:, None])
             n2 = np.vecdot(X, X)
         # x * 1.0 is x, so the rows kept keep their bits
-        X = X * _col(MAX_NORM / np.where(over, np.sqrt(n2), MAX_NORM))
+        X = X * (MAX_NORM / np.where(over, np.sqrt(n2), MAX_NORM))[:, None]
         # a pulled-back row's norm is MAX_NORM only to rounding
         n2 = np.where(over, np.vecdot(X, X), n2)
     return X, n2, over
 
 
-def _add(A: np.ndarray, B: np.ndarray, na2: np.ndarray, nb2: np.ndarray):
+def _clamp_vector(x: np.ndarray):
+    """_clamp_norms of one (d,) row: the row and its squared norm, a float."""
+    n2 = float(x.dot(x))
+    # a NaN norm is kept, as _clamp_norms keeps it
+    if not n2 >= 1.0:
+        return x, n2
+    X, n2, _ = _clamp_norms(x[None])
+    return X[0], float(n2[0])
+
+
+def _add(A: np.ndarray, B: np.ndarray, na2, nb2):
     """Rows of A (+) B, clamped, and their squared norms, given the squared
-    norms na2 and nb2 of the rows of A and B."""
-    dot2 = _col(2.0 * np.vecdot(A, B))
-    na2 = _col(na2)
-    nb2 = _col(nb2)
+    norms na2 and nb2 of the rows of A and B; one (d,) row's are floats."""
+    if A.ndim == 1:
+        dot2 = 2.0 * float(A.dot(B))
+    else:
+        dot2, na2, nb2 = 2.0 * np.vecdot(A, B)[:, None], na2[:, None], nb2[:, None]
     # 1 + (2<a,b> + |b|^2) in this order: (1 + 2<a,b>) + |b|^2 rounds differently
     num = (1.0 + (dot2 + nb2)) * A + (1.0 - na2) * B
     den = 1.0 + dot2 + na2 * nb2
-    return _clamp_norms(num / den)[:2]
+    return _clamp_vector(num / den) if A.ndim == 1 else _clamp_norms(num / den)[:2]
 
 
-def _scale(r, X: np.ndarray, n2: np.ndarray) -> np.ndarray:
-    """Rows of r (*) X, clamped, given the squared norms n2 of the rows of X."""
+def _scale(r, X: np.ndarray, n2) -> np.ndarray:
+    """Rows of r (*) X, clamped, given the squared norms n2 of the rows of X;
+    one (d,) row's is a float."""
     # r is a scalar or one factor per row, and the rows lie inside the ball:
     # a squared norm below 1 has a correctly rounded sqrt of at most
     # 1 - 2^-53, whose artanh is finite
+    if X.ndim == 1:
+        n = math.sqrt(n2)
+        mag = float(np.tanh(r * float(np.arctanh(n))))
+        return _clamp_vector(mag / (n if n > 0.0 else 1.0) * X)[0]
     n = np.sqrt(n2)
     mag = np.tanh(r * np.arctanh(n))
     # x/|x| has a removable singularity at the origin, which maps to itself
-    return _clamp_norms(_col(mag / np.where(n > 0.0, n, 1.0)) * X)[0]
+    return _clamp_norms((mag / np.where(n > 0.0, n, 1.0))[:, None] * X)[0]
 
 
 def _geodesic(A: np.ndarray, B: np.ndarray, t, c_a: np.ndarray, c_b: np.ndarray):
     """Rows of a (+) ((-a (+) b) (*) t), for rows inside the ball, and their
     c = 1 - |x|^2; t is a scalar or one fraction per row, and c_a and c_b
-    are 1 - np.vecdot(x, x) of the rows of A and of B.
+    are 1 - np.vecdot(x, x) of the rows of A and of B (floats for one
+    (d,) row).
 
     With D = b - a and the half distance h = asinh(x),
     x = sqrt(|D|^2 / (c_a c_b)), the step is
@@ -200,6 +211,18 @@ def _geodesic(A: np.ndarray, B: np.ndarray, t, c_a: np.ndarray, c_b: np.ndarray)
     carries c from step to step and never takes a norm twice.
     """
     D = B - A
+    if A.ndim == 1:
+        x = math.sqrt(float(D.dot(D)) / (c_a * c_b))
+        h = float(np.arcsinh(x))
+        th = t * h
+        uh = h - th
+        alpha = float(np.sinh(2.0 * uh)) / c_a
+        beta = float(np.sinh(2.0 * th)) / c_b
+        gamma = 2.0 * x * float(np.sinh(th)) * float(np.sinh(uh))
+        # floored as the stack's den below, by max, which keeps a NaN as np.maximum does
+        den = max(alpha + beta + gamma, _TINY)
+        X, n2 = _clamp_vector((1.0 - gamma / den) * A + (beta / den) * D)
+        return X, 1.0 - n2
     x = np.sqrt(np.vecdot(D, D) / (c_a * c_b))
     h = np.arcsinh(x)
     th = t * h
@@ -208,12 +231,9 @@ def _geodesic(A: np.ndarray, B: np.ndarray, t, c_a: np.ndarray, c_b: np.ndarray)
     beta = np.sinh(2.0 * th) / c_b
     gamma = 2.0 * x * np.sinh(th) * np.sinh(uh)
     # all three weights are 0 only where b = a, whose step is a; elsewhere
-    # beta or alpha is at least sinh(h), far above the smallest normal. The
-    # numpy scalar of one (d,) row is floored by max, which keeps a NaN as
-    # np.maximum does
-    den = alpha + beta + gamma
-    den = np.maximum(den, _TINY) if den.ndim else max(den, _TINY)
-    X, n2, _ = _clamp_norms(_col(1.0 - gamma / den) * A + _col(beta / den) * D)
+    # beta or alpha is at least sinh(h), far above the smallest normal
+    den = np.maximum(alpha + beta + gamma, _TINY)
+    X, n2, _ = _clamp_norms((1.0 - gamma / den)[:, None] * A + (beta / den)[:, None] * D)
     return X, 1.0 - n2
 
 

@@ -547,6 +547,42 @@ def test_short_text_vector_paths_equal_a_batch_of_many(monkeypatch, dim):
             compose_batch(("emean",), batch_of([overflow[:n], zeros[:2]]))
 
 
+@pytest.mark.parametrize("dim", [2, 50, 300])
+def test_one_text_folds_on_floats_equal_a_batch_of_many(monkeypatch, dim):
+    # one text's naive sum and its lcf, lcb and lca folds step as (d,)
+    # vectors on Python-float norms; a text of every length from 1 to 40,
+    # from the pool with points at the edge and from the one with a column
+    # of -0.0, composes bitwise to its row of a two-text batch, which folds
+    # in lockstep on (B, d) stacks, and mobius_sum gives the sum and count
+    # of _sums' row. On the edge pool the (d,) row's clamp pulls steps back
+    # and naive's rescale fires, both counted
+    pulled = collections.Counter()
+    real = gyroball._clamp_vector
+
+    def clamp(x):
+        out = real(x)
+        pulled[pool_name] += int(np.count_nonzero(out[0] != x) > 0)
+        return out
+
+    monkeypatch.setattr(gyroball, "_clamp_vector", clamp)
+    rng = np.random.default_rng(34)
+    mixed, zeros, _ = short_text_pools(rng, dim, 40)
+    methods = ("naive", "lcf", "lcb", "lca")
+    rescaled = 0
+    for pool_name, pool in (("edge", mixed), ("zeros", zeros)):
+        for n in range(1, 41):
+            text = pool[:n]
+            batch = batch_of([text, pool[:2]])
+            rows = compose_batch(methods, batch)
+            for method in methods:
+                assert compose(method, text).tobytes() == rows[method][0].tobytes(), (method, n)
+            total, count = mobius_sum(text)
+            sums, _, counts = composition._sums(batch, batch.squared_norms("mobius_sum"))
+            assert (total.tobytes(), count) == (sums[0].tobytes(), counts[0]), n
+            rescaled += count
+    assert pulled["edge"] > 0 and rescaled > 0, (pulled, rescaled)
+
+
 def test_composing_leaves_no_reference_cycle():
     # every object a composition makes is freed by reference counting: a
     # cycle (such as a recursive closure) would keep a text's points alive

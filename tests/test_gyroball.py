@@ -269,35 +269,49 @@ def test_clamp_norms_reports_exactly_the_rows_it_pulled_back():
 
 @pytest.mark.parametrize("dim", [2, 50])
 def test_row_kernels_take_one_vector_as_the_row_of_a_stack_of_one(monkeypatch, dim):
-    # one (d,) row with numpy-scalar norms gives bitwise the row, and the
-    # norms, of the (1, d) stack: the clamp of a kept row, the origin, rows
-    # at norm 1 and just beyond (pulled back), and a row whose squared norm
-    # overflows; and add, scale and geodesic steps between interior points,
-    # points at 1 - 1e-6, and points at the largest squared norm below 1 a
-    # hair apart, whose steps the clamp pulls back. The (d,) row takes the
-    # clamp's test and the geodesic step's floor as scalar branches: both
-    # run on both shapes, by count
+    # one (d,) row gives bitwise the row, and the norm, of the (1, d) stack,
+    # with its norms passed as Python floats (as composition passes them) or
+    # as numpy scalars: the clamp of a kept row, the origin, rows at norm 1
+    # and just beyond (pulled back), and a row whose squared norm overflows;
+    # and add, scale and geodesic steps between interior points, points at
+    # 1 - 1e-6, and points at the largest squared norm below 1 a hair apart,
+    # whose steps the clamp pulls back. The (d,) row hands back its norm as
+    # a float, takes the clamp as a stack of one only where its squared norm
+    # reaches 1, and floors the geodesic step by the builtin max: the rows
+    # pulled back and the floors taken are counted on both shapes
     rng = np.random.default_rng(63)
     pulled = {1: 0, 2: 0}
+    shape = [None]  # the shape of the call being made: 1 for a (d,) row, 2 for a stack
     real = gyroball._clamp_norms
 
     def clamp(X):
         out = real(X)
-        pulled[X.ndim] += int(np.count_nonzero(out[2]))
+        pulled[shape[0]] += int(np.count_nonzero(out[2]))
         return out
 
     monkeypatch.setattr(gyroball, "_clamp_norms", clamp)
 
-    def same(one, stack):
-        for v, s in zip(one, stack):
+    def same(kernel, one, stack):
+        """kernel on a (d,) row's arguments and on its stack's, bitwise alike."""
+        shape[0] = 1
+        ones = kernel(*one)
+        shape[0] = 2
+        stacks = kernel(*stack)
+        for v, s in zip(ones, stacks):
             assert np.ndim(v) == np.ndim(s) - 1
             assert np.asarray(v).tobytes() == s[0].tobytes()
+        # a kernel that hands back norms hands back one (d,) row's as a float
+        assert len(ones) == 1 or type(ones[1]) is float
+        return ones
+
+    def clamp_either(X):
+        return gyroball._clamp_vector(X) if X.ndim == 1 else gyroball._clamp_norms(X)[:2]
 
     u = random_ball(rng, dim, 1.0)
     u /= np.linalg.norm(u)
     with np.errstate(over="ignore"):
         for x in (0.5 * u, np.zeros(dim), np.eye(dim)[0], u * (1.0 + 1e-12), np.full(dim, 1e200)):
-            same(gyroball._clamp_norms(x), gyroball._clamp_norms(x[None]))
+            same(clamp_either, (x,), (x[None],))
     assert pulled[1] == pulled[2] == 3
     edge = u + 1e-15 * rng.normal(size=(400, dim))
     edge *= ((1.0 - 2.0**-53) / np.linalg.norm(edge, axis=1))[:, None]
@@ -308,12 +322,14 @@ def test_row_kernels_take_one_vector_as_the_row_of_a_stack_of_one(monkeypatch, d
     n2 = np.vecdot(points, points)
     for i, j in rng.integers(0, len(points), size=(300, 2)):
         a, b, A, B = points[i], points[j], points[i : i + 1], points[j : j + 1]
-        same(gyroball._add(a, b, n2[i], n2[j]), gyroball._add(A, B, n2[i : i + 1], n2[j : j + 1]))
         t = rng.uniform()
-        same(gyroball._geodesic(a, b, t, 1.0 - n2[i], 1.0 - n2[j]),
-             gyroball._geodesic(A, B, t, 1.0 - n2[i : i + 1], 1.0 - n2[j : j + 1]))
         r = 1.0 / rng.integers(1, 50)
-        same([gyroball._scale(r, a, n2[i])], [gyroball._scale(r, A, n2[i : i + 1])])
+        for cast in (float, np.float64):
+            same(gyroball._add, (a, b, cast(n2[i]), cast(n2[j])),
+                 (A, B, n2[i : i + 1], n2[j : j + 1]))
+            same(gyroball._geodesic, (a, b, t, 1.0 - cast(n2[i]), 1.0 - cast(n2[j])),
+                 (A, B, t, 1.0 - n2[i : i + 1], 1.0 - n2[j : j + 1]))
+            same(lambda *args: [gyroball._scale(*args)], (r, a, cast(n2[i])), (r, A, n2[i : i + 1]))
     assert pulled[1] == pulled[2] > 3, pulled
     # a == b: all three weights are 0, and only den's floor at _TINY keeps
     # the step from 0 / 0 (NaN with a warning); the step is a, bit for bit.
@@ -333,9 +349,8 @@ def test_row_kernels_take_one_vector_as_the_row_of_a_stack_of_one(monkeypatch, d
     monkeypatch.setattr(np, "maximum", floor("maximum", real_maximum))
     for i in range(len(points)):
         a, A, c = points[i], points[i : i + 1], 1.0 - n2[i : i + 1]
-        one = gyroball._geodesic(a, a.copy(), 0.5, c[0], c[0])
-        stack = gyroball._geodesic(A, A.copy(), 0.5, c, c)
-        same(one, stack)
+        one = same(gyroball._geodesic, (a, a.copy(), 0.5, float(c[0]), float(c[0])),
+                   (A, A.copy(), 0.5, c, c))
         assert one[0].tobytes() == a.tobytes()
     monkeypatch.setattr(np, "maximum", real_maximum)
     assert floors["max"] == floors["maximum"] == [len(points)] * 2, floors
@@ -345,9 +360,8 @@ def test_row_kernels_take_one_vector_as_the_row_of_a_stack_of_one(monkeypatch, d
     before = dict(pulled)
     c_far, c_edge = 1.0 - np.vecdot(far, far), 1.0 - np.vecdot(edge, edge)
     for i, j in itertools.product(range(len(far)), range(len(edge))):
-        same(gyroball._geodesic(far[i], edge[j], 0.99, c_far[i], c_edge[j]),
-             gyroball._geodesic(far[i : i + 1], edge[j : j + 1], 0.99,
-                                c_far[i : i + 1], c_edge[j : j + 1]))
+        same(gyroball._geodesic, (far[i], edge[j], 0.99, float(c_far[i]), float(c_edge[j])),
+             (far[i : i + 1], edge[j : j + 1], 0.99, c_far[i : i + 1], c_edge[j : j + 1]))
     assert pulled[1] - before[1] == pulled[2] - before[2] > 0, (before, pulled)
 
 
